@@ -12,7 +12,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .bracket import enumerate_completely_reduced
-from .errors import ParseError, ResourceLimit
+from .errors import ParseError, ResourceLimit, UsageError
 from .evaluation import is_weak_identity
 from .fields import Field
 from .identities import (
@@ -27,7 +27,19 @@ from .rewriter import normal_form
 
 def _max_degree():
     raw = os.environ.get("WEYLPI_MAX_DEGREE")
-    return int(raw) if raw else DEFAULT_MAX_DEGREE
+    if not raw:
+        return DEFAULT_MAX_DEGREE
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"WEYLPI_MAX_DEGREE must be an integer, got {raw!r}") from None
+
+
+def _field(text):
+    try:
+        return Field.parse(text)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _parse_mdeg(text):
@@ -41,7 +53,7 @@ def _parse_mdeg(text):
 
 
 def cmd_normalize(args):
-    fieldobj = Field.parse(args.field)
+    fieldobj = _field(args.field)
     f = parse_poly(args.expr, fieldobj)
     if f.terms and max(len(w) for w in f.terms) > _max_degree():
         raise ResourceLimit("expression degree exceeds cap")
@@ -76,7 +88,7 @@ def cmd_normalize(args):
 
 
 def cmd_check(args):
-    fieldobj = Field.parse(args.field)
+    fieldobj = _field(args.field)
     f = parse_poly(args.expr, fieldobj)
     if is_weak_identity(f):
         print("identity")
@@ -95,7 +107,7 @@ def cmd_enumerate(args):
 
 
 def cmd_idbasis(args):
-    fieldobj = Field.parse(args.field)
+    fieldobj = _field(args.field)
     delta = _parse_mdeg(args.mdeg)
     if sum(delta) > _max_degree():
         raise ResourceLimit("multidegree exceeds degree cap")
@@ -111,10 +123,12 @@ def _verify_worker(job):
 
 
 def cmd_verify(args):
-    fieldobj = Field.parse(args.field)
+    fieldobj = _field(args.field)
     cap = _max_degree()
     if args.mdeg:
         deltas = [_parse_mdeg(args.mdeg)]
+    elif args.degree < 0:
+        raise UsageError(f"--degree must be non-negative, got {args.degree}")
     else:
         deltas = degree_multidegrees(args.degree)
     jobs = [(delta, fieldobj.p, cap) for delta in deltas]
@@ -185,7 +199,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimit as exc:

@@ -37,6 +37,10 @@ class ResourceLimit(Exception):
     """Configured degree / size cap exceeded."""
 
 
+class UsageError(Exception):
+    """Malformed command-line option or environment setting."""
+
+
 class ParseError(Exception):
     """Syntax error in an expression, with character position."""
 

@@ -6,7 +6,19 @@ parameters, which is exact over an infinite field of the configured
 characteristic: the parameter-monomial coefficients of the result are
 precisely the evaluations of all partial linearizations at tuples from
 {x, y}.
+
+``eval_vectors`` computes it with an integer kernel: the image of a word
+is a dict ``{(i, j, code): int}`` over the basis x^i y^j, where ``code``
+packs the exponents of (a1, b1, a2, b2, ...) into one int, and it is
+built letter by letter with x^i y^j * x = x^{i+1} y^j + j x^i y^{j-1}.
+The words of a batch are walked in sorted order, so each common prefix is
+multiplied out once.  Coefficients are scaled to integers and enter the
+field once per output coordinate.  ``generic_substitution`` computes the
+same thing with ``WeylElement`` arithmetic and is kept as the reference
+oracle for the kernel.
 """
+
+from math import lcm
 
 from .errors import ArityMismatch
 from .weyl import CommPoly, WeylElement
@@ -35,6 +47,85 @@ def generic_substitution(f):
     return out
 
 
+def _times_letter(image, a, b):
+    """image * (a*x + b*y), where a and b are the packed parameter codes."""
+    out = {}
+    get = out.get
+    for (i, j, code), c in image.items():
+        key = (i + 1, j, code + a)
+        out[key] = get(key, 0) + c
+        if j:
+            key = (i, j - 1, code + a)
+            out[key] = get(key, 0) + j * c
+        key = (i, j + 1, code + b)
+        out[key] = get(key, 0) + c
+    return out
+
+
+def eval_vectors(polys, field):
+    """Sparse coordinates of the generic substitution of each polynomial.
+
+    Returns one dict per polynomial mapping (i, j, exps) to a nonzero
+    scalar, where exps is the trimmed exponent tuple of (a1, b1, a2, ...):
+    exactly the coefficients of ``generic_substitution``.
+    """
+    uses = {}  # word -> [(row, integer coefficient)]
+    dens = []
+    for row, f in enumerate(polys):
+        den = 1
+        for c in f.terms.values():
+            den = lcm(den, c.denominator)
+        dens.append(den)
+        for w, c in f.terms.items():
+            uses.setdefault(w, []).append((row, c.numerator * (den // c.denominator)))
+
+    # an exponent is at most the word length, so this many bits per slot
+    # never carry into the next
+    bits = max(map(len, uses), default=0).bit_length()
+    accs = [{} for _ in dens]
+    path = [{(0, 0, 0): 1}]  # path[t] is the image of the first t letters
+    prev = ()
+    for w in sorted(uses):
+        t = 0
+        while t < len(prev) and t < len(w) and prev[t] == w[t]:
+            t += 1
+        del path[t + 1 :]
+        for letter in w[t:]:
+            shift = 2 * (letter - 1) * bits
+            path.append(_times_letter(path[-1], 1 << shift, 1 << (shift + bits)))
+        image = path[-1]
+        for row, c in uses[w]:
+            acc = accs[row]
+            for key, v in image.items():
+                acc[key] = acc.get(key, 0) + c * v
+        prev = w
+
+    mask = (1 << bits) - 1
+    exps_of = {}
+    out = []
+    for acc, den in zip(accs, dens):
+        vec = {}
+        for (i, j, code), s in acc.items():
+            v = field.of(s, den)
+            if field.is_zero(v):
+                continue
+            exps = exps_of.get(code)
+            if exps is None:
+                digits, rest = [], code
+                while rest:
+                    digits.append(rest & mask)
+                    rest >>= bits
+                exps = exps_of[code] = tuple(digits)
+            vec[(i, j, exps)] = v
+        out.append(vec)
+    return out
+
+
+def eval_vector(f):
+    """Sparse coordinates of generic_substitution(f): (i, j, exps) -> scalar."""
+    return eval_vectors([f], f.field)[0]
+
+
 def substitute_tuple(f, t):
     """Evaluate f at a concrete tuple over {x, y} ('x'/'y' per variable)."""
     F = f.field
@@ -57,27 +148,12 @@ def substitute_tuple(f, t):
     return out
 
 
-def _used_variables(f):
-    return sorted({l for w in f.terms for l in w})
-
-
-def is_weak_identity(f, multilinear_fast_path=True):
+def is_weak_identity(f):
     """True iff every multihomogeneous component of f vanishes under all
-    substitutions from span{x, y}."""
-    for comp in f.multihomogeneous_components().values():
-        delta = comp.mdeg()
-        multilinear = all(d <= 1 for d in delta)
-        if multilinear and multilinear_fast_path:
-            used = _used_variables(comp)
-            # compact to the used variables and enumerate all 2^m tuples
-            g = comp.rename({v: t + 1 for t, v in enumerate(used)})
-            g = type(comp)(g.field, len(used), g.terms)
-            m = len(used)
-            for mask in range(2 ** m):
-                t = tuple("xy"[(mask >> k) & 1] for k in range(m))
-                if not substitute_tuple(g, t).is_zero():
-                    return False
-        else:
-            if not generic_substitution(comp).is_zero():
-                return False
-    return True
+    substitutions from span{x, y}.
+
+    In the image of a word the parameters a_k, b_k have total degree equal
+    to the multiplicity of x_k, so components of different multidegrees
+    land on disjoint coordinates and f vanishes iff each component does.
+    """
+    return not eval_vector(f)

@@ -9,16 +9,36 @@ module stays agnostic of which field it is working over.
 from fractions import Fraction
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster 2015: the least strong pseudoprime to all of them
+# is 3317044064679887385961981).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin primality test, exact for n < _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality of {n} is not decided exactly above {_MR_LIMIT}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -48,7 +68,7 @@ class Field:
         text = text.strip().lower()
         if text == "q":
             return cls(0)
-        if text.startswith("fp:"):
+        if text.startswith("fp:") and text[3:].isdecimal():
             return cls.prime(int(text[3:]))
         raise ValueError(f"unknown field spec {text!r}; expected 'q' or 'fp:P'")
 
@@ -89,7 +109,7 @@ class Field:
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a if self.p == 0 else pow(a, -1, self.p)
+        return Fraction(1) / a if self.p == 0 else pow(a, -1, self.p)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -18,7 +18,7 @@ from itertools import product
 
 from .bracket import enumerate_completely_reduced
 from .errors import ResourceLimit
-from .evaluation import generic_substitution, substitute_tuple
+from .evaluation import eval_vectors, substitute_tuple
 from .fields import Field
 from .free_algebra import NCPoly, _multiset_permutations, gamma, generator_at, st3, t4
 from .linalg import row_reduce_sparse, rref_vectors
@@ -41,16 +41,6 @@ def space_dimension(delta):
     return n
 
 
-def eval_vector(f):
-    """Sparse coordinates of generic_substitution(f): (i, j, exps) -> scalar."""
-    w = generic_substitution(f)
-    out = {}
-    for (i, j), c in w.terms.items():
-        for exps, scalar in c.terms.items():
-            out[(i, j, exps)] = scalar
-    return out
-
-
 def identity_basis(delta, fieldobj):
     """Deterministic echelon basis of the weak identities of multidegree delta.
 
@@ -62,9 +52,9 @@ def identity_basis(delta, fieldobj):
     if not words:
         return []
     nvars = len(delta)
-    rows = [
-        eval_vector(NCPoly.monomial(w, fieldobj, nvars=nvars)) for w in words
-    ]
+    rows = eval_vectors(
+        [NCPoly.monomial(w, fieldobj, nvars=nvars) for w in words], fieldobj
+    )
     _, kernel = row_reduce_sparse(rows, fieldobj, want_kernel=True)
     dense = []
     for vec in kernel:
@@ -152,15 +142,21 @@ def verify_conjecture(delta, fieldobj=None, max_degree=None):
 
     reduced = enumerate_completely_reduced(delta)
     n = len(reduced)
-    rows = [eval_vector(b.expand(fieldobj)) for b in reduced]
-    eval_rank, kernel = row_reduce_sparse(rows, fieldobj, want_kernel=True)
-
     # dim Id = dim F_delta - rank of the evaluated quotient spanning set
-    # {x1^d1...xm^dm} + reduced monomials (sound by the normal-form theorem)
+    # {x1^d1...xm^dm} + reduced monomials (sound by the normal-form theorem).
+    # One elimination with the pure word last: rows are consumed in order,
+    # so the kernel vectors of the bracket rows come out as if they were
+    # reduced alone, and the pure row either adds a pivot or gives the only
+    # kernel vector containing index n.
     nvars = len(delta)
     pure = tuple(l for l, d in enumerate(delta, start=1) for _ in range(d))
-    pure_row = eval_vector(NCPoly.monomial(pure, fieldobj, nvars=nvars))
-    rank_full, _ = row_reduce_sparse(rows + [pure_row], fieldobj)
+    polys = [b.expand(fieldobj) for b in reduced]
+    polys.append(NCPoly.monomial(pure, fieldobj, nvars=nvars))
+    rank_full, kernel = row_reduce_sparse(
+        eval_vectors(polys, fieldobj), fieldobj, want_kernel=True
+    )
+    kernel = [vec for vec in kernel if n not in vec]
+    eval_rank = n - len(kernel)
     dim_id = space_dimension(delta) - rank_full
 
     if eval_rank == n:

@@ -18,7 +18,7 @@ strictly decreasing (monomial weight, bracket weight) measure.
 from dataclasses import dataclass, field as dc_field
 
 from .bracket import BracketMonomial, Status, bracket_sort_key
-from .errors import NotReduced, NotSemiReduced
+from .errors import NotReduced, NotSemiReduced, ResourceLimit
 from .free_algebra import NCPoly
 
 _MAX_STEPS = 10_000_000
@@ -63,7 +63,7 @@ def _rewrite(initial, fieldobj, target, trace=None):
     while stack:
         steps += 1
         if steps > _MAX_STEPS:
-            raise RuntimeError("rewriting did not terminate within the step cap")
+            raise ResourceLimit(f"rewriting exceeded the step cap of {_MAX_STEPS}")
         (prefix, brackets), c = stack.pop()
         brackets = tuple(sorted(brackets, key=bracket_sort_key))
         i = _first_descent(prefix)

@@ -147,3 +147,25 @@ def test_verify_prime_field():
     r = run("verify", "--mdeg", "1,1,1", "--field", "fp:5")
     assert r.returncode == 0
     assert "verdict=Verified" in r.stdout
+
+
+def test_usage_errors_exit_two():
+    for args, env in (
+        (("check", "--field", "fp:4", "--expr", "x1"), None),
+        (("check", "--field", "fp:x", "--expr", "x1"), None),
+        (("verify", "--mdeg", "1,1"), {"WEYLPI_MAX_DEGREE": "abc"}),
+        (("verify", "--degree", "-3"), None),
+    ):
+        r = run(*args, env_extra=env)
+        assert r.returncode == 2, args
+        assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+        assert "Traceback" not in r.stderr
+
+
+def test_large_prime_fields_are_decided_exactly():
+    # 2^61 - 1 is prime; 561 is a Carmichael number; 3 divides 2^61 + 1
+    r = run("verify", "--mdeg", "1,1,1", "--field", f"fp:{2**61 - 1}")
+    assert r.returncode == 0
+    assert "verdict=Verified" in r.stdout
+    for p in (561, 2**61 + 1):
+        assert run("check", "--field", f"fp:{p}", "--expr", "x1").returncode == 2

@@ -2,9 +2,14 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from weylpi.bracket import enumerate_completely_reduced
 from weylpi.errors import ArityMismatch
 from weylpi.evaluation import (
+    eval_vector,
+    eval_vectors,
     generic_substitution,
     is_weak_identity,
     substitute_tuple,
@@ -19,6 +24,7 @@ from weylpi.free_algebra import (
     st3,
     t4,
 )
+from weylpi.identities import degree_multidegrees, words_of_multidegree
 from weylpi.parser import parse_poly
 from weylpi.weyl import CommPoly, WeylElement, is_central
 
@@ -101,11 +107,14 @@ def test_evaluation_is_a_homomorphism():
         assert generic_substitution(f + g) == generic_substitution(f) + generic_substitution(g)
 
 
-def test_multilinear_paths_agree():
-    for f in (st3(QQ), t4(QQ), parse_poly("x1*x2 - x2*x1", QQ), gamma(4, QQ)):
-        assert is_weak_identity(f, multilinear_fast_path=True) == is_weak_identity(
-            f, multilinear_fast_path=False
+def test_multilinear_verdict_matches_tuple_evaluation():
+    polys = (st3(QQ), t4(QQ), parse_poly("x1*x2 - x2*x1", QQ), gamma(4, QQ))
+    for f in polys:
+        brute = all(
+            substitute_tuple(f, t).is_zero()
+            for t in product(("x", "y"), repeat=f.nvars)
         )
+        assert is_weak_identity(f) == brute
 
 
 def test_multilinear_shortcut_equivalence():
@@ -171,3 +180,60 @@ def test_partial_linearizations_of_generators_stay_identities():
 def test_generic_bracket_value_is_central():
     f = parse_poly("[x1,x2]", QQ)
     assert is_central(generic_substitution(f))
+
+
+# -- the integer evaluation kernel against the WeylElement oracle ------------
+
+
+def _oracle_vector(f):
+    w = generic_substitution(f)
+    return {
+        (i, j, exps): scalar
+        for (i, j), c in w.terms.items()
+        for exps, scalar in c.terms.items()
+    }
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 32003])
+def test_kernel_matches_oracle_up_to_degree_five(p):
+    field = Field(p)
+    for n in range(6):
+        for delta in degree_multidegrees(n):
+            polys = [b.expand(field) for b in enumerate_completely_reduced(delta)]
+            polys += [
+                NCPoly.monomial(w, field, nvars=len(delta))
+                for w in words_of_multidegree(delta)
+            ]
+            for f, vec in zip(polys, eval_vectors(polys, field)):
+                assert vec == _oracle_vector(f)
+                assert all(type(v) is type(field.one) for v in vec.values())
+
+
+_term = st.tuples(
+    st.lists(st.integers(1, 4), max_size=4).map(tuple),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_term, max_size=5))
+def test_kernel_matches_oracle_on_random_polynomials(terms):
+    f = NCPoly(QQ, 4, dict(terms))
+    assert eval_vector(f) == _oracle_vector(f)
+
+
+def test_shared_prefixes_give_the_same_vectors():
+    # a batch multiplies out each common prefix once; polynomials evaluated
+    # one at a time share nothing
+    rng = random.Random(5)
+    for field in (QQ, F5):
+        polys = []
+        for _ in range(12):
+            terms = {
+                tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 5))): field.of(
+                    rng.randint(-4, 4), rng.randint(1, 3)
+                )
+                for _ in range(rng.randint(1, 6))
+            }
+            polys.append(NCPoly(field, 3, terms))
+        assert eval_vectors(polys, field) == [eval_vector(f) for f in polys]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylpi.fields import Field
+from weylpi.fields import _MR_LIMIT, Field, _is_prime
 from weylpi.linalg import Matrix, row_reduce_sparse
 
 QQ = Field.rationals()
@@ -43,6 +43,15 @@ def test_field_parse():
 def test_non_prime_characteristic_rejected():
     with pytest.raises(ValueError):
         Field(4)
+
+
+def test_primality_is_exact_on_strong_pseudoprimes():
+    assert _is_prime(2**61 - 1) and _is_prime(32003) and _is_prime(41)
+    # strong pseudoprimes to the bases 2..7, 2..23 and 2..37, and a Carmichael number
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461, 1105):
+        assert not _is_prime(n)
+    with pytest.raises(ValueError):
+        Field(_MR_LIMIT + 2)
 
 
 def test_rank_examples():
@@ -119,3 +128,12 @@ def test_sparse_row_reduce_matches_dense():
     # the vanishing combination is row1 = 2 * row0
     (combo,) = kernel
     assert combo == {0: Fraction(-2), 1: Fraction(1)}
+
+
+def test_integer_rows_over_q_give_an_exact_kernel():
+    assert QQ.inv(3) == Fraction(1, 3)
+    assert QQ.div(1, 3) == Fraction(1, 3)
+    rank, kernel = row_reduce_sparse([{0: 2, 1: 1}, {0: 4, 1: 2}], QQ, want_kernel=True)
+    assert rank == 1
+    assert kernel == [{0: Fraction(-2), 1: Fraction(1)}]
+    assert all(type(c) is Fraction for c in kernel[0].values())

@@ -1,13 +1,13 @@
 import pytest
 
+from weylpi.bracket import enumerate_completely_reduced
 from weylpi.errors import ResourceLimit
-from weylpi.evaluation import is_weak_identity, substitute_tuple
+from weylpi.evaluation import eval_vector, eval_vectors, is_weak_identity, substitute_tuple
 from weylpi.fields import Field
 from weylpi.free_algebra import NCPoly, gamma, generator_at, st3
 from weylpi.identities import (
     ConjectureReport,
     degree_multidegrees,
-    eval_vector,
     ideal_span_dimension,
     identity_basis,
     space_dimension,
@@ -122,6 +122,19 @@ def test_verify_dimensions_match_basis_route():
         assert r.verdict == "Verified"
         assert r.dim_id == len(identity_basis(delta, QQ))
         assert r.dim_I == ideal_span_dimension(delta, QQ)
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(2)])
+def test_one_elimination_matches_separate_ranks(field):
+    for n in range(1, 6):
+        for delta in degree_multidegrees(n):
+            reduced = enumerate_completely_reduced(delta)
+            rows = eval_vectors([b.expand(field) for b in reduced], field)
+            pure = NCPoly.monomial(words_of_multidegree(delta)[0], field, nvars=len(delta))
+            rank_full, _ = row_reduce_sparse(rows + [eval_vector(pure)], field)
+            r = verify_conjecture(delta, field)
+            assert r.eval_rank == row_reduce_sparse(rows, field)[0]
+            assert r.dim_id == space_dimension(delta) - rank_full
 
 
 def test_verify_respects_degree_cap():

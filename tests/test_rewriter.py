@@ -3,7 +3,8 @@ import random
 import pytest
 
 from weylpi.bracket import BracketMonomial, Status, weight_less
-from weylpi.errors import NotMultihomogeneous, NotReduced, NotSemiReduced
+from weylpi import cli, rewriter
+from weylpi.errors import NotMultihomogeneous, NotReduced, NotSemiReduced, ResourceLimit
 from weylpi.evaluation import generic_substitution, substitute_tuple
 from weylpi.fields import Field
 from weylpi.free_algebra import NCPoly, gamma, st3, t4
@@ -210,3 +211,11 @@ def test_trace_records_rules():
     trace = []
     normal_form(bm((), ((2, 3), (1, 4))).expand(QQ), trace=trace)
     assert any("unnest:" in line for line in trace)
+
+
+def test_step_cap_raises_resource_limit(monkeypatch, capsys):
+    monkeypatch.setattr(rewriter, "_MAX_STEPS", 5)
+    with pytest.raises(ResourceLimit):
+        normal_form(parse_poly("x3*x2*x1*x4", QQ))
+    assert cli.main(["normalize", "--expr", "x3*x2*x1*x4"]) == 3
+    assert "resource limit" in capsys.readouterr().err
