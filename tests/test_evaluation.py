@@ -107,7 +107,7 @@ def test_evaluation_is_a_homomorphism():
         assert generic_substitution(f + g) == generic_substitution(f) + generic_substitution(g)
 
 
-def test_multilinear_verdict_matches_tuple_evaluation():
+def test_multilinear_paths_agree():
     polys = (st3(QQ), t4(QQ), parse_poly("x1*x2 - x2*x1", QQ), gamma(4, QQ))
     for f in polys:
         brute = all(
