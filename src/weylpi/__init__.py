@@ -13,7 +13,6 @@ from .identities import (
     two_variable_certificate,
     verify_conjecture,
 )
-from .linalg import Matrix
 from .parser import format_poly, parse_poly
 from .rewriter import NormalForm, normal_form, semi_reduce
 from .weyl import CommPoly, WeylElement, commutator_with_y, is_central
@@ -23,7 +22,6 @@ __all__ = [
     "CommPoly",
     "ConjectureReport",
     "Field",
-    "Matrix",
     "NCPoly",
     "NormalForm",
     "Status",

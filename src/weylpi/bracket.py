@@ -25,6 +25,13 @@ def bracket_sort_key(bracket):
     return (s, r)
 
 
+def format_key(prefix, brackets):
+    """Text of x_{t1}...x_{tl} [x_{r1},x_{s1}]..., e.g. ``x1 x2 [x1,x3]``."""
+    parts = [f"x{t}" for t in prefix]
+    parts.extend(f"[x{r},x{s}]" for r, s in brackets)
+    return " ".join(parts)
+
+
 @dataclass(frozen=True)
 class BracketMonomial:
     prefix: tuple
@@ -40,13 +47,6 @@ class BracketMonomial:
                 raise ValueError(f"bracket ({r},{s}) needs 1 <= r < s")
         if any(t < 1 for t in self.prefix):
             raise ValueError("prefix letters are 1-based")
-
-    def canonical(self):
-        """Sorted prefix, brackets sorted by (s, r)."""
-        return BracketMonomial(
-            tuple(sorted(self.prefix)),
-            tuple(sorted(self.brackets, key=bracket_sort_key)),
-        )
 
     # -- grading and status ------------------------------------------------
 
@@ -108,9 +108,7 @@ class BracketMonomial:
         return NCPoly(field, nvars, dict(words))
 
     def format(self):
-        parts = [f"x{t}" for t in self.prefix]
-        parts.extend(f"[x{r},x{s}]" for r, s in self.brackets)
-        return " ".join(parts)
+        return format_key(self.prefix, self.brackets)
 
     def __repr__(self):
         return f"BracketMonomial({self.format()})"

@@ -31,20 +31,22 @@ def letter_image(k, field):
     return WeylElement(field, {(1, 0): a, (0, 1): b})
 
 
-def generic_substitution(f):
-    """Evaluate f at x_k -> a_k*x + b_k*y with formal parameters."""
+def _substitute(f, images):
+    """Evaluate f with x_k -> images[k], one word at a time."""
     F = f.field
-    images = {}
     out = WeylElement.zero(F)
     for word, coeff in f.terms.items():
         acc = WeylElement.one(F)
         for letter in word:
-            img = images.get(letter)
-            if img is None:
-                img = images[letter] = letter_image(letter, F)
-            acc = acc * img
+            acc = acc * images[letter]
         out = out + acc.scale(coeff)
     return out
+
+
+def generic_substitution(f):
+    """Evaluate f at x_k -> a_k*x + b_k*y with formal parameters."""
+    letters = {letter for word in f.terms for letter in word}
+    return _substitute(f, {k: letter_image(k, f.field) for k in letters})
 
 
 def _times_letter(image, a, b):
@@ -139,13 +141,7 @@ def substitute_tuple(f, t):
             images[k] = WeylElement.y(F)
         else:
             raise ValueError(f"tuple entries must be 'x' or 'y', got {choice!r}")
-    out = WeylElement.zero(F)
-    for word, coeff in f.terms.items():
-        acc = WeylElement.one(F)
-        for letter in word:
-            acc = acc * images[letter]
-        out = out + acc.scale(coeff)
-    return out
+    return _substitute(f, images)
 
 
 def is_weak_identity(f):

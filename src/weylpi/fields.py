@@ -114,6 +114,21 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
+    def add_into(self, terms, pairs):
+        """Add each (key, scalar) pair into the dict ``terms`` in place,
+        dropping every key whose coefficient becomes zero."""
+        p = self.p
+        for k, v in pairs:
+            old = terms.get(k)
+            s = v if old is None else old + v
+            if p:
+                s %= p
+            if s:
+                terms[k] = s
+            else:
+                terms.pop(k, None)
+        return terms
+
     def is_zero(self, a):
         return a == 0
 

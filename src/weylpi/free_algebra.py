@@ -69,9 +69,6 @@ class NCPoly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda it: term_sort_key(it[0]))
 
-    def mdeg_of(self, word):
-        return word_mdeg(word, self.nvars)
-
     def multihomogeneous_components(self):
         """Split into multidegree components; the empty poly gives {}."""
         out = {}
@@ -104,13 +101,7 @@ class NCPoly:
     def __add__(self, other):
         check_same_field(self.field, other.field)
         F = self.field
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = F.add(terms.get(w, F.zero), c)
-            if F.is_zero(s):
-                terms.pop(w, None)
-            else:
-                terms[w] = s
+        terms = F.add_into(dict(self.terms), other.terms.items())
         return NCPoly(F, self._merge_nvars(other), terms)
 
     def __neg__(self):
@@ -129,15 +120,14 @@ class NCPoly:
     def __mul__(self, other):
         check_same_field(self.field, other.field)
         F = self.field
-        terms = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = F.add(terms.get(w, F.zero), F.mul(c1, c2))
-                if F.is_zero(s):
-                    terms.pop(w, None)
-                else:
-                    terms[w] = s
+        terms = F.add_into(
+            {},
+            (
+                (w1 + w2, F.mul(c1, c2))
+                for w1, c1 in self.terms.items()
+                for w2, c2 in other.terms.items()
+            ),
+        )
         return NCPoly(F, self._merge_nvars(other), terms)
 
     def __pow__(self, n):
@@ -163,16 +153,9 @@ class NCPoly:
     def rename(self, mapping):
         """Relabel variables; ``mapping`` sends old index -> new index."""
         F = self.field
-        terms = {}
-        nv = 0
-        for w, c in self.terms.items():
-            nw = tuple(mapping.get(l, l) for l in w)
-            nv = max(nv, max(nw, default=0))
-            s = F.add(terms.get(nw, F.zero), c)
-            if F.is_zero(s):
-                terms.pop(nw, None)
-            else:
-                terms[nw] = s
+        renamed = [(tuple(mapping.get(l, l) for l in w), c) for w, c in self.terms.items()]
+        terms = F.add_into({}, renamed)
+        nv = max((max(w, default=0) for w, _ in renamed), default=0)
         return NCPoly(F, max(nv, 1) if terms else self.nvars, terms)
 
 
@@ -268,12 +251,7 @@ def partial_linearization(f, i, gamma_frag):
             nw = list(base)
             for p, letter in zip(positions, assignment):
                 nw[p] = letter
-            nw = tuple(nw)
-            s = F.add(terms.get(nw, F.zero), c)
-            if F.is_zero(s):
-                terms.pop(nw, None)
-            else:
-                terms[nw] = s
+            F.add_into(terms, [(tuple(nw), c)])
     return NCPoly(F, f.nvars + shift, terms)
 
 

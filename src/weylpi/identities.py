@@ -21,7 +21,7 @@ from .errors import ResourceLimit
 from .evaluation import eval_vectors, substitute_tuple
 from .fields import Field
 from .free_algebra import NCPoly, _multiset_permutations, gamma, generator_at, st3, t4
-from .linalg import row_reduce_sparse, rref_vectors
+from .linalg import row_reduce_sparse
 from .parser import format_poly
 
 DEFAULT_MAX_DEGREE = 8
@@ -44,26 +44,23 @@ def space_dimension(delta):
 def identity_basis(delta, fieldobj):
     """Deterministic echelon basis of the weak identities of multidegree delta.
 
-    The kernel of the word-basis -> Weyl-evaluation map, with basis vectors
-    brought to reduced echelon form over the lexicographic word order.
+    The kernel of the word-basis -> Weyl-evaluation map in reduced echelon
+    form over the lexicographic word order.  The words are eliminated in
+    reverse order, so each kernel vector has coefficient 1 on its least
+    word and its other words are pivots, which no other vector contains:
+    read backwards, the kernel is already the reduced echelon basis.
     """
     delta = tuple(delta)
-    words = words_of_multidegree(delta)
-    if not words:
-        return []
+    words = words_of_multidegree(delta)[::-1]
     nvars = len(delta)
     rows = eval_vectors(
         [NCPoly.monomial(w, fieldobj, nvars=nvars) for w in words], fieldobj
     )
     _, kernel = row_reduce_sparse(rows, fieldobj, want_kernel=True)
-    dense = []
-    for vec in kernel:
-        dense.append([vec.get(i, fieldobj.zero) for i in range(len(words))])
-    basis = []
-    for row in rref_vectors(dense, len(words), fieldobj):
-        terms = {words[i]: c for i, c in enumerate(row)}
-        basis.append(NCPoly(fieldobj, nvars, terms))
-    return basis
+    return [
+        NCPoly(fieldobj, nvars, {words[i]: c for i, c in vec.items()})
+        for vec in reversed(kernel)
+    ]
 
 
 def _ideal_span_rows(delta, fieldobj):
@@ -171,7 +168,7 @@ def verify_conjecture(delta, fieldobj=None, max_degree=None):
             for vec in kernel:
                 g = NCPoly.zero(fieldobj, nvars)
                 for idx, c in vec.items():
-                    g = g + reduced[idx].expand(fieldobj).scale(c)
+                    g = g + polys[idx].scale(c)
                 if g.is_zero():
                     continue
                 rank_aug, _ = row_reduce_sparse(span_rows + [g.terms], fieldobj)

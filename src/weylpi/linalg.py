@@ -1,99 +1,9 @@
-"""Exact dense and sparse linear algebra over Q and F_p.
+"""Exact sparse linear algebra over Q and F_p.
 
-Dense ``Matrix`` covers the small reproducible computations (rank, kernel
-in reduced echelon form).  ``row_reduce_sparse`` is the workhorse for the
-evaluation matrices in the identities module, where rows are sparse dicts
-keyed by arbitrary comparable coordinates.
+``row_reduce_sparse`` is the one eliminator: rows are sparse dicts keyed by
+arbitrary comparable coordinates, and it yields the rank and, on request,
+a basis of the vanishing row combinations.
 """
-
-
-class Matrix:
-    """Dense row-major matrix of exact field elements."""
-
-    __slots__ = ("field", "rows", "cols", "entries")
-
-    def __init__(self, field, rows, cols, entries):
-        if len(entries) != rows * cols:
-            raise ValueError("entries length must be rows*cols")
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.entries = [field.of(e) if isinstance(e, int) else e for e in entries]
-
-    @classmethod
-    def from_rows(cls, field, row_lists):
-        rows = len(row_lists)
-        cols = len(row_lists[0]) if rows else 0
-        flat = [e for row in row_lists for e in row]
-        return cls(field, rows, cols, flat)
-
-    def row(self, i):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def _rref(self):
-        """Reduced row echelon form; returns (rows as lists, pivot columns).
-
-        Deterministic: pivot is the first nonzero entry in column order.
-        """
-        F = self.field
-        rows = [self.row(i) for i in range(self.rows)]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot = None
-            for i in range(r, self.rows):
-                if not F.is_zero(rows[i][c]):
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = F.inv(rows[r][c])
-            rows[r] = [F.mul(inv, e) for e in rows[r]]
-            for i in range(self.rows):
-                if i != r and not F.is_zero(rows[i][c]):
-                    factor = rows[i][c]
-                    rows[i] = [F.sub(a, F.mul(factor, b)) for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return rows, pivots
-
-    def rank(self):
-        return len(self._rref()[1])
-
-    def kernel_basis(self):
-        """Basis of the right null space.
-
-        One vector per free column, in column order; the free coordinate is
-        set to 1 and pivot coordinates are filled from the RREF (so the
-        basis is the reduced echelon form of the null space).
-        """
-        F = self.field
-        rows, pivots = self._rref()
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            v = [F.zero] * self.cols
-            v[free] = F.one
-            for r, pc in enumerate(pivots):
-                v[pc] = F.neg(rows[r][free])
-            basis.append(v)
-        return basis
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
 
 
 def row_reduce_sparse(rows, field, want_kernel=False):
@@ -103,7 +13,9 @@ def row_reduce_sparse(rows, field, want_kernel=False):
     scalars.  Returns ``(rank, kernel)`` where ``kernel`` is a list of dicts
     mapping row indices to coefficients of a vanishing combination (empty
     unless ``want_kernel``).  Deterministic: rows are consumed in order and
-    the pivot of each row is its minimal coordinate.
+    the pivot of each row is its minimal coordinate.  Each kernel vector
+    has coefficient 1 on its own row, which is its largest index; its other
+    entries are rows that became pivots.
     """
     F = field
     pivots = {}  # coord -> (row dict, aug dict)
@@ -117,20 +29,10 @@ def row_reduce_sparse(rows, field, want_kernel=False):
             if c not in pivots:
                 break
             prow, paug = pivots[c]
-            factor = row[c]
-            for pc, pv in prow.items():
-                nv = F.sub(row.get(pc, F.zero), F.mul(factor, pv))
-                if F.is_zero(nv):
-                    row.pop(pc, None)
-                else:
-                    row[pc] = nv
+            factor = F.neg(row[c])
+            F.add_into(row, ((pc, F.mul(factor, pv)) for pc, pv in prow.items()))
             if want_kernel:
-                for pc, pv in paug.items():
-                    nv = F.sub(aug.get(pc, F.zero), F.mul(factor, pv))
-                    if F.is_zero(nv):
-                        aug.pop(pc, None)
-                    else:
-                        aug[pc] = nv
+                F.add_into(aug, ((pc, F.mul(factor, pv)) for pc, pv in paug.items()))
         if row:
             c = min(row)
             inv = F.inv(row[c])
@@ -142,12 +44,3 @@ def row_reduce_sparse(rows, field, want_kernel=False):
         elif want_kernel:
             kernel.append(aug)
     return rank, kernel
-
-
-def rref_vectors(vectors, length, field):
-    """Reduced echelon form of a small list of dense coefficient vectors."""
-    if not vectors:
-        return []
-    mat = Matrix.from_rows(field, [list(v) + [field.zero] * (length - len(v)) for v in vectors])
-    rows, pivots = mat._rref()
-    return [rows[i] for i in range(len(pivots))]

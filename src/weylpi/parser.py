@@ -111,7 +111,10 @@ class _Parser:
                 k3, v3, p3 = self.take()
                 if k3 != "num":
                     raise ParseError("expected denominator", p3)
-                return NCPoly(self.field, 0, {(): self.field.of(num, int(v3))})
+                try:
+                    return NCPoly(self.field, 0, {(): self.field.of(num, int(v3))})
+                except ZeroDivisionError:
+                    raise ParseError(f"denominator {v3} is not invertible", p3) from None
             return NCPoly(self.field, 0, {(): self.field.of(num)})
         if kind == "var":
             idx = int(val[1:])

@@ -17,7 +17,7 @@ strictly decreasing (monomial weight, bracket weight) measure.
 
 from dataclasses import dataclass, field as dc_field
 
-from .bracket import BracketMonomial, Status, bracket_sort_key
+from .bracket import BracketMonomial, Status, bracket_sort_key, format_key
 from .errors import NotReduced, NotSemiReduced, ResourceLimit
 from .free_algebra import NCPoly
 
@@ -40,12 +40,6 @@ def _first_nested(brackets):
             if rv < ru and su < sv:
                 return u, v
     return None
-
-
-def _key_str(prefix, brackets):
-    parts = [f"x{t}" for t in prefix]
-    parts.extend(f"[x{r},x{s}]" for r, s in brackets)
-    return " ".join(parts) if parts else "1"
 
 
 def _rewrite(initial, fieldobj, target, trace=None):
@@ -71,7 +65,7 @@ def _rewrite(initial, fieldobj, target, trace=None):
             a, b = prefix[i], prefix[i + 1]  # a > b
             if trace is not None:
                 trace.append(
-                    f"swap: x{a} x{b} in {_key_str(prefix, brackets)}"
+                    f"swap: x{a} x{b} in {format_key(prefix, brackets)}"
                 )
             stack.append(((prefix[:i] + (b, a) + prefix[i + 2 :], brackets), c))
             stack.append(
@@ -86,7 +80,7 @@ def _rewrite(initial, fieldobj, target, trace=None):
             r1, s1 = brackets[0]
             if trace is not None:
                 trace.append(
-                    f"pull-in: pull x{t_l} into [x{r1},x{s1}] in {_key_str(prefix, brackets)}"
+                    f"pull-in: pull x{t_l} into [x{r1},x{s1}] in {format_key(prefix, brackets)}"
                 )
             head = prefix[:-1]
             rest = brackets[1:]
@@ -101,7 +95,7 @@ def _rewrite(initial, fieldobj, target, trace=None):
                 a1, a4 = brackets[v]
                 if trace is not None:
                     trace.append(
-                        f"unnest: [x{a2},x{a3}][x{a1},x{a4}] in {_key_str(prefix, brackets)}"
+                        f"unnest: [x{a2},x{a3}][x{a1},x{a4}] in {format_key(prefix, brackets)}"
                     )
                 rest = tuple(b for w, b in enumerate(brackets) if w not in (u, v))
                 stack.append(((prefix, rest + ((a1, a2), (a3, a4))), F.neg(c)))

@@ -7,6 +7,7 @@ CommPolys so there is a single code path.
 """
 
 from functools import lru_cache
+from itertools import zip_longest
 
 from .errors import NotPurelyX
 from .fields import check_same_field
@@ -54,14 +55,7 @@ class CommPoly:
     def __add__(self, other):
         check_same_field(self.field, other.field)
         F = self.field
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = F.add(terms.get(e, F.zero), c)
-            if F.is_zero(s):
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return CommPoly(F, terms)
+        return CommPoly(F, F.add_into(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         F = self.field
@@ -73,21 +67,14 @@ class CommPoly:
     def __mul__(self, other):
         check_same_field(self.field, other.field)
         F = self.field
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                n = max(len(e1), len(e2))
-                e = _trim(
-                    tuple(
-                        (e1[i] if i < len(e1) else 0) + (e2[i] if i < len(e2) else 0)
-                        for i in range(n)
-                    )
-                )
-                s = F.add(terms.get(e, F.zero), F.mul(c1, c2))
-                if F.is_zero(s):
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
+        terms = F.add_into(
+            {},
+            (
+                (_trim(a + b for a, b in zip_longest(e1, e2, fillvalue=0)), F.mul(c1, c2))
+                for e1, c1 in self.terms.items()
+                for e2, c2 in other.terms.items()
+            ),
+        )
         return CommPoly(F, terms)
 
     def scale(self, scalar):

@@ -238,6 +238,24 @@ def test_criterion_09_weyl_oracle():
         assert commutator_with_y(WeylElement.basis(3, 0, F3)).is_zero()
 
 
+# (mdeg, n_reduced, eval_rank, dim_id, dim_I) of ``verify --degree 6`` over Q,
+# all Verified without a witness; the report must stay the same across
+# refactors
+DEGREE_SIX = [
+    ((6,), 0, 0, 0, 0),
+    ((5, 1), 1, 1, 4, 4),
+    ((4, 2), 2, 2, 12, 12),
+    ((4, 1, 1), 3, 3, 26, 26),
+    ((3, 3), 3, 3, 16, 16),
+    ((3, 2, 1), 5, 5, 54, 54),
+    ((3, 1, 1, 1), 7, 7, 112, 112),
+    ((2, 2, 2), 6, 6, 83, 83),
+    ((2, 2, 1, 1), 9, 9, 170, 170),
+    ((2, 1, 1, 1, 1), 13, 13, 346, 346),
+    ((1, 1, 1, 1, 1, 1), 19, 19, 700, 700),
+]
+
+
 def test_criterion_10_degree_six_frontier(tmp_path):
     with _Timer("criterion 10: degree-6 sweep schema, determinism, consistency", 300.0):
         payloads = []
@@ -269,3 +287,8 @@ def test_criterion_10_degree_six_frontier(tmp_path):
             for p in payloads
         ]
         assert stripped[0] == stripped[1]
+        assert stripped[0] == [
+            {"mdeg": list(mdeg), "field": "q", "n_reduced": n, "eval_rank": r,
+             "dim_id": dim_id, "dim_I": dim_I, "verdict": "Verified", "witness": None}
+            for mdeg, n, r, dim_id, dim_I in DEGREE_SIX
+        ]

@@ -61,6 +61,11 @@ def test_parse_error_exit_code():
     r = run("check", "--expr", "x1 + + *")
     assert r.returncode == 2
     assert "error:" in r.stderr
+    for args in (("--expr", "1/0"), ("--field", "fp:5", "--expr", "3/5")):
+        r = run("check", *args)
+        assert r.returncode == 2, args
+        assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+        assert "not invertible" in r.stderr
 
 
 def test_enumerate_counts():
@@ -77,6 +82,13 @@ def test_idbasis_output():
     assert r.returncode == 0
     lines = [l for l in r.stdout.strip().splitlines() if l]
     assert len(lines) == 1
+    r = run("idbasis", "--mdeg", "1,1,1")
+    assert r.returncode == 0
+    assert r.stdout == (
+        "x1*x2*x3 - 2*x2*x3*x1 - 2*x3*x1*x2 + 3*x3*x2*x1\n"
+        "x1*x3*x2 - x2*x3*x1 - 2*x3*x1*x2 + 2*x3*x2*x1\n"
+        "x2*x1*x3 - 2*x2*x3*x1 - x3*x1*x2 + 2*x3*x2*x1\n"
+    )
 
 
 def test_degree_cap_exit_code():

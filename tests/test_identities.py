@@ -74,15 +74,24 @@ def test_identity_basis_members_are_identities():
 
 
 def test_identity_basis_rank_nullity():
-    for field in (QQ, F7):
-        for delta in [(1, 1), (2, 1), (1, 1, 1), (2, 2), (1, 1, 1, 1)]:
-            words = words_of_multidegree(delta)
-            rows = [
-                eval_vector(NCPoly.monomial(w, field, nvars=len(delta)))
-                for w in words
-            ]
-            rank, _ = row_reduce_sparse(rows, field)
-            assert len(identity_basis(delta, field)) == len(words) - rank
+    """The basis has len(words) - rank vectors in reduced echelon form over
+    the lexicographic word order."""
+    for field in (QQ, Field.prime(3), F7):
+        for n in range(1, 6):
+            for delta in degree_multidegrees(n):
+                words = words_of_multidegree(delta)
+                rows = [
+                    eval_vector(NCPoly.monomial(w, field, nvars=len(delta)))
+                    for w in words
+                ]
+                rank, _ = row_reduce_sparse(rows, field)
+                basis = identity_basis(delta, field)
+                assert len(basis) == len(words) - rank
+                leads = [min(f.terms) for f in basis]
+                assert leads == sorted(set(leads))
+                for f, lead in zip(basis, leads):
+                    assert f.terms[lead] == field.one
+                    assert not any(w in f.terms for w in leads if w != lead)
 
 
 def test_ideal_span_dimensions_degree_three():
@@ -135,6 +144,44 @@ def test_one_elimination_matches_separate_ranks(field):
             r = verify_conjecture(delta, field)
             assert r.eval_rank == row_reduce_sparse(rows, field)[0]
             assert r.dim_id == space_dimension(delta) - rank_full
+
+
+def test_verify_falls_back_to_the_ideal_span(monkeypatch):
+    # a repeated monomial makes the evaluations dependent, so the shortcut
+    # cannot fire and the ideal span has to decide
+    from weylpi import identities
+
+    real = identities.enumerate_completely_reduced
+    monkeypatch.setattr(
+        identities, "enumerate_completely_reduced", lambda d: real(d) + real(d)[:1]
+    )
+    r = verify_conjecture((2, 1, 1), QQ)
+    assert r.verdict == "Verified"
+    assert (r.n_reduced, r.eval_rank) == (4, 3)
+    assert r.dim_id == r.dim_I == 8
+    assert r.witness is None
+
+
+def test_verify_witness_search_without_ideal_rows(monkeypatch):
+    # x3[x1,x2] is a combination of the reduced monomials modulo St_3, so the
+    # dependency it adds is a weak identity inside the ideal: no witness
+    from weylpi import identities
+    from weylpi.bracket import BracketMonomial
+
+    real = identities.enumerate_completely_reduced
+    extra = BracketMonomial((3,), ((1, 2),))
+    monkeypatch.setattr(identities, "enumerate_completely_reduced", lambda d: real(d) + [extra])
+    monkeypatch.setattr(identities, "_ideal_span_rows", lambda d, f: [])
+    normal_forms = []
+    monkeypatch.setattr(
+        "weylpi.rewriter.normal_form", lambda g: normal_forms.append(g) or normal_form(g)
+    )
+    r = verify_conjecture((1, 1, 1), QQ)
+    assert r.verdict == "Inconclusive"
+    assert (r.n_reduced, r.eval_rank, r.dim_id, r.dim_I) == (3, 2, 3, 0)
+    assert r.witness is None
+    (g,) = normal_forms  # the witness loop ran on the one dependency
+    assert is_weak_identity(g) and not g.is_zero()
 
 
 def test_verify_respects_degree_cap():

@@ -47,6 +47,16 @@ def test_syntax_error_position():
         parse_poly("x1^(2)", QQ)
 
 
+def test_non_invertible_denominator_is_a_parse_error():
+    with pytest.raises(ParseError) as ei:
+        parse_poly("x1 + 1/0", QQ)
+    assert ei.value.pos == 7
+    with pytest.raises(ParseError) as ei:
+        parse_poly("3/5*x1", Field.prime(5))
+    assert ei.value.pos == 2
+    assert parse_poly("3/5*x1", F7) == parse_poly("2*x1", F7)
+
+
 def test_unknown_variable():
     with pytest.raises(UnknownVariable):
         parse_poly("x0", QQ)
