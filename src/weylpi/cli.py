@@ -54,9 +54,7 @@ def _parse_mdeg(text):
 
 def cmd_normalize(args):
     fieldobj = _field(args.field)
-    f = parse_poly(args.expr, fieldobj)
-    if f.terms and max(len(w) for w in f.terms) > _max_degree():
-        raise ResourceLimit("expression degree exceeds cap")
+    f = parse_poly(args.expr, fieldobj, max_degree=_max_degree())
     trace = [] if args.trace else None
     forms = normal_form(f, trace=trace)
     if trace:
@@ -89,7 +87,7 @@ def cmd_normalize(args):
 
 def cmd_check(args):
     fieldobj = _field(args.field)
-    f = parse_poly(args.expr, fieldobj)
+    f = parse_poly(args.expr, fieldobj, max_degree=_max_degree())
     if is_weak_identity(f):
         print("identity")
         return 0
@@ -99,6 +97,8 @@ def cmd_check(args):
 
 def cmd_enumerate(args):
     delta = _parse_mdeg(args.mdeg)
+    if sum(delta) > _max_degree():
+        raise ResourceLimit("multidegree exceeds degree cap")
     monos = enumerate_completely_reduced(delta)
     for mono in monos:
         print(mono.format())

@@ -3,12 +3,19 @@
 Grammar: variables ``x1``..``x999``; ``+ - * ^``; commutator sugar
 ``[e1,e2]``; integer and rational (``a/b``) literals; parentheses.
 Products are left-associative and ``^`` binds tighter than ``*``.
+With ``max_degree`` the parser refuses, from the degrees of the operands,
+every product, power or commutator of degree above the cap before it is
+multiplied out.
 """
 
 import re
 
-from .errors import ParseError, UnknownVariable
+from .errors import ParseError, ResourceLimit, UnknownVariable
 from .free_algebra import NCPoly, commutator
+
+# A power of a rational constant grows by the size of the base per unit of
+# exponent; past this many bits it is refused as a resource limit.
+_MAX_CONSTANT_BITS = 1 << 16
 
 _TOKEN = re.compile(r"\s*(?:(x\d+)|(\d+)|([+\-*^()\[\],/]))")
 
@@ -36,11 +43,43 @@ def _tokenize(text):
     return tokens
 
 
+def _int(text, pos):
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"number {text[:20]}... is too long", pos) from None
+
+
+def _degree(f):
+    return max(map(len, f.terms), default=0)
+
+
 class _Parser:
-    def __init__(self, text, field):
+    def __init__(self, text, field, max_degree=None):
         self.tokens = _tokenize(text)
         self.i = 0
         self.field = field
+        self.max_degree = max_degree
+
+    def cap(self, degree):
+        if self.max_degree is not None and degree > self.max_degree:
+            raise ResourceLimit(
+                f"expression degree {degree} exceeds the cap of {self.max_degree}"
+            )
+
+    def cap_product(self, f, g):
+        if self.max_degree is not None:
+            self.cap(_degree(f) + _degree(g))
+
+    def constant_power(self, f, n):
+        F = self.field
+        c = f.terms.get((), F.zero)
+        if F.p:
+            return pow(c, n, F.p)
+        bits = max(abs(c.numerator), c.denominator).bit_length()
+        if bits > 1 and n * bits > _MAX_CONSTANT_BITS:
+            raise ResourceLimit(f"constant power of {n * bits} bits exceeds {_MAX_CONSTANT_BITS}")
+        return c**n
 
     def peek(self):
         return self.tokens[self.i]
@@ -86,7 +125,9 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                f = f * self.factor()
+                g = self.factor()
+                self.cap_product(f, g)
+                f = f * g
             else:
                 return f
 
@@ -98,13 +139,18 @@ class _Parser:
             kind, val, pos = self.take()
             if kind != "num":
                 raise ParseError("exponent must be a nonnegative integer", pos)
-            f = f ** int(val)
+            n = _int(val, pos)
+            degree = _degree(f)
+            self.cap(degree * n)
+            if degree == 0:  # a constant: one scalar power, not n products
+                return NCPoly(self.field, f.nvars, {(): self.constant_power(f, n)})
+            f = f**n
         return f
 
     def atom(self):
         kind, val, pos = self.take()
         if kind == "num":
-            num = int(val)
+            num = _int(val, pos)
             k2, v2, _ = self.peek()
             if k2 == "op" and v2 == "/":
                 self.take()
@@ -112,14 +158,16 @@ class _Parser:
                 if k3 != "num":
                     raise ParseError("expected denominator", p3)
                 try:
-                    return NCPoly(self.field, 0, {(): self.field.of(num, int(v3))})
+                    return NCPoly(self.field, 0, {(): self.field.of(num, _int(v3, p3))})
                 except ZeroDivisionError:
                     raise ParseError(f"denominator {v3} is not invertible", p3) from None
             return NCPoly(self.field, 0, {(): self.field.of(num)})
         if kind == "var":
-            idx = int(val[1:])
+            digits = val[1:].lstrip("0")
+            idx = int(digits) if 0 < len(digits) <= 3 else 0
             if not 1 <= idx <= 999:
-                raise UnknownVariable(f"variable {val} out of range x1..x999", pos)
+                raise UnknownVariable(f"variable {val[:8]} out of range x1..x999", pos)
+            self.cap(1)
             return NCPoly.variable(idx, self.field)
         if kind == "op" and val == "(":
             f = self.expr()
@@ -130,13 +178,20 @@ class _Parser:
             self.expect(",")
             g = self.expr()
             self.expect("]")
+            self.cap_product(f, g)
             return commutator(f, g)
         raise ParseError(f"unexpected token {val!r}", pos)
 
 
-def parse_poly(text, field):
-    """Parse an expression into an NCPoly over the given field."""
-    return _Parser(text, field).parse()
+def parse_poly(text, field, max_degree=None):
+    """Parse an expression into an NCPoly over the given field.
+
+    With ``max_degree``, an expression that would need a product of higher
+    degree raises ``ResourceLimit`` before that product is formed."""
+    try:
+        return _Parser(text, field, max_degree).parse()
+    except RecursionError:
+        raise ParseError("expression is nested too deeply", 0) from None
 
 
 def _format_word(word):

@@ -13,9 +13,20 @@ using three rewrite rules:
 
 The strategy always fixes the leftmost violation; termination follows the
 strictly decreasing (monomial weight, bracket weight) measure.
+
+Many rewrite paths meet in the same term, so one call builds a rewrite DAG
+over canonical (prefix, brackets) keys, brackets sorted by
+``bracket_sort_key``.  A depth-first pass picks the rule of each distinct
+key once and records its two signed successors (none for a terminal key);
+the coefficients are then pushed down in topological order, so every key
+fires once with its merged coefficient.  That arithmetic runs on integers
+(rationals scaled to a common denominator) and each output coefficient
+enters the field once at the end.  The step cap counts distinct keys, and
+a trace gets one line per distinct rewrite, in the order first reached.
 """
 
 from dataclasses import dataclass, field as dc_field
+from math import lcm
 
 from .bracket import BracketMonomial, Status, bracket_sort_key, format_key
 from .errors import NotReduced, NotSemiReduced, ResourceLimit
@@ -42,72 +53,112 @@ def _first_nested(brackets):
     return None
 
 
-def _rewrite(initial, fieldobj, target, trace=None):
-    """Worklist rewriting of (prefix, brackets) terms up to ``target`` status.
+def _key(prefix, brackets):
+    return prefix, tuple(sorted(brackets, key=bracket_sort_key))
 
-    ``initial`` is an iterable of ((prefix, brackets), coeff).  Returns
+
+def _successors(key, target, trace):
+    """The two (child key, sign) pairs of the rule that fires on a
+    canonical key, or () if the key is terminal at ``target`` status.
+    A firing rule appends its line to ``trace`` unless that is None."""
+    prefix, brackets = key
+    i = _first_descent(prefix)
+    if i is not None:
+        a, b = prefix[i], prefix[i + 1]  # a > b
+        if trace is not None:
+            trace.append(f"swap: x{a} x{b} in {format_key(prefix, brackets)}")
+        return (
+            ((prefix[:i] + (b, a) + prefix[i + 2 :], brackets), 1),
+            (_key(prefix[:i] + prefix[i + 2 :], brackets + ((b, a),)), -1),
+        )
+    if not brackets:
+        return ()
+    if target >= Status.REDUCED and prefix and prefix[-1] > brackets[0][1]:
+        t_l = prefix[-1]
+        r1, s1 = brackets[0]
+        if trace is not None:
+            trace.append(
+                f"pull-in: pull x{t_l} into [x{r1},x{s1}] in {format_key(prefix, brackets)}"
+            )
+        head = prefix[:-1]
+        rest = brackets[1:]
+        return (
+            (_key(head + (s1,), ((r1, t_l),) + rest), 1),
+            (_key(head + (r1,), ((s1, t_l),) + rest), -1),
+        )
+    if target >= Status.COMPLETELY_REDUCED:
+        nested = _first_nested(brackets)
+        if nested is not None:
+            u, v = nested
+            a2, a3 = brackets[u]
+            a1, a4 = brackets[v]
+            if trace is not None:
+                trace.append(
+                    f"unnest: [x{a2},x{a3}][x{a1},x{a4}] in {format_key(prefix, brackets)}"
+                )
+            rest = tuple(b for w, b in enumerate(brackets) if w not in (u, v))
+            return (
+                (_key(prefix, rest + ((a1, a2), (a3, a4))), -1),
+                (_key(prefix, rest + ((a1, a3), (a2, a4))), 1),
+            )
+    return ()
+
+
+def _rewrite(initial, fieldobj, target, trace=None):
+    """Rewrite (prefix, brackets) terms up to ``target`` status.
+
+    ``initial`` is a list of ((prefix, brackets), coeff).  Returns
     (beta, out) where beta collects bracket-free sorted words and ``out``
-    maps canonical (prefix, brackets) keys to coefficients.
+    maps canonical (prefix, brackets) keys to nonzero coefficients.
     """
     F = fieldobj
-    beta = F.zero
-    out = {}
-    stack = list(initial)
-    steps = 0
+    den = 1
+    for _, c in initial:
+        den = lcm(den, c.denominator)
+    coef = {}  # key -> integer coefficient times den
+    stack = []
+    for (prefix, brackets), c in initial:
+        key = _key(tuple(prefix), brackets)
+        coef[key] = coef.get(key, 0) + c.numerator * (den // c.denominator)
+        stack.append(key)
+
+    # discovery: depth first, each distinct key expanded once; a None on
+    # the stack marks that the key below it is finished (post-order)
+    succ = {}
+    order = []
     while stack:
-        steps += 1
-        if steps > _MAX_STEPS:
+        key = stack.pop()
+        if key is None:
+            order.append(stack.pop())
+            continue
+        if key in succ:
+            continue
+        if len(succ) >= _MAX_STEPS:
             raise ResourceLimit(f"rewriting exceeded the step cap of {_MAX_STEPS}")
-        (prefix, brackets), c = stack.pop()
-        brackets = tuple(sorted(brackets, key=bracket_sort_key))
-        i = _first_descent(prefix)
-        if i is not None:
-            a, b = prefix[i], prefix[i + 1]  # a > b
-            if trace is not None:
-                trace.append(
-                    f"swap: x{a} x{b} in {format_key(prefix, brackets)}"
-                )
-            stack.append(((prefix[:i] + (b, a) + prefix[i + 2 :], brackets), c))
-            stack.append(
-                ((prefix[:i] + prefix[i + 2 :], brackets + ((b, a),)), F.neg(c))
-            )
+        children = succ[key] = _successors(key, target, trace)
+        stack.append(key)
+        stack.append(None)
+        stack.extend(child for child, _ in children if child not in succ)
+
+    # propagation: reversed post-order is topological, so each key holds
+    # its merged coefficient when it fires
+    beta = 0
+    out = {}
+    for key in reversed(order):
+        c = coef.pop(key, 0)
+        if not c:
             continue
-        if not brackets:
-            beta = F.add(beta, c)
-            continue
-        if target >= Status.REDUCED and prefix and prefix[-1] > brackets[0][1]:
-            t_l = prefix[-1]
-            r1, s1 = brackets[0]
-            if trace is not None:
-                trace.append(
-                    f"pull-in: pull x{t_l} into [x{r1},x{s1}] in {format_key(prefix, brackets)}"
-                )
-            head = prefix[:-1]
-            rest = brackets[1:]
-            stack.append(((head + (s1,), ((r1, t_l),) + rest), c))
-            stack.append(((head + (r1,), ((s1, t_l),) + rest), F.neg(c)))
-            continue
-        if target >= Status.COMPLETELY_REDUCED:
-            nested = _first_nested(brackets)
-            if nested is not None:
-                u, v = nested
-                a2, a3 = brackets[u]
-                a1, a4 = brackets[v]
-                if trace is not None:
-                    trace.append(
-                        f"unnest: [x{a2},x{a3}][x{a1},x{a4}] in {format_key(prefix, brackets)}"
-                    )
-                rest = tuple(b for w, b in enumerate(brackets) if w not in (u, v))
-                stack.append(((prefix, rest + ((a1, a2), (a3, a4))), F.neg(c)))
-                stack.append(((prefix, rest + ((a1, a3), (a2, a4))), c))
-                continue
-        key = (prefix, brackets)
-        s = F.add(out.get(key, F.zero), c)
-        if F.is_zero(s):
-            out.pop(key, None)
+        children = succ[key]
+        if children:
+            for child, sign in children:
+                coef[child] = coef.get(child, 0) + sign * c
+        elif key[1]:
+            v = F.of(c, den)
+            if not F.is_zero(v):
+                out[key] = v
         else:
-            out[key] = s
-    return beta, out
+            beta += c
+    return F.of(beta, den), out
 
 
 def _to_monomial_dict(raw):

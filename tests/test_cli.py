@@ -1,6 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from unittest import mock
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from weylpi import cli
 
 BASE = [sys.executable, "-m", "weylpi.cli"]
 
@@ -97,6 +104,64 @@ def test_degree_cap_exit_code():
     assert "resource limit" in r.stderr
     r = run("normalize", "--expr", "x1^4", env_extra={"WEYLPI_MAX_DEGREE": "3"})
     assert r.returncode == 3
+
+
+def test_degree_cap_applies_before_expansion(monkeypatch, capsys):
+    monkeypatch.setenv("WEYLPI_MAX_DEGREE", "8")
+    for argv in (
+        ["normalize", "--expr", "x1^99999999"],
+        ["normalize", "--expr", "(x1+x2)^40"],
+        ["check", "--expr", "(x1+x2)^40"],
+        ["check", "--expr", "[x1^5,x2^4]"],
+        ["enumerate", "--mdeg", "5,4"],
+    ):
+        assert cli.main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: ") and len(err.splitlines()) == 1
+    assert cli.main(["enumerate", "--mdeg", "4,4"]) == 0
+    assert cli.main(["check", "--expr", "(x1+x2)^8 - (x2+x1)^8"]) == 0
+
+
+_TOKENS = [
+    "x1", "x2", "x3", "x0", "x1000", "x", "y", "0", "1", "2", "3/2", "1/0", "2/3",
+    "+", "-", "*", "^", "^2", "^0", "^99999999", "(", ")", "[", "]", ",", "/", " ",
+]
+_FIELDS = ["q", "Q", "fp:2", "fp:3", "fp:7", "fp:32003", "fp:4", "fp:1", "fp:0",
+           "fp:x", "fp:", "fp:-3", "r", ""]
+
+
+@st.composite
+def _cli_args(draw):
+    command = draw(st.sampled_from(["normalize", "check", "enumerate"]))
+    if command == "enumerate":
+        mdeg = draw(
+            st.one_of(
+                st.lists(st.integers(-2, 5), max_size=5).map(lambda ds: ",".join(map(str, ds))),
+                st.text(max_size=6),
+            )
+        )
+        return [command, f"--mdeg={mdeg}"]
+    expr = draw(
+        st.one_of(
+            st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join),
+            st.text(max_size=10),
+        )
+    )
+    argv = [command, f"--field={draw(st.sampled_from(_FIELDS))}", f"--expr={expr}"]
+    if command == "normalize":
+        argv += draw(st.sampled_from([[], ["--json"], ["--trace"]]))
+    return argv
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_cli_args(), cap=st.sampled_from(["5", "abc", ""]))
+def test_cli_fuzz_exit_codes(argv, cap):
+    # every input succeeds or gets its documented exit code; an uncaught
+    # exception fails the test with its traceback
+    with mock.patch.dict(os.environ, {"WEYLPI_MAX_DEGREE": cap}), \
+            mock.patch("sys.stdout"), mock.patch("sys.stderr"):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
 
 
 def test_verify_degree_three(tmp_path):

@@ -17,7 +17,6 @@ from weylpi.evaluation import (
 from weylpi.fields import Field
 from weylpi.free_algebra import (
     NCPoly,
-    commutator,
     complete_linearization,
     gamma,
     partial_linearization,

@@ -6,7 +6,6 @@ from weylpi.evaluation import eval_vector, eval_vectors, is_weak_identity, subst
 from weylpi.fields import Field
 from weylpi.free_algebra import NCPoly, gamma, generator_at, st3
 from weylpi.identities import (
-    ConjectureReport,
     degree_multidegrees,
     ideal_span_dimension,
     identity_basis,

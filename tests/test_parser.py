@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from weylpi.errors import ParseError, UnknownVariable
+from weylpi.errors import ParseError, ResourceLimit, UnknownVariable
 from weylpi.fields import Field
 from weylpi.free_algebra import NCPoly, st3
 from weylpi.parser import format_poly, parse_poly
@@ -62,6 +62,58 @@ def test_unknown_variable():
         parse_poly("x0", QQ)
     with pytest.raises(UnknownVariable):
         parse_poly("x1000", QQ)
+    with pytest.raises(UnknownVariable):
+        parse_poly("x" + "9" * 5000, QQ)
+
+
+def test_oversized_input_is_a_parse_error():
+    with pytest.raises(ParseError):
+        parse_poly("9" * 5000 + "*x1", QQ)
+    with pytest.raises(ParseError):
+        parse_poly("x1^" + "9" * 5000, QQ)
+    with pytest.raises(ParseError):
+        parse_poly("(" * 5000 + "x1" + ")" * 5000, QQ)
+
+
+def test_degree_cap_refuses_before_multiplying(monkeypatch):
+    # every product the parser forms stays within the cap
+    degrees = []
+    mul = NCPoly.__mul__
+
+    def recording_mul(f, g):
+        out = mul(f, g)
+        degrees.append(max(map(len, out.terms), default=0))
+        return out
+
+    monkeypatch.setattr(NCPoly, "__mul__", recording_mul)
+    for text in (
+        "(x1+x2)^40",
+        "x1^99999999",
+        "x1*x2*x3*x4*x5*x6*x7*x8*x9",
+        "[x1^5,x2^4]",
+        "x1^4*(x2 + x3)^5",
+        "x1 + x2^3*[x1,x2]^3",
+    ):
+        with pytest.raises(ResourceLimit):
+            parse_poly(text, QQ, max_degree=8)
+    assert max(degrees) <= 8
+    with pytest.raises(ResourceLimit):
+        parse_poly("x1", QQ, max_degree=0)
+    # at the cap the result is the uncapped one
+    for text in ("(x1+x2)^8", "[x1^4,x2^4]", "x1^2*(x2 + x3)^3*x1^3", "2^100*x1^8"):
+        assert parse_poly(text, QQ, max_degree=8) == parse_poly(text, QQ)
+
+
+def test_constant_powers():
+    assert parse_poly("2^10", QQ) == parse_poly("1024", QQ)
+    assert parse_poly("(1/2)^3*x1", QQ) == parse_poly("1/8*x1", QQ)
+    assert parse_poly("3^5", F7) == parse_poly("3*3*3*3*3", F7)
+    assert parse_poly("0^0", QQ) == parse_poly("1", QQ)
+    assert parse_poly("(x1-x1)^99999999", QQ).is_zero()
+    assert parse_poly("(-1)^99999999 + 1^99999999", QQ).is_zero()
+    assert parse_poly("5^99999999", F7) == parse_poly(str(pow(5, 99999999, 7)), F7)
+    with pytest.raises(ResourceLimit):
+        parse_poly("3^99999999", QQ)
 
 
 def _random_poly(rng, field):

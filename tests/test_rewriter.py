@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from weylpi.bracket import BracketMonomial, Status, weight_less
+from weylpi.bracket import BracketMonomial, Status, bracket_sort_key, format_key, weight_less
 from weylpi import cli, rewriter
 from weylpi.errors import NotMultihomogeneous, NotReduced, NotSemiReduced, ResourceLimit
 from weylpi.evaluation import generic_substitution, substitute_tuple
@@ -18,6 +18,7 @@ from weylpi.rewriter import (
 
 QQ = Field.rationals()
 F7 = Field.prime(7)
+FIELDS = [QQ, Field.prime(2), Field.prime(3), Field.prime(32003)]
 
 
 def bm(prefix, brackets):
@@ -219,3 +220,178 @@ def test_step_cap_raises_resource_limit(monkeypatch, capsys):
         normal_form(parse_poly("x3*x2*x1*x4", QQ))
     assert cli.main(["normalize", "--expr", "x3*x2*x1*x4"]) == 3
     assert "resource limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, lines",
+    [
+        ("x3*x2*x1*x4", 10),
+        ("x4*x3*x2*x1", 14),  # 17 rule firings along separate paths
+        ("x3*x2*x1*x4 + x2*x3*x1*x4", 10),  # the second word's rewrites are shared
+    ],
+)
+def test_trace_lists_each_distinct_rewrite_once(text, lines):
+    trace = []
+    normal_form(parse_poly(text, QQ), trace=trace)
+    assert len(trace) == len(set(trace)) == lines
+    for rule in ("swap:", "pull-in:", "unnest:"):
+        assert any(line.startswith(rule) for line in trace)
+
+
+# -- differential test against the path-by-path worklist ----------------------
+#
+# The oracle is the rewriter as it was before paths were merged: every path
+# through the rewrite tree is followed on its own, in field arithmetic, with
+# one trace line per rule firing.
+
+
+def _path_rewrite(initial, F, target, trace=None):
+    beta = F.zero
+    out = {}
+    stack = list(initial)
+    while stack:
+        (prefix, brackets), c = stack.pop()
+        brackets = tuple(sorted(brackets, key=bracket_sort_key))
+        i = rewriter._first_descent(prefix)
+        if i is not None:
+            a, b = prefix[i], prefix[i + 1]
+            if trace is not None:
+                trace.append(f"swap: x{a} x{b} in {format_key(prefix, brackets)}")
+            stack.append(((prefix[:i] + (b, a) + prefix[i + 2 :], brackets), c))
+            stack.append(((prefix[:i] + prefix[i + 2 :], brackets + ((b, a),)), F.neg(c)))
+            continue
+        if not brackets:
+            beta = F.add(beta, c)
+            continue
+        if target >= Status.REDUCED and prefix and prefix[-1] > brackets[0][1]:
+            t_l = prefix[-1]
+            r1, s1 = brackets[0]
+            if trace is not None:
+                trace.append(
+                    f"pull-in: pull x{t_l} into [x{r1},x{s1}] in {format_key(prefix, brackets)}"
+                )
+            head, rest = prefix[:-1], brackets[1:]
+            stack.append(((head + (s1,), ((r1, t_l),) + rest), c))
+            stack.append(((head + (r1,), ((s1, t_l),) + rest), F.neg(c)))
+            continue
+        if target >= Status.COMPLETELY_REDUCED:
+            nested = rewriter._first_nested(brackets)
+            if nested is not None:
+                u, v = nested
+                a2, a3 = brackets[u]
+                a1, a4 = brackets[v]
+                if trace is not None:
+                    trace.append(
+                        f"unnest: [x{a2},x{a3}][x{a1},x{a4}] in {format_key(prefix, brackets)}"
+                    )
+                rest = tuple(b for w, b in enumerate(brackets) if w not in (u, v))
+                stack.append(((prefix, rest + ((a1, a2), (a3, a4))), F.neg(c)))
+                stack.append(((prefix, rest + ((a1, a3), (a2, a4))), c))
+                continue
+        key = BracketMonomial(prefix, brackets)
+        s = F.add(out.get(key, F.zero), c)
+        if F.is_zero(s):
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return beta, out
+
+
+def _oracle_normal_form(f, trace=None):
+    out = {}
+    for delta, comp in f.multihomogeneous_components().items():
+        initial = [((w, ()), c) for w, c in comp.terms.items()]
+        out[delta] = _path_rewrite(initial, f.field, Status.COMPLETELY_REDUCED, trace)
+    return out
+
+
+def _random_scalar(rng, F):
+    """A nonzero scalar num/den with den from a mixed set of denominators."""
+    while True:
+        num = rng.choice([n for n in range(-12, 13) if n])
+        den = rng.choice((1, 1, 2, 3, 4, 5, 6, 7, 9, 10))
+        if F.p and den % F.p == 0:
+            continue
+        c = F.of(num, den)
+        if not F.is_zero(c):
+            return c
+
+
+def _random_input(rng, F):
+    """One or two multihomogeneous parts of degree <= 6, mixed denominators."""
+    f = NCPoly.zero(F)
+    for _ in range(rng.randint(1, 2)):
+        nvars = rng.randint(1, 4)
+        letters = [rng.randint(1, nvars) for _ in range(rng.randint(1, 6))]
+        for _ in range(rng.randint(1, 4)):
+            rng.shuffle(letters)
+            f = f + NCPoly.monomial(letters, F, coeff=_random_scalar(rng, F))
+    return f
+
+
+def _dedupe(lines):
+    return list(dict.fromkeys(lines))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_normal_form_matches_path_oracle(field):
+    rng = random.Random(2024 + field.p)
+    for _ in range(80):
+        f = _random_input(rng, field)
+        trace, oracle_trace = [], []
+        forms = normal_form(f, trace=trace)
+        expected = _oracle_normal_form(f, oracle_trace)
+        assert set(forms) == set(expected)
+        for delta, (beta, terms) in expected.items():
+            assert forms[delta].beta == beta
+            assert forms[delta].terms == terms
+        assert trace == _dedupe(oracle_trace)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_cancelled_outputs_are_dropped(field):
+    # subtract beta * (sorted word) and alpha * m for one output monomial m:
+    # the merged integer coefficients of both are nonzero multiples of p
+    # over F_p (or cancel over Q) and must not survive the conversion
+    rng = random.Random(99 + field.p)
+    cancelled = 0
+    for _ in range(60):
+        f = _random_input(rng, field)
+        for delta, nf in normal_form(f).items():
+            if not nf.terms:
+                continue
+            mono, alpha = rng.choice(sorted(nf.terms.items(), key=lambda it: it[0].prefix))
+            word = tuple(l for l, d in enumerate(delta, start=1) for _ in range(d))
+            g = (
+                f
+                - mono.expand(field).scale(alpha)
+                - NCPoly.monomial(word, field, coeff=nf.beta)
+            )
+            got = normal_form(g).get(delta)
+            beta, terms = _oracle_normal_form(g).get(delta, (field.zero, {}))
+            assert field.is_zero(beta) and mono not in terms
+            if got is None:
+                assert not terms
+            else:
+                assert got.beta == beta and got.terms == terms
+            cancelled += 1
+    assert cancelled >= 20
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_partial_reductions_match_path_oracle(field):
+    rng = random.Random(7 + field.p)
+    for _ in range(30):
+        f = _random_input(rng, field)
+        for comp in f.multihomogeneous_components().values():
+            initial = [((w, ()), c) for w, c in comp.terms.items()]
+            beta, semis = semi_reduce(comp)
+            assert (beta, semis) == _path_rewrite(initial, field, Status.SEMI_REDUCED)
+            for mono in semis:
+                start = [((mono.prefix, mono.brackets), field.one)]
+                reduced = reduce_monomial(mono, field)
+                assert reduced == _path_rewrite(start, field, Status.REDUCED)[1]
+                for red in reduced:
+                    start = [((red.prefix, red.brackets), field.one)]
+                    full = completely_reduce(red, field)
+                    assert full == _path_rewrite(start, field, Status.COMPLETELY_REDUCED)[1]
