@@ -16,6 +16,9 @@ multiplied out once.  Coefficients are scaled to integers and enter the
 field once per output coordinate.  ``generic_substitution`` computes the
 same thing with ``WeylElement`` arithmetic and is kept as the reference
 oracle for the kernel.
+
+``point_vectors`` evaluates bracket-monomials at scalar points mod a prime
+with the same word walk, on images ``{(i, j): int}``.
 """
 
 from math import lcm
@@ -49,8 +52,10 @@ def generic_substitution(f):
     return _substitute(f, {k: letter_image(k, f.field) for k in letters})
 
 
-def _times_letter(image, a, b):
-    """image * (a*x + b*y), where a and b are the packed parameter codes."""
+def _times_letter(image, codes):
+    """image * (a*x + b*y), where ``codes`` holds the packed parameter
+    codes (a, b)."""
+    a, b = codes
     out = {}
     get = out.get
     for (i, j, code), c in image.items():
@@ -62,6 +67,50 @@ def _times_letter(image, a, b):
         key = (i, j + 1, code + b)
         out[key] = get(key, 0) + c
     return out
+
+
+def _times_point(image, scalars):
+    """image * (a*x + b*y) for ``scalars`` (a, b, p), reduced mod p."""
+    a, b, p = scalars
+    out = {}
+    get = out.get
+    for (i, j), c in image.items():
+        ca = c * a
+        key = (i + 1, j)
+        out[key] = get(key, 0) + ca
+        if j:
+            key = (i, j - 1)
+            out[key] = get(key, 0) + j * ca
+        key = (i, j + 1)
+        out[key] = get(key, 0) + c * b
+    return {key: c % p for key, c in out.items()}
+
+
+def _image_sums(uses, nrows, root, step, letter_args):
+    """Per row, the sum of coefficient * image over its words.
+
+    The image of a word is ``root`` times its letters, one
+    ``step(image, letter_args[letter])`` each.  The words are walked in
+    sorted order (a word trie walked depth first), so each common prefix is
+    multiplied out once and only one root-to-leaf path of images is alive.
+    """
+    accs = [{} for _ in range(nrows)]
+    path = [root]  # path[t] is the image of the first t letters
+    prev = ()
+    for w in sorted(uses):
+        t = 0
+        while t < len(prev) and t < len(w) and prev[t] == w[t]:
+            t += 1
+        del path[t + 1 :]
+        for letter in w[t:]:
+            path.append(step(path[-1], letter_args[letter]))
+        image = path[-1]
+        for row, c in uses[w]:
+            acc = accs[row]
+            for key, v in image.items():
+                acc[key] = acc.get(key, 0) + c * v
+        prev = w
+    return accs
 
 
 def eval_vectors(polys, field):
@@ -84,23 +133,11 @@ def eval_vectors(polys, field):
     # an exponent is at most the word length, so this many bits per slot
     # never carry into the next
     bits = max(map(len, uses), default=0).bit_length()
-    accs = [{} for _ in dens]
-    path = [{(0, 0, 0): 1}]  # path[t] is the image of the first t letters
-    prev = ()
-    for w in sorted(uses):
-        t = 0
-        while t < len(prev) and t < len(w) and prev[t] == w[t]:
-            t += 1
-        del path[t + 1 :]
-        for letter in w[t:]:
-            shift = 2 * (letter - 1) * bits
-            path.append(_times_letter(path[-1], 1 << shift, 1 << (shift + bits)))
-        image = path[-1]
-        for row, c in uses[w]:
-            acc = accs[row]
-            for key, v in image.items():
-                acc[key] = acc.get(key, 0) + c * v
-        prev = w
+    codes = {
+        letter: (1 << 2 * (letter - 1) * bits, 1 << (2 * letter - 1) * bits)
+        for letter in set().union(*uses)
+    }
+    accs = _image_sums(uses, len(polys), {(0, 0, 0): 1}, _times_letter, codes)
 
     mask = (1 << bits) - 1
     exps_of = {}
@@ -121,6 +158,32 @@ def eval_vectors(polys, field):
             vec[(i, j, exps)] = v
         out.append(vec)
     return out
+
+
+def point_vectors(monomials, points, p):
+    """Images of bracket-monomials at scalar points, mod the prime p.
+
+    ``monomials`` are ``(prefix, brackets)`` pairs, each standing for
+    x_{t1}...x_{tl} [x_{r1},x_{s1}]...[x_{rk},x_{sk}] with coefficient 1
+    (k may be 0).  For each ``point``, a tuple of pairs ``(a_k, b_k)``,
+    yields one dict per monomial mapping (i, j) to the nonzero residue of
+    the coefficient of x^i y^j in its image under x_k -> a_k*x + b_k*y.
+    The image of a bracket [x_r, x_s] is the central scalar
+    b_r*a_s - a_r*b_s (as y*x = x*y + 1), so only the prefixes are
+    multiplied out.
+    """
+    for point in points:
+        uses = {}  # prefix -> [(row, product of the bracket scalars)]
+        for row, (prefix, brackets) in enumerate(monomials):
+            c = 1
+            for r, s in brackets:
+                (ar, br), (as_, bs) = point[r - 1], point[s - 1]
+                c = c * (br * as_ - ar * bs) % p
+            if c:
+                uses.setdefault(prefix, []).append((row, c))
+        scalars = {k: (a, b, p) for k, (a, b) in enumerate(point, start=1)}
+        accs = _image_sums(uses, len(monomials), {(0, 0): 1}, _times_point, scalars)
+        yield [{key: v % p for key, v in acc.items() if v % p} for acc in accs]
 
 
 def eval_vector(f):

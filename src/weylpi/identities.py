@@ -1,27 +1,45 @@
 """Linear-algebra layer: bases of the weak-identity spaces per multidegree,
 dimension of the known-identity ideal, and conjecture verification.
 
-Verification has two independent routes.  The primary shortcut: if the
-generic evaluations of the completely reduced bracket-monomials of
-multidegree delta are linearly independent, then every weak identity of
-that multidegree rewrites to 0 modulo the ideal (its beta vanishes by
-evaluation at equal arguments, and the alpha_i vanish by independence),
-so the identity space and the ideal coincide there.  The fallback
-compares dim Id_delta against the rank of an explicit spanning set of the
-ideal slice.
-"""
+Verification decides multidegree delta from the n completely reduced
+bracket-monomials and the pure word x1^d1...xm^dm.  If the generic
+evaluations of the bracket-monomials are linearly independent, then every
+weak identity of that multidegree rewrites to 0 modulo the ideal (its beta
+vanishes by evaluation at equal arguments, and the alpha_i vanish by
+independence), so the identity space and the ideal coincide there, and
+dim Id = dim F_delta - rank of all n+1 evaluations.
 
+It takes the first of these routes that decides (``ConjectureReport.route``):
+
+- ``certified``: the n+1 monomials are evaluated at seeded scalar points
+  (a_k, b_k) in F_p, with p = 2^61 - 1 over Q and the field itself over
+  F_p, and the (i, j) columns of each point feed one echelon.  Rank n+1
+  there is exact: stacking points multiplies the exact coefficient matrix
+  by a matrix of parameter-monomial values, which cannot raise its rank,
+  and over Q neither can reducing the integer rows mod p.  The pure row is
+  always independent of the others (its x^d coefficient is a1^d1...am^dm,
+  and every bracket row has i + j <= d - 2), so rank n+1 is reached
+  whenever the bracket rows are independent and the points separate them.
+  The attempt gives up when a whole point adds no rank.
+- ``exact``: one exact elimination of the generic evaluations.  If the
+  bracket rows are independent, the report is ``Verified`` as above.
+- ``ideal-span``: otherwise dim Id is compared with the rank of an explicit
+  spanning set of the ideal slice.
+- ``witness``: if they differ, each dependency among the evaluations is
+  tried as a witness outside the ideal (``Refuted``), else ``Inconclusive``.
+"""
 import math
+import random
 import time
 from dataclasses import dataclass
 from itertools import product
 
 from .bracket import enumerate_completely_reduced
 from .errors import ResourceLimit
-from .evaluation import eval_vectors, substitute_tuple
+from .evaluation import eval_vectors, point_vectors, substitute_tuple
 from .fields import Field
 from .free_algebra import NCPoly, _multiset_permutations, gamma, generator_at, st3, t4
-from .linalg import row_reduce_sparse
+from .linalg import Echelon, row_reduce_sparse
 from .parser import format_poly
 
 DEFAULT_MAX_DEGREE = 8
@@ -110,6 +128,9 @@ class ConjectureReport:
     verdict: str  # Verified | Refuted | Inconclusive
     witness: object = None  # expression text or None
     elapsed_ms: float = 0.0
+    # how the verdict was reached: certified | exact | ideal-span | witness;
+    # not part of to_dict(), whose keys are fixed
+    route: str = ""
 
     def to_dict(self):
         return {
@@ -125,11 +146,45 @@ class ConjectureReport:
         }
 
 
+# Over Q the certificate works mod this prime: the rank of an integer
+# matrix mod p is at most its rank over Q.
+_CERTIFICATE_FIELD = Field(2**61 - 1)
+
+
+def _scalar_points(nvars, p):
+    """Seeded pseudo-random points ((a_1, b_1), ..., (a_m, b_m)) over F_p."""
+    rng = random.Random(0)
+    while True:
+        yield tuple((rng.randrange(p), rng.randrange(p)) for _ in range(nvars))
+
+
+def _full_rank_at_points(monomials, nvars, field):
+    """True when the images of ``monomials`` (``(prefix, brackets)`` pairs)
+    at scalar points over the prime field ``field`` are independent.
+
+    Each point contributes one column per (i, j); the columns feed one
+    echelon until its rank reaches len(monomials).  False as soon as a
+    whole point adds no rank.
+    """
+    p = field.p
+    ech = Echelon(field)
+    for vectors in point_vectors(monomials, _scalar_points(nvars, p), p):
+        before = ech.rank
+        columns = {}
+        for row, vec in enumerate(vectors):
+            for key, v in vec.items():
+                columns.setdefault(key, {})[row] = v
+        for column in columns.values():
+            ech.add(column)
+            if ech.rank == len(monomials):
+                return True
+        if ech.rank == before:
+            return False
+
+
 def verify_conjecture(delta, fieldobj=None, max_degree=None):
     """Check that the weak identities of multidegree delta all lie in the
     ideal of known identities; never extrapolated across characteristics."""
-    from .rewriter import normal_form
-
     t0 = time.perf_counter()
     delta = tuple(delta)
     fieldobj = fieldobj or Field.rationals()
@@ -141,14 +196,34 @@ def verify_conjecture(delta, fieldobj=None, max_degree=None):
     n = len(reduced)
     # dim Id = dim F_delta - rank of the evaluated quotient spanning set
     # {x1^d1...xm^dm} + reduced monomials (sound by the normal-form theorem).
+    pure = tuple(l for l, d in enumerate(delta, start=1) for _ in range(d))
+    monomials = [(b.prefix, b.brackets) for b in reduced] + [(pure, ())]
+    point_field = fieldobj if fieldobj.p else _CERTIFICATE_FIELD
+    if _full_rank_at_points(monomials, len(delta), point_field):
+        # rank n+1 at scalar points bounds the exact rank from below
+        dim_id = space_dimension(delta) - (n + 1)
+        report = ConjectureReport(
+            delta, fieldobj, n, n, dim_id, dim_id, "Verified", route="certified"
+        )
+    else:
+        report = _exact_report(delta, fieldobj, reduced, pure)
+    report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    return report
+
+
+def _exact_report(delta, fieldobj, reduced, pure):
+    """The verdict from exact elimination of the generic evaluations, then
+    the ideal span and the witness search if they are dependent."""
+    from .rewriter import normal_form
+
+    n = len(reduced)
+    nvars = len(delta)
+    polys = [b.expand(fieldobj) for b in reduced]
+    polys.append(NCPoly.monomial(pure, fieldobj, nvars=nvars))
     # One elimination with the pure word last: rows are consumed in order,
     # so the kernel vectors of the bracket rows come out as if they were
     # reduced alone, and the pure row either adds a pivot or gives the only
     # kernel vector containing index n.
-    nvars = len(delta)
-    pure = tuple(l for l, d in enumerate(delta, start=1) for _ in range(d))
-    polys = [b.expand(fieldobj) for b in reduced]
-    polys.append(NCPoly.monomial(pure, fieldobj, nvars=nvars))
     rank_full, kernel = row_reduce_sparse(
         eval_vectors(polys, fieldobj), fieldobj, want_kernel=True
     )
@@ -157,31 +232,31 @@ def verify_conjecture(delta, fieldobj=None, max_degree=None):
     dim_id = space_dimension(delta) - rank_full
 
     if eval_rank == n:
-        report = ConjectureReport(delta, fieldobj, n, eval_rank, dim_id, dim_id, "Verified")
-    else:
-        span_rows = _ideal_span_rows(delta, fieldobj)
-        dim_I, _ = row_reduce_sparse(span_rows, fieldobj)
-        if dim_I == dim_id:
-            report = ConjectureReport(delta, fieldobj, n, eval_rank, dim_id, dim_I, "Verified")
-        else:
-            witness = None
-            for vec in kernel:
-                g = NCPoly.zero(fieldobj, nvars)
-                for idx, c in vec.items():
-                    g = g + polys[idx].scale(c)
-                if g.is_zero():
-                    continue
-                rank_aug, _ = row_reduce_sparse(span_rows + [g.terms], fieldobj)
-                nf = next(iter(normal_form(g).values()), None)
-                if rank_aug > dim_I and nf is not None and not nf.is_zero():
-                    witness = format_poly(g)
-                    break
-            verdict = "Refuted" if witness is not None else "Inconclusive"
-            report = ConjectureReport(
-                delta, fieldobj, n, eval_rank, dim_id, dim_I, verdict, witness
-            )
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return report
+        return ConjectureReport(
+            delta, fieldobj, n, eval_rank, dim_id, dim_id, "Verified", route="exact"
+        )
+    span_rows = _ideal_span_rows(delta, fieldobj)
+    dim_I, _ = row_reduce_sparse(span_rows, fieldobj)
+    if dim_I == dim_id:
+        return ConjectureReport(
+            delta, fieldobj, n, eval_rank, dim_id, dim_I, "Verified", route="ideal-span"
+        )
+    witness = None
+    for vec in kernel:
+        g = NCPoly.zero(fieldobj, nvars)
+        for idx, c in vec.items():
+            g = g + polys[idx].scale(c)
+        if g.is_zero():
+            continue
+        rank_aug, _ = row_reduce_sparse(span_rows + [g.terms], fieldobj)
+        nf = next(iter(normal_form(g).values()), None)
+        if rank_aug > dim_I and nf is not None and not nf.is_zero():
+            witness = format_poly(g)
+            break
+    verdict = "Refuted" if witness is not None else "Inconclusive"
+    return ConjectureReport(
+        delta, fieldobj, n, eval_rank, dim_id, dim_I, verdict, witness, route="witness"
+    )
 
 
 def two_variable_certificate(r, s, fieldobj=None):

@@ -3,9 +3,10 @@
 Grammar: variables ``x1``..``x999``; ``+ - * ^``; commutator sugar
 ``[e1,e2]``; integer and rational (``a/b``) literals; parentheses.
 Products are left-associative and ``^`` binds tighter than ``*``.
-With ``max_degree`` the parser refuses, from the degrees of the operands,
-every product, power or commutator of degree above the cap before it is
-multiplied out.
+With ``max_degree`` the parser refuses, from the degrees and term counts
+of the operands, every product, power or commutator of degree above the
+cap, or of more than ``_MAX_PRODUCT_TERMS`` terms, before it is multiplied
+out.
 """
 
 import re
@@ -16,6 +17,10 @@ from .free_algebra import NCPoly, commutator
 # A power of a rational constant grows by the size of the base per unit of
 # exponent; past this many bits it is refused as a resource limit.
 _MAX_CONSTANT_BITS = 1 << 16
+
+# A product of polynomials with k and l terms can have k*l terms; under a
+# degree cap, products bounded above this many terms are refused.
+_MAX_PRODUCT_TERMS = 10**5
 
 _TOKEN = re.compile(r"\s*(?:(x\d+)|(\d+)|([+\-*^()\[\],/]))")
 
@@ -67,9 +72,16 @@ class _Parser:
                 f"expression degree {degree} exceeds the cap of {self.max_degree}"
             )
 
+    def cap_terms(self, count):
+        if count > _MAX_PRODUCT_TERMS:
+            raise ResourceLimit(
+                f"product of up to {count} terms exceeds the limit of {_MAX_PRODUCT_TERMS}"
+            )
+
     def cap_product(self, f, g):
         if self.max_degree is not None:
             self.cap(_degree(f) + _degree(g))
+            self.cap_terms(len(f.terms) * len(g.terms))
 
     def constant_power(self, f, n):
         F = self.field
@@ -144,6 +156,9 @@ class _Parser:
             self.cap(degree * n)
             if degree == 0:  # a constant: one scalar power, not n products
                 return NCPoly(self.field, f.nvars, {(): self.constant_power(f, n)})
+            if self.max_degree is not None:
+                # with two or more terms the bound passes the limit by n = 64
+                self.cap_terms(len(f.terms) ** min(n, 64))
             f = f**n
         return f
 

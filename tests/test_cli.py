@@ -122,6 +122,19 @@ def test_degree_cap_applies_before_expansion(monkeypatch, capsys):
     assert cli.main(["check", "--expr", "(x1+x2)^8 - (x2+x1)^8"]) == 0
 
 
+def test_wide_power_exits_three_before_expanding():
+    # under the default degree cap (x1+...+x10)^8 has degree 8 but would
+    # expand to 10^8 words
+    ten = "+".join(f"x{k}" for k in range(1, 11))
+    for expr in (f"({ten})^8", f"({ten})*({ten})*({ten})*({ten})*({ten})*({ten})"):
+        r = subprocess.run(
+            BASE + ["normalize", "--expr", expr],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert r.returncode == 3
+        assert r.stderr.startswith("resource limit: ") and len(r.stderr.splitlines()) == 1
+
+
 _TOKENS = [
     "x1", "x2", "x3", "x0", "x1000", "x", "y", "0", "1", "2", "3/2", "1/0", "2/3",
     "+", "-", "*", "^", "^2", "^0", "^99999999", "(", ")", "[", "]", ",", "/", " ",

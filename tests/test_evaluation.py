@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from weylpi.bracket import enumerate_completely_reduced
 from weylpi.errors import ArityMismatch
 from weylpi.evaluation import (
+    _substitute,
     eval_vector,
     eval_vectors,
     generic_substitution,
     is_weak_identity,
+    point_vectors,
     substitute_tuple,
 )
 from weylpi.fields import Field
@@ -236,3 +238,34 @@ def test_shared_prefixes_give_the_same_vectors():
             }
             polys.append(NCPoly(field, 3, terms))
         assert eval_vectors(polys, field) == [eval_vector(f) for f in polys]
+
+
+# -- images at scalar points against the WeylElement substitution ------------
+
+
+def _point_oracle(f, point):
+    F = f.field
+    images = {}
+    for k, (a, b) in enumerate(point, start=1):
+        terms = {(1, 0): a, (0, 1): b}
+        images[k] = WeylElement(F, {ij: CommPoly.constant(F, c) for ij, c in terms.items() if c})
+    values = {ij: c.constant_value() for ij, c in _substitute(f, images).terms.items()}
+    return {ij: v for ij, v in values.items() if v}
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**61 - 1])
+def test_point_vectors_match_substitution_up_to_degree_five(p):
+    field = Field(p)
+    rng = random.Random(p)
+    for n in range(6):
+        for delta in degree_multidegrees(n):
+            m = len(delta)
+            reduced = enumerate_completely_reduced(delta)
+            words = words_of_multidegree(delta)
+            monomials = [(b.prefix, b.brackets) for b in reduced] + [(w, ()) for w in words]
+            polys = [b.expand(field) for b in reduced]
+            polys += [NCPoly.monomial(w, field, nvars=m) for w in words]
+            points = [tuple((rng.randrange(p), rng.randrange(p)) for _ in delta) for _ in range(3)]
+            points.append(((0, 1),) + ((1, 0),) * (m - 1) if m else ())
+            for point, vectors in zip(points, point_vectors(monomials, points, p)):
+                assert vectors == [_point_oracle(f, point) for f in polys]

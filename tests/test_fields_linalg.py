@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylpi.fields import _MR_LIMIT, Field, _is_prime
-from weylpi.linalg import row_reduce_sparse
+from weylpi.linalg import Echelon, row_reduce_sparse
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -97,6 +97,11 @@ def test_rank_nullity_and_exact_kernel(rows, cols, data, p):
     dense = [ints[i * cols : (i + 1) * cols] for i in range(rows)]
     rank, kernel = row_reduce_sparse(_sparse(F, dense), F, want_kernel=True)
     assert rank + len(kernel) == rows
+    # Echelon.add is True exactly for the rows that raise the rank
+    ech = Echelon(F)
+    grew = [ech.add(row) for row in _sparse(F, dense)]
+    assert grew == [_rank(F, dense[: i + 1]) > _rank(F, dense[:i]) for i in range(rows)]
+    assert ech.rank == rank
     for v in kernel:
         for j in range(cols):
             acc = F.zero

@@ -159,6 +159,7 @@ def test_verify_falls_back_to_the_ideal_span(monkeypatch):
     assert (r.n_reduced, r.eval_rank) == (4, 3)
     assert r.dim_id == r.dim_I == 8
     assert r.witness is None
+    assert r.route == "ideal-span"
 
 
 def test_verify_witness_search_without_ideal_rows(monkeypatch):
@@ -179,8 +180,65 @@ def test_verify_witness_search_without_ideal_rows(monkeypatch):
     assert r.verdict == "Inconclusive"
     assert (r.n_reduced, r.eval_rank, r.dim_id, r.dim_I) == (3, 2, 3, 0)
     assert r.witness is None
+    assert r.route == "witness"
     (g,) = normal_forms  # the witness loop ran on the one dependency
     assert is_weak_identity(g) and not g.is_zero()
+
+
+def _zero_points(nvars, p):
+    while True:
+        yield ((0, 0),) * nvars
+
+
+def _without_time(report):
+    d = report.to_dict()
+    del d["elapsed_ms"]
+    return d
+
+
+@pytest.mark.parametrize(
+    "field, degree",
+    [(QQ, 7), (Field.prime(2), 6), (Field.prime(3), 6), (Field.prime(32003), 6)],
+)
+def test_certified_reports_equal_exact_reports(monkeypatch, field, degree):
+    # all-zero points add no rank, so every multidegree falls back to the
+    # exact elimination, which must give the same report field for field
+    from weylpi import identities
+
+    deltas = [d for n in range(1, degree + 1) for d in degree_multidegrees(n)]
+    fast = [verify_conjecture(d, field) for d in deltas]
+    monkeypatch.setattr(identities, "_scalar_points", _zero_points)
+    exact = [verify_conjecture(d, field) for d in deltas]
+    assert {r.route for r in exact} == {"exact"}
+    assert [_without_time(r) for r in fast] == [_without_time(r) for r in exact]
+    routes = [r.route for r in fast]
+    if field.p in (0, 32003):
+        assert set(routes) == {"certified"}
+    else:
+        # points over F_2 and F_3 cannot separate every multidegree
+        assert "exact" in routes and "certified" in routes
+
+
+def test_full_rank_certificate_stops_when_a_point_adds_nothing(monkeypatch):
+    from weylpi import identities
+
+    drawn = []
+    real = identities._scalar_points
+
+    def counting_points(nvars, p):
+        for point in real(nvars, p):
+            drawn.append(point)
+            yield point
+
+    monkeypatch.setattr(identities, "_scalar_points", counting_points)
+    field = identities._CERTIFICATE_FIELD
+    monomials = [(b.prefix, b.brackets) for b in enumerate_completely_reduced((2, 1, 1))]
+    monomials.append(((1, 1, 2, 3), ()))
+    assert identities._full_rank_at_points(monomials, 3, field)
+    # a repeated monomial caps the rank one short of the row count
+    drawn.clear()
+    assert not identities._full_rank_at_points(monomials + monomials[:1], 3, field)
+    assert 2 <= len(drawn) <= len(monomials) + 1
 
 
 def test_verify_respects_degree_cap():

@@ -104,6 +104,30 @@ def test_degree_cap_refuses_before_multiplying(monkeypatch):
         assert parse_poly(text, QQ, max_degree=8) == parse_poly(text, QQ)
 
 
+def test_term_count_is_capped_before_multiplying(monkeypatch):
+    # under a degree cap no product bounded above the term limit is formed
+    from weylpi import parser
+
+    monkeypatch.setattr(parser, "_MAX_PRODUCT_TERMS", 100)
+    sizes = []
+    mul = NCPoly.__mul__
+
+    def recording_mul(f, g):
+        sizes.append(len(f.terms) * len(g.terms))
+        return mul(f, g)
+
+    monkeypatch.setattr(NCPoly, "__mul__", recording_mul)
+    ten = "(" + "+".join(f"x{k}" for k in range(1, 11)) + ")"
+    for text in ("(x1+x2+x3)^5", f"{ten}*{ten}*(x1+x2)", f"[{ten}*{ten},x1+x2]"):
+        with pytest.raises(ResourceLimit):
+            parse_poly(text, QQ, max_degree=8)
+    assert max(sizes) <= 100
+    for text in ("(x1+x2+x3)^4", f"{ten}*{ten}*x1", "(x1+x2)^5*(x1+x2)"):
+        assert parse_poly(text, QQ, max_degree=8) == parse_poly(text, QQ)
+    # without a cap nothing is refused
+    assert len(parse_poly("(x1+x2+x3)^5", QQ).terms) == 243
+
+
 def test_constant_powers():
     assert parse_poly("2^10", QQ) == parse_poly("1024", QQ)
     assert parse_poly("(1/2)^3*x1", QQ) == parse_poly("1/8*x1", QQ)
