@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 negative verdict, 2 parse/usage error,
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -131,12 +132,25 @@ def cmd_verify(args):
         raise UsageError(f"--degree must be non-negative, got {args.degree}")
     else:
         deltas = degree_multidegrees(args.degree)
-    jobs = [(delta, fieldobj.p, cap) for delta in deltas]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_verify_worker, jobs))
-    else:
-        reports = [_verify_worker(job) for job in jobs]
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be positive, got {args.jobs}")
+    if sum(deltas[0]) > cap:  # every multidegree of a sweep has one degree
+        raise ResourceLimit(f"total degree {sum(deltas[0])} exceeds cap {cap}")
+    # opened before the sweep, so that an unwritable path fails at once
+    try:
+        out = open(args.json, "w") if args.json else contextlib.nullcontext()
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.json}: {exc.strerror}") from None
+    with out as fh:
+        jobs = [(delta, fieldobj.p, cap) for delta in deltas]
+        if args.jobs > 1:
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
+                reports = list(pool.map(_verify_worker, jobs))
+        else:
+            reports = [_verify_worker(job) for job in jobs]
+        if fh:
+            json.dump({"reports": reports}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     for rep in reports:
         print(
             "mdeg=({}) verdict={} n_reduced={} eval_rank={} dim_id={} dim_I={}".format(
@@ -150,10 +164,6 @@ def cmd_verify(args):
         )
     n_ok = sum(1 for rep in reports if rep["verdict"] == "Verified")
     print(f"summary: {n_ok}/{len(reports)} Verified")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump({"reports": reports}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return 0 if n_ok == len(reports) else 1
 
 

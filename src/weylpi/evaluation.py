@@ -17,8 +17,8 @@ field once per output coordinate.  ``generic_substitution`` computes the
 same thing with ``WeylElement`` arithmetic and is kept as the reference
 oracle for the kernel.
 
-``point_vectors`` evaluates bracket-monomials at scalar points mod a prime
-with the same word walk, on images ``{(i, j): int}``.
+``leading_forms`` gives the top-degree part of the image of bracket-monomials
+at a scalar point mod a prime, which is commutative.
 """
 
 from math import lcm
@@ -69,50 +69,6 @@ def _times_letter(image, codes):
     return out
 
 
-def _times_point(image, scalars):
-    """image * (a*x + b*y) for ``scalars`` (a, b, p), reduced mod p."""
-    a, b, p = scalars
-    out = {}
-    get = out.get
-    for (i, j), c in image.items():
-        ca = c * a
-        key = (i + 1, j)
-        out[key] = get(key, 0) + ca
-        if j:
-            key = (i, j - 1)
-            out[key] = get(key, 0) + j * ca
-        key = (i, j + 1)
-        out[key] = get(key, 0) + c * b
-    return {key: c % p for key, c in out.items()}
-
-
-def _image_sums(uses, nrows, root, step, letter_args):
-    """Per row, the sum of coefficient * image over its words.
-
-    The image of a word is ``root`` times its letters, one
-    ``step(image, letter_args[letter])`` each.  The words are walked in
-    sorted order (a word trie walked depth first), so each common prefix is
-    multiplied out once and only one root-to-leaf path of images is alive.
-    """
-    accs = [{} for _ in range(nrows)]
-    path = [root]  # path[t] is the image of the first t letters
-    prev = ()
-    for w in sorted(uses):
-        t = 0
-        while t < len(prev) and t < len(w) and prev[t] == w[t]:
-            t += 1
-        del path[t + 1 :]
-        for letter in w[t:]:
-            path.append(step(path[-1], letter_args[letter]))
-        image = path[-1]
-        for row, c in uses[w]:
-            acc = accs[row]
-            for key, v in image.items():
-                acc[key] = acc.get(key, 0) + c * v
-        prev = w
-    return accs
-
-
 def eval_vectors(polys, field):
     """Sparse coordinates of the generic substitution of each polynomial.
 
@@ -137,7 +93,24 @@ def eval_vectors(polys, field):
         letter: (1 << 2 * (letter - 1) * bits, 1 << (2 * letter - 1) * bits)
         for letter in set().union(*uses)
     }
-    accs = _image_sums(uses, len(polys), {(0, 0, 0): 1}, _times_letter, codes)
+    # sorted words walk a word trie depth first, so each common prefix is
+    # multiplied out once and only one root-to-leaf path of images is alive
+    accs = [{} for _ in polys]
+    path = [{(0, 0, 0): 1}]  # path[t] is the image of the first t letters
+    prev = ()
+    for w in sorted(uses):
+        t = 0
+        while t < len(prev) and t < len(w) and prev[t] == w[t]:
+            t += 1
+        del path[t + 1 :]
+        for letter in w[t:]:
+            path.append(_times_letter(path[-1], codes[letter]))
+        image = path[-1]
+        for row, c in uses[w]:
+            acc = accs[row]
+            for key, v in image.items():
+                acc[key] = acc.get(key, 0) + c * v
+        prev = w
 
     mask = (1 << bits) - 1
     exps_of = {}
@@ -160,30 +133,34 @@ def eval_vectors(polys, field):
     return out
 
 
-def point_vectors(monomials, points, p):
-    """Images of bracket-monomials at scalar points, mod the prime p.
+def leading_forms(monomials, point, p):
+    """Top-degree parts of the images of bracket-monomials at a scalar point.
 
-    ``monomials`` are ``(prefix, brackets)`` pairs, each standing for
-    x_{t1}...x_{tl} [x_{r1},x_{s1}]...[x_{rk},x_{sk}] with coefficient 1
-    (k may be 0).  For each ``point``, a tuple of pairs ``(a_k, b_k)``,
-    yields one dict per monomial mapping (i, j) to the nonzero residue of
-    the coefficient of x^i y^j in its image under x_k -> a_k*x + b_k*y.
-    The image of a bracket [x_r, x_s] is the central scalar
-    b_r*a_s - a_r*b_s (as y*x = x*y + 1), so only the prefixes are
-    multiplied out.
+    ``monomials`` are ``(prefix, brackets)`` pairs (k may be 0) and
+    ``point`` is a tuple of pairs ``(a_k, b_k)``.  The part of the image
+    with i + j = len(prefix) is the commutative product of the
+    a_t*x + b_t*y over the prefix times the bracket scalars
+    b_r*a_s - a_r*b_s (as y*x = x*y + 1).  Returns, per monomial, its
+    coefficients of x^i y^(len(prefix)-i), i = 0, 1, ..., mod the prime p.
     """
-    for point in points:
-        uses = {}  # prefix -> [(row, product of the bracket scalars)]
-        for row, (prefix, brackets) in enumerate(monomials):
-            c = 1
-            for r, s in brackets:
-                (ar, br), (as_, bs) = point[r - 1], point[s - 1]
-                c = c * (br * as_ - ar * bs) % p
-            if c:
-                uses.setdefault(prefix, []).append((row, c))
-        scalars = {k: (a, b, p) for k, (a, b) in enumerate(point, start=1)}
-        accs = _image_sums(uses, len(monomials), {(0, 0): 1}, _times_point, scalars)
-        yield [{key: v % p for key, v in acc.items() if v % p} for acc in accs]
+    forms = {(): [1]}  # prefix -> its product, shared by common prefixes
+
+    def form(prefix):
+        prod = forms.get(prefix)
+        if prod is None:
+            a, b = point[prefix[-1] - 1]
+            g = form(prefix[:-1])
+            prod = forms[prefix] = [(a * u + b * v) % p for u, v in zip([0] + g, g + [0])]
+        return prod
+
+    out = []
+    for prefix, brackets in monomials:
+        c = 1
+        for r, s in brackets:
+            (ar, br), (as_, bs) = point[r - 1], point[s - 1]
+            c = c * (br * as_ - ar * bs) % p
+        out.append([c * v % p for v in form(prefix)])
+    return out
 
 
 def eval_vector(f):

@@ -11,16 +11,19 @@ dim Id = dim F_delta - rank of all n+1 evaluations.
 
 It takes the first of these routes that decides (``ConjectureReport.route``):
 
-- ``certified``: the n+1 monomials are evaluated at seeded scalar points
-  (a_k, b_k) in F_p, with p = 2^61 - 1 over Q and the field itself over
-  F_p, and the (i, j) columns of each point feed one echelon.  Rank n+1
-  there is exact: stacking points multiplies the exact coefficient matrix
-  by a matrix of parameter-monomial values, which cannot raise its rank,
-  and over Q neither can reducing the integer rows mod p.  The pure row is
-  always independent of the others (its x^d coefficient is a1^d1...am^dm,
-  and every bracket row has i + j <= d - 2), so rank n+1 is reached
-  whenever the bracket rows are independent and the points separate them.
-  The attempt gives up when a whole point adds no rank.
+- ``certified``: under x_k -> a_k*x + b_k*y the image of
+  u[x_r1,x_s1]...[x_rk,x_sk] has terms x^i y^j with i + j <= d - 2k, and
+  its part with i + j = d - 2k is the commutative form
+  prod_{t in u}(a_t x + b_t y) * prod(b_r a_s - a_r b_s).  So the matrix of
+  generic evaluations is block triangular by k, and it has full row rank
+  when each diagonal block (the rows with k brackets against the columns
+  with i + j = d - 2k) has.  Each block's leading forms are evaluated at
+  seeded scalar points in F_p, with p = 2^61 - 1 over Q and the field
+  itself over F_p, and their coefficients feed the block's own echelon.
+  Full rank there is exact: stacking points multiplies the block by a
+  matrix of parameter-monomial values, which cannot raise its rank, and
+  over Q neither can reducing the integer rows mod p.  A block gives up
+  after ``_DRY_POINTS`` consecutive points that add no rank.
 - ``exact``: one exact elimination of the generic evaluations.  If the
   bracket rows are independent, the report is ``Verified`` as above.
 - ``ideal-span``: otherwise dim Id is compared with the rank of an explicit
@@ -36,7 +39,7 @@ from itertools import product
 
 from .bracket import enumerate_completely_reduced
 from .errors import ResourceLimit
-from .evaluation import eval_vectors, point_vectors, substitute_tuple
+from .evaluation import eval_vectors, leading_forms, substitute_tuple
 from .fields import Field
 from .free_algebra import NCPoly, _multiset_permutations, gamma, generator_at, st3, t4
 from .linalg import Echelon, row_reduce_sparse
@@ -158,27 +161,36 @@ def _scalar_points(nvars, p):
         yield tuple((rng.randrange(p), rng.randrange(p)) for _ in range(nvars))
 
 
-def _full_rank_at_points(monomials, nvars, field):
-    """True when the images of ``monomials`` (``(prefix, brackets)`` pairs)
-    at scalar points over the prime field ``field`` are independent.
+# Over a small field many points add no rank even to a block of full rank
+# (a bracket scalar b_r*a_s - a_r*b_s vanishes at 5/8 of the points of F_2),
+# so a block gives up only after this many consecutive dry points.
+_DRY_POINTS = 24
 
-    Each point contributes one column per (i, j); the columns feed one
-    echelon until its rank reaches len(monomials).  False as soon as a
-    whole point adds no rank.
-    """
+
+def _full_rank_at_points(monomials, nvars, field):
+    """True when, for each bracket count, the leading forms of the
+    ``monomials`` (``(prefix, brackets)`` pairs) with that count reach full
+    rank at scalar points over the prime field ``field``.  Each point gives
+    a block one column per coefficient of the forms."""
+    blocks = {}
+    for mono in monomials:
+        blocks.setdefault(len(mono[1]), []).append(mono)
+    return all(_block_full_rank(block, nvars, field) for block in blocks.values())
+
+
+def _block_full_rank(block, nvars, field):
     p = field.p
     ech = Echelon(field)
-    for vectors in point_vectors(monomials, _scalar_points(nvars, p), p):
+    dry = 0
+    for point in _scalar_points(nvars, p):
         before = ech.rank
-        columns = {}
-        for row, vec in enumerate(vectors):
-            for key, v in vec.items():
-                columns.setdefault(key, {})[row] = v
-        for column in columns.values():
-            ech.add(column)
-            if ech.rank == len(monomials):
+        forms = leading_forms(block, point, p)
+        for i in range(len(forms[0])):
+            ech.add({row: form[i] for row, form in enumerate(forms)})
+            if ech.rank == len(block):
                 return True
-        if ech.rank == before:
+        dry = 0 if ech.rank > before else dry + 1
+        if dry == _DRY_POINTS:
             return False
 
 
@@ -200,7 +212,7 @@ def verify_conjecture(delta, fieldobj=None, max_degree=None):
     monomials = [(b.prefix, b.brackets) for b in reduced] + [(pure, ())]
     point_field = fieldobj if fieldobj.p else _CERTIFICATE_FIELD
     if _full_rank_at_points(monomials, len(delta), point_field):
-        # rank n+1 at scalar points bounds the exact rank from below
+        # full rank of every block bounds the exact rank from below
         dim_id = space_dimension(delta) - (n + 1)
         report = ConjectureReport(
             delta, fieldobj, n, n, dim_id, dim_id, "Verified", route="certified"

@@ -292,3 +292,10 @@ def test_criterion_10_degree_six_frontier(tmp_path):
              "dim_id": dim_id, "dim_I": dim_I, "verdict": "Verified", "witness": None}
             for mdeg, n, r, dim_id, dim_I in DEGREE_SIX
         ]
+
+
+def test_criterion_11_degree_nine_certified():
+    with _Timer("criterion 11: every partition of 9 certified over Q", 10.0):
+        for delta in degree_multidegrees(9):
+            r = verify_conjecture(delta, QQ, max_degree=9)
+            assert (r.verdict, r.route) == ("Verified", "certified"), delta

@@ -233,6 +233,41 @@ def test_verify_jobs_agree(tmp_path):
     )
 
 
+def test_verify_json_to_unwritable_path_fails_before_the_sweep(tmp_path):
+    r = run("verify", "--degree", "3", "--json", str(tmp_path / "missing" / "x.json"))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+    # a sweep over the degree cap is refused before the file is opened
+    out = tmp_path / "kept.json"
+    out.write_text("kept")
+    r = run("verify", "--degree", "4", "--json", str(out), env_extra={"WEYLPI_MAX_DEGREE": "3"})
+    assert r.returncode == 3
+    assert out.read_text() == "kept"
+
+
+def test_verify_jobs_are_clamped_to_the_multidegrees(monkeypatch, capsys):
+    workers = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert cli.main(["verify", "--degree", "3", "--jobs", "64"]) == 0
+    assert cli.main(["verify", "--degree", "4", "--jobs", "2"]) == 0
+    assert workers == [3, 2]
+    assert capsys.readouterr().out.count("verdict=Verified") == 3 + 5
+
+
 def test_verify_prime_field():
     r = run("verify", "--mdeg", "1,1,1", "--field", "fp:5")
     assert r.returncode == 0
@@ -245,6 +280,8 @@ def test_usage_errors_exit_two():
         (("check", "--field", "fp:x", "--expr", "x1"), None),
         (("verify", "--mdeg", "1,1"), {"WEYLPI_MAX_DEGREE": "abc"}),
         (("verify", "--degree", "-3"), None),
+        (("verify", "--degree", "3", "--jobs", "0"), None),
+        (("verify", "--degree", "3", "--jobs", "-5"), None),
     ):
         r = run(*args, env_extra=env)
         assert r.returncode == 2, args

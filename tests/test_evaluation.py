@@ -13,7 +13,7 @@ from weylpi.evaluation import (
     eval_vectors,
     generic_substitution,
     is_weak_identity,
-    point_vectors,
+    leading_forms,
     substitute_tuple,
 )
 from weylpi.fields import Field
@@ -240,7 +240,7 @@ def test_shared_prefixes_give_the_same_vectors():
         assert eval_vectors(polys, field) == [eval_vector(f) for f in polys]
 
 
-# -- images at scalar points against the WeylElement substitution ------------
+# -- leading forms at scalar points against the WeylElement substitution -----
 
 
 def _point_oracle(f, point):
@@ -267,5 +267,12 @@ def test_point_vectors_match_substitution_up_to_degree_five(p):
             polys += [NCPoly.monomial(w, field, nvars=m) for w in words]
             points = [tuple((rng.randrange(p), rng.randrange(p)) for _ in delta) for _ in range(3)]
             points.append(((0, 1),) + ((1, 0),) * (m - 1) if m else ())
-            for point, vectors in zip(points, point_vectors(monomials, points, p)):
-                assert vectors == [_point_oracle(f, point) for f in polys]
+            for point in points:
+                forms = leading_forms(monomials, point, p)
+                for (prefix, _), form, f in zip(monomials, forms, polys):
+                    top = len(prefix)  # d - 2k
+                    assert len(form) == top + 1
+                    values = {(i, top - i): v for i, v in enumerate(form) if v}
+                    oracle = _point_oracle(f, point)
+                    assert values == {ij: v for ij, v in oracle.items() if sum(ij) == top}
+                    assert all(sum(ij) <= top for ij in oracle)

@@ -215,30 +215,65 @@ def test_certified_reports_equal_exact_reports(monkeypatch, field, degree):
     if field.p in (0, 32003):
         assert set(routes) == {"certified"}
     else:
-        # points over F_2 and F_3 cannot separate every multidegree
-        assert "exact" in routes and "certified" in routes
+        # points over F_2 run dry before they separate every multidegree
+        assert [(d, r) for d, r in zip(deltas, routes) if r != "certified"] == {
+            2: [((2, 1, 1, 1, 1), "exact")], 3: []
+        }[field.p]
 
 
 def test_full_rank_certificate_stops_when_a_point_adds_nothing(monkeypatch):
     from weylpi import identities
 
     drawn = []
-    real = identities._scalar_points
 
-    def counting_points(nvars, p):
-        for point in real(nvars, p):
-            drawn.append(point)
-            yield point
+    def counting(points):
+        def draw(nvars, p):
+            for point in points(nvars, p):
+                drawn.append(point)
+                yield point
 
-    monkeypatch.setattr(identities, "_scalar_points", counting_points)
+        return draw
+
     field = identities._CERTIFICATE_FIELD
-    monomials = [(b.prefix, b.brackets) for b in enumerate_completely_reduced((2, 1, 1))]
-    monomials.append(((1, 1, 2, 3), ()))
-    assert identities._full_rank_at_points(monomials, 3, field)
-    # a repeated monomial caps the rank one short of the row count
+    dry = identities._DRY_POINTS
+    monkeypatch.setattr(identities, "_scalar_points", counting(identities._scalar_points))
+    # the two-bracket block of (1,1,1,1): one column per point, so its two
+    # rows need two points
+    block = [((), ((1, 2), (3, 4))), ((), ((1, 3), (2, 4)))]
+    assert identities._full_rank_at_points(block, 4, field)
+    assert len(drawn) == 2
+    # a repeated row caps the rank one short: the second point still adds
+    # rank, then exactly ``dry`` points add none
     drawn.clear()
-    assert not identities._full_rank_at_points(monomials + monomials[:1], 3, field)
-    assert 2 <= len(drawn) <= len(monomials) + 1
+    assert not identities._full_rank_at_points(block + block[:1], 4, field)
+    assert len(drawn) == 2 + dry
+    # all-zero points never add rank
+    drawn.clear()
+    monkeypatch.setattr(identities, "_scalar_points", counting(_zero_points))
+    assert not identities._full_rank_at_points(block, 4, field)
+    assert len(drawn) == dry
+
+
+def test_full_rank_certificate_checks_every_bracket_count_block(monkeypatch):
+    from weylpi import identities
+
+    field = identities._CERTIFICATE_FIELD
+    monomials = [(b.prefix, b.brackets) for b in enumerate_completely_reduced((2, 1, 1, 1))]
+    monomials.append(((1, 1, 2, 3, 4), ()))
+    assert identities._full_rank_at_points(monomials, 4, field)
+    # a repeated row makes its own block deficient, whichever block it is in
+    for row in monomials:
+        assert not identities._full_rank_at_points(monomials + [row], 4, field)
+    # each block holds exactly the rows with one bracket count, in order
+    blocks = []
+    real = identities._block_full_rank
+    monkeypatch.setattr(
+        identities, "_block_full_rank", lambda b, *args: blocks.append(b) or real(b, *args)
+    )
+    assert identities._full_rank_at_points(monomials, 4, field)
+    assert sorted(blocks) == sorted(
+        [m for m in monomials if len(m[1]) == k] for k in (0, 1, 2)
+    )
 
 
 def test_verify_respects_degree_cap():
