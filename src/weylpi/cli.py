@@ -20,10 +20,23 @@ from .identities import (
     DEFAULT_MAX_DEGREE,
     degree_multidegrees,
     identity_basis,
+    space_dimension,
     verify_conjecture,
 )
 from .parser import format_poly, parse_poly
 from .rewriter import normal_form
+
+# ``check`` and ``idbasis`` evaluate every word they are given, about 1 ms
+# a word at degree 8, and ``idbasis`` then eliminates them, which grows
+# faster.  At this limit the slowest accepted slices, (2,1,1,1,1,1) and
+# (2,2,2,2) with 2520 words each, take 12-15 s on a shared 2-vCPU VM;
+# (3,2,1,1,1), 3360 words, took 20 s.
+MAX_EVAL_WORDS = 2520
+
+
+def _cap_words(count):
+    if count > MAX_EVAL_WORDS:
+        raise ResourceLimit(f"{count} words to evaluate exceed the limit of {MAX_EVAL_WORDS}")
 
 
 def _max_degree():
@@ -89,6 +102,7 @@ def cmd_normalize(args):
 def cmd_check(args):
     fieldobj = _field(args.field)
     f = parse_poly(args.expr, fieldobj, max_degree=_max_degree())
+    _cap_words(len(f.terms))
     if is_weak_identity(f):
         print("identity")
         return 0
@@ -112,6 +126,7 @@ def cmd_idbasis(args):
     delta = _parse_mdeg(args.mdeg)
     if sum(delta) > _max_degree():
         raise ResourceLimit("multidegree exceeds degree cap")
+    _cap_words(space_dimension(delta))
     for f in identity_basis(delta, fieldobj):
         print(format_poly(f))
     return 0

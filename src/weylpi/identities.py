@@ -85,6 +85,15 @@ def identity_basis(delta, fieldobj):
 
 
 def _ideal_span_rows(delta, fieldobj):
+    """The distinct rows w1 * g(x_i1, ..., x_ia) * w2 of multidegree delta,
+    for g in Gamma_3, St_3, T_4 and words w1, w2, as dicts word -> scalar.
+
+    The generators are multilinear in their arity, so the substitution has
+    the multidegree of its index tuple, counted before it is built; and a
+    row is its terms with u[:cut] and u[cut:] concatenated on either side,
+    which is injective on words, so nothing cancels and no product of
+    polynomials is needed.
+    """
     delta = tuple(delta)
     m = len(delta)
     generators = [(gamma(3, fieldobj), 3), (st3(fieldobj), 3), (t4(fieldobj), 4)]
@@ -92,19 +101,17 @@ def _ideal_span_rows(delta, fieldobj):
     rows = []
     for g, arity in generators:
         for idxs in product(range(1, m + 1), repeat=arity):
-            sub = generator_at(g, idxs)
-            if sub.is_zero():
-                continue
-            sub = NCPoly(fieldobj, m, sub.terms)
-            mu = sub.mdeg()
+            mu = [idxs.count(i + 1) for i in range(m)]
             if any(mu[i] > delta[i] for i in range(m)):
+                continue
+            sub = generator_at(g, idxs).terms
+            if not sub:
                 continue
             rem = [i + 1 for i in range(m) for _ in range(delta[i] - mu[i])]
             for u in _multiset_permutations(rem):
                 for cut in range(len(u) + 1):
-                    w1 = NCPoly.monomial(u[:cut], fieldobj, nvars=m)
-                    w2 = NCPoly.monomial(u[cut:], fieldobj, nvars=m)
-                    row = (w1 * sub * w2).terms
+                    w1, w2 = u[:cut], u[cut:]
+                    row = {w1 + w + w2: c for w, c in sub.items()}
                     key = frozenset(row.items())
                     if key in seen:
                         continue

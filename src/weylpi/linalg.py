@@ -4,7 +4,27 @@
 arbitrary comparable coordinates, added one at a time, and it keeps the
 rank and, on request, a basis of the vanishing row combinations.
 ``row_reduce_sparse`` runs it over a list of rows.
+
+Over F_p the pivot rows are monic, and a row is reduced by subtracting
+r_c times the pivot of its leading coordinate c.  Over Q the elimination
+is fraction free (Bareiss 1968) and runs on plain ints: a row enters
+scaled by the lcm of its denominators, and is reduced by
+row <- (l/g)*row - (r_c/g)*pivot, where l is the pivot's leading entry
+and g = gcd(l, r_c).  After such a scaled step the row is divided by the
+content it shares with its augmented part, and a pivot row is stored
+primitive in the same sense with a positive leading entry, so the entries
+do not grow from step to step.  The augmented part (the row's coefficients
+over the input rows) starts at the entry scale and takes every multiplier
+and division of the row, so a row always equals the combination its
+augmented part names.  A row that reduces to zero gives the kernel vector
+aug / aug[own row]: the unique vanishing combination of its own row, with
+coefficient 1, and the earlier pivot rows, which are independent.  Over Q
+it is a dict of ``Fraction``s, the same as elimination over fractions
+gives.
 """
+
+from fractions import Fraction
+from math import gcd, lcm
 
 
 class Echelon:
@@ -15,7 +35,8 @@ class Echelon:
     reduces to zero adds to ``kernel`` a dict mapping row indices (in the
     order of ``add``) to the coefficients of a vanishing combination; it
     has coefficient 1 on its own row, which is its largest index, and its
-    other entries are rows that became pivots.
+    other entries are rows that became pivots.  Pivot rows are stored
+    monic over F_p and as integer rows over Q (module docstring).
     """
 
     def __init__(self, field, want_kernel=False):
@@ -30,31 +51,68 @@ class Echelon:
         """Reduce one row against the pivots; True iff it adds to the rank."""
         F = self.field
         pivots = self.pivots
-        row = {c: v for c, v in row.items() if not F.is_zero(v)}
-        aug = {self.nrows: F.one} if self.want_kernel else None
+        if F.p:
+            row = {c: v for c, v in row.items() if v}
+            scale = 1
+        else:  # ints or Fractions in, ints from here on
+            scale = lcm(*(v.denominator for v in row.values()))
+            row = {c: v.numerator * (scale // v.denominator) for c, v in row.items() if v}
+        own = self.nrows
+        aug = {own: scale} if self.want_kernel else None
         self.nrows += 1
         while row:
             c = min(row)
-            if c not in pivots:
+            pivot = pivots.get(c)
+            if pivot is None:
                 break
-            prow, paug = pivots[c]
-            factor = F.neg(row[c])
+            prow, paug = pivot
+            r, lead = row[c], prow[c]
+            if lead != 1:  # over Q only: the pivots over F_p are monic
+                g = gcd(lead, r)
+                r //= g
+                lead //= g
+            if lead != 1:
+                row = {k: lead * v for k, v in row.items()}
+                if aug is not None:
+                    aug = {k: lead * v for k, v in aug.items()}
             # add_into reduces the sums mod p, so the products need not be
-            F.add_into(row, ((pc, factor * pv) for pc, pv in prow.items()))
+            F.add_into(row, ((pc, -r * pv) for pc, pv in prow.items()))
             if aug is not None:
-                F.add_into(aug, ((pc, factor * pv) for pc, pv in paug.items()))
+                F.add_into(aug, ((pc, -r * pv) for pc, pv in paug.items()))
+            if lead != 1:
+                content = gcd(*row.values(), *(aug.values() if aug else ()))
+                if content > 1:
+                    row, aug = _divided(row, aug, content)
         if not row:
             if aug is not None:
+                if not F.p:
+                    s = aug[own]
+                    aug = {k: Fraction(v, s) for k, v in aug.items()}
                 self.kernel.append(aug)
             return False
         c = min(row)
-        inv = F.inv(row[c])
-        row = {k: F.mul(inv, v) for k, v in row.items()}
-        if aug is not None:
-            aug = {k: F.mul(inv, v) for k, v in aug.items()}
+        if F.p:
+            inv = F.inv(row[c])
+            row = {k: F.mul(inv, v) for k, v in row.items()}
+            if aug is not None:
+                aug = {k: F.mul(inv, v) for k, v in aug.items()}
+        else:
+            content = gcd(*row.values(), *(aug.values() if aug else ()))
+            if row[c] < 0:
+                content = -content
+            if content != 1:
+                row, aug = _divided(row, aug, content)
         pivots[c] = (row, aug)
         self.rank += 1
         return True
+
+
+def _divided(row, aug, content):
+    """A row and its augmented part (or None) divided exactly by content."""
+    row = {k: v // content for k, v in row.items()}
+    if aug is not None:
+        aug = {k: v // content for k, v in aug.items()}
+    return row, aug
 
 
 def row_reduce_sparse(rows, field, want_kernel=False):

@@ -16,6 +16,7 @@ from weylpi.fields import Field
 from weylpi.free_algebra import NCPoly, gamma, generator_at, st3, t4
 from weylpi.identities import (
     degree_multidegrees,
+    ideal_span_dimension,
     identity_basis,
     two_variable_certificate,
     verify_conjecture,
@@ -299,3 +300,14 @@ def test_criterion_11_degree_nine_certified():
         for delta in degree_multidegrees(9):
             r = verify_conjecture(delta, QQ, max_degree=9)
             assert (r.verdict, r.route) == ("Verified", "certified"), delta
+
+
+def test_criterion_12_degree_six_exact_cross_check():
+    # the check that goes through neither the rewriter nor the certificate:
+    # the exact identity space and the exact ideal span; 2.2 s here
+    with _Timer("criterion 12: identity basis = ideal span = dim_id at degree 6 but 1^6", 8.0):
+        for delta in degree_multidegrees(6):
+            if delta == (1,) * 6:
+                continue
+            dim_id = verify_conjecture(delta, QQ).dim_id
+            assert len(identity_basis(delta, QQ)) == ideal_span_dimension(delta, QQ) == dim_id, delta

@@ -135,6 +135,37 @@ def test_wide_power_exits_three_before_expanding():
         assert r.stderr.startswith("resource limit: ") and len(r.stderr.splitlines()) == 1
 
 
+
+def test_evaluation_cost_is_bounded_before_evaluating():
+    eight = "+".join(f"x{k}" for k in range(1, 9))
+    for argv, env in (
+        (["check", "--expr", f"({eight})^5*x1*x2*x3"], {}),
+        (["check", "--expr", f"({eight})^4*x1*x2*x3*x4"], {}),
+        (["check", "--expr", f"({eight})^4*[x1,x2]*[x3,x4]"], {}),
+        (["check", "--expr", "(x1+x2+x3+x4+x5)^7*x6*x7*x8"], {"WEYLPI_MAX_DEGREE": "10"}),
+        (["idbasis", "--mdeg", "1,1,1,1,1,1,1,1"], {}),
+        (["idbasis", "--mdeg", "3,2,1,1,1"], {}),
+    ):
+        r = subprocess.run(
+            BASE + argv, capture_output=True, text=True, timeout=20,
+            env={**os.environ, "WEYLPI_MAX_DEGREE": "", **env},
+        )
+        assert r.returncode == 3, argv
+        assert r.stdout == ""
+        assert r.stderr.startswith("resource limit: ") and len(r.stderr.splitlines()) == 1
+
+
+def test_evaluation_bound_counts_distinct_words(monkeypatch, capsys):
+    monkeypatch.delenv("WEYLPI_MAX_DEGREE", raising=False)
+    monkeypatch.setattr(cli, "MAX_EVAL_WORDS", 6)
+    assert cli.main(["idbasis", "--mdeg", "1,1,1"]) == 0  # 3! = 6 words
+    assert cli.main(["idbasis", "--mdeg", "2,1,1"]) == 3  # 12 words
+    monkeypatch.setattr(cli, "MAX_EVAL_WORDS", 2)
+    assert cli.main(["check", "--expr", "x1*x2 - x2*x1 + 2*x1*x2 + [x1,x2]"]) == 1
+    assert cli.main(["check", "--expr", "x1*x2 - x2*x1 + x1"]) == 3
+    assert capsys.readouterr().err.count("resource limit: ") == 2
+
+
 _TOKENS = [
     "x1", "x2", "x3", "x0", "x1000", "x", "y", "0", "1", "2", "3/2", "1/0", "2/3",
     "+", "-", "*", "^", "^2", "^0", "^99999999", "(", ")", "[", "]", ",", "/", " ",

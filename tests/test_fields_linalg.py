@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylpi.evaluation import eval_vectors
 from weylpi.fields import _MR_LIMIT, Field, _is_prime
+from weylpi.free_algebra import NCPoly
+from weylpi.identities import degree_multidegrees, identity_basis, words_of_multidegree
 from weylpi.linalg import Echelon, row_reduce_sparse
 
 QQ = Field.rationals()
@@ -141,3 +144,131 @@ def test_integer_rows_over_q_give_an_exact_kernel():
     assert rank == 1
     assert kernel == [{0: Fraction(-2), 1: Fraction(1)}]
     assert all(type(c) is Fraction for c in kernel[0].values())
+
+
+# -- differential test against elimination over Fractions ---------------------
+#
+# The oracle is Echelon.add as it was before the fraction-free elimination:
+# field arithmetic throughout, every pivot row scaled to be monic.
+
+
+class _FractionEchelon:
+    def __init__(self, field, want_kernel=False):
+        self.field = field
+        self.want_kernel = want_kernel
+        self.pivots = {}
+        self.kernel = []
+        self.rank = 0
+        self.nrows = 0
+
+    def add(self, row):
+        F = self.field
+        pivots = self.pivots
+        row = {c: v for c, v in row.items() if not F.is_zero(v)}
+        aug = {self.nrows: F.one} if self.want_kernel else None
+        self.nrows += 1
+        while row:
+            c = min(row)
+            if c not in pivots:
+                break
+            prow, paug = pivots[c]
+            factor = F.neg(row[c])
+            F.add_into(row, ((pc, factor * pv) for pc, pv in prow.items()))
+            if aug is not None:
+                F.add_into(aug, ((pc, factor * pv) for pc, pv in paug.items()))
+        if not row:
+            if aug is not None:
+                self.kernel.append(aug)
+            return False
+        c = min(row)
+        inv = F.inv(row[c])
+        row = {k: F.mul(inv, v) for k, v in row.items()}
+        if aug is not None:
+            aug = {k: F.mul(inv, v) for k, v in aug.items()}
+        pivots[c] = (row, aug)
+        self.rank += 1
+        return True
+
+
+def _oracle_reduce(rows, field, want_kernel=False):
+    ech = _FractionEchelon(field, want_kernel)
+    for row in rows:
+        ech.add(row)
+    return ech.rank, ech.kernel
+
+
+_q_entry = st.one_of(
+    st.just(0),
+    small_int,
+    st.builds(Fraction, small_int, st.sampled_from([2, 3])),
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.sampled_from([1, 2, 3])),
+)
+
+
+def _assert_same_elimination(field, rows):
+    ech = Echelon(field, want_kernel=True)
+    oracle = _FractionEchelon(field, want_kernel=True)
+    grew = [ech.add(row) for row in rows]
+    assert grew == [oracle.add(row) for row in rows]
+    assert ech.rank == oracle.rank
+    assert ech.kernel == oracle.kernel
+    assert [list(v) for v in ech.kernel] == [list(v) for v in oracle.kernel]
+    scalar = Fraction if field.p == 0 else int
+    assert all(type(c) is scalar for v in ech.kernel for c in v.values())
+    # without the kernel the pivots are scaled differently; the rank is not
+    assert row_reduce_sparse(rows, field)[0] == oracle.rank
+
+
+_multiplier = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2), 6])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=6),
+    st.data(),
+)
+def test_integer_elimination_over_q_matches_fractions(rows, cols, data):
+    base = data.draw(
+        st.lists(st.lists(_q_entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    )
+    # combinations of the rows above reduce to zero, through scaled steps
+    index = st.integers(0, rows - 1)
+    combos = [
+        [a * x + b * y for x, y in zip(base[i], base[j])]
+        for i, j, a, b in data.draw(
+            st.lists(st.tuples(index, index, _multiplier, _multiplier), max_size=6)
+        )
+    ]
+    # ints and Fractions as drawn: plain int rows are accepted over Q
+    _assert_same_elimination(QQ, [{j: e for j, e in enumerate(r) if e} for r in base + combos])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=6),
+    st.data(),
+    st.sampled_from([5, 7]),
+)
+def test_elimination_over_prime_fields_matches_the_oracle(rows, cols, data, p):
+    ints = data.draw(
+        st.lists(st.integers(-(10**6), 10**6) | st.just(0), min_size=rows * cols, max_size=rows * cols)
+    )
+    dense = [ints[i * cols : (i + 1) * cols] for i in range(rows)]
+    F = Field(p)
+    _assert_same_elimination(F, _sparse(F, dense + dense[: rows // 2]))
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_identity_basis_is_the_oracle_kernel(p):
+    F = Field(p)
+    for n in range(1, 6):
+        for delta in degree_multidegrees(n):
+            words = words_of_multidegree(delta)[::-1]
+            rows = eval_vectors([NCPoly.monomial(w, F, nvars=len(delta)) for w in words], F)
+            _, kernel = _oracle_reduce(rows, F, want_kernel=True)
+            expected = [{words[i]: c for i, c in vec.items()} for vec in reversed(kernel)]
+            basis = identity_basis(delta, F)
+            assert [list(f.terms.items()) for f in basis] == [list(e.items()) for e in expected]
+            assert all(type(c) is type(F.one) for f in basis for c in f.terms.values())

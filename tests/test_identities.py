@@ -1,11 +1,14 @@
+from itertools import product
+
 import pytest
 
 from weylpi.bracket import enumerate_completely_reduced
 from weylpi.errors import ResourceLimit
 from weylpi.evaluation import eval_vector, eval_vectors, is_weak_identity, substitute_tuple
 from weylpi.fields import Field
-from weylpi.free_algebra import NCPoly, gamma, generator_at, st3
+from weylpi.free_algebra import NCPoly, _multiset_permutations, gamma, generator_at, st3, t4
 from weylpi.identities import (
+    _ideal_span_rows,
     degree_multidegrees,
     ideal_span_dimension,
     identity_basis,
@@ -110,6 +113,51 @@ def test_normal_form_kills_identity_basis():
         assert verify_conjecture(delta, QQ).verdict == "Verified"
         for f in identity_basis(delta, QQ):
             assert all(nf.is_zero() for nf in normal_form(f).values())
+
+
+# -- the span rows against their products in the free algebra ----------------
+#
+# The oracle builds each row as it was built before rows were concatenated:
+# the NCPoly product w1 * g(x_i1, ..., x_ia) * w2, for every index tuple.
+
+
+def _product_span_rows(delta, fieldobj):
+    m = len(delta)
+    generators = [(gamma(3, fieldobj), 3), (st3(fieldobj), 3), (t4(fieldobj), 4)]
+    seen = set()
+    rows = []
+    for g, arity in generators:
+        for idxs in product(range(1, m + 1), repeat=arity):
+            sub = generator_at(g, idxs)
+            if sub.is_zero():
+                continue
+            sub = NCPoly(fieldobj, m, sub.terms)
+            mu = sub.mdeg()
+            if any(mu[i] > delta[i] for i in range(m)):
+                continue
+            rem = [i + 1 for i in range(m) for _ in range(delta[i] - mu[i])]
+            for u in _multiset_permutations(rem):
+                for cut in range(len(u) + 1):
+                    w1 = NCPoly.monomial(u[:cut], fieldobj, nvars=m)
+                    w2 = NCPoly.monomial(u[cut:], fieldobj, nvars=m)
+                    row = (w1 * sub * w2).terms
+                    key = frozenset(row.items())
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(2), Field.prime(3)], ids=repr)
+def test_span_rows_equal_the_product_rows(field):
+    for n in range(1, 7):
+        for delta in degree_multidegrees(n):
+            rows = _ideal_span_rows(delta, field)
+            expected = _product_span_rows(delta, field)
+            assert [list(r.items()) for r in rows] == [list(r.items()) for r in expected]
+            assert all(type(c) is type(field.one) for r in rows for c in r.values())
+
 
 
 @pytest.mark.parametrize("field", [QQ, F7])
