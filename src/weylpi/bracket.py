@@ -5,6 +5,14 @@ A bracket-monomial is x_{t1}...x_{tl} [x_{r1},x_{s1}]...[x_{rk},x_{sk}]
 with l >= 0, k >= 1 and r_i < s_i throughout.  Canonical storage sorts the
 prefix ascending and the brackets by (s, r); bracket order is immaterial
 modulo the ideal of known identities, so any fixed convention is sound.
+
+The completely reduced monomials of a multidegree are generated directly
+as ``(prefix, brackets)`` pairs (``completely_reduced_keys``), not by
+building every bracket multiset and filtering by ``status()``.  The
+pruning is exact: in (s, r) order no bracket is nested in another exactly
+when the r's do not decrease either, and a branch cut where they would
+decrease keeps that nested pair in every extension, so it holds no
+completely reduced monomial.
 """
 
 import enum
@@ -122,54 +130,45 @@ def weight_less(a, b):
     return a < b
 
 
-def _bracket_choices(counts):
-    """All nondecreasing (by (s, r)) bracket multisets drawing from the
-    per-variable letter budget ``counts`` (1-based dict)."""
-    letters = sorted(counts)
-    pairs = sorted(
-        ((r, s) for s in letters for r in letters if r < s), key=bracket_sort_key
-    )
+def completely_reduced_keys(delta):
+    """The ``(prefix, brackets)`` pairs of the completely reduced
+    bracket-monomials with letter multiset delta, sorted by (k, prefix,
+    brackets).  Degrees below 2 admit no bracket and give the empty list.
 
-    def rec(start, remaining, chosen):
-        yield tuple(chosen)
+    Brackets are chosen in (s, r) order, so a new bracket (r, s) can only
+    be nested around an earlier one (r', s'), which happens exactly when
+    r < r' (then s' < s, as s' = s forces r' <= r): the r's never
+    decrease.  What is left of delta is the sorted prefix, kept only when
+    its last letter is <= s_1.
+    """
+    remaining = [0, *delta]  # 1-based letter budget
+    letters = [l for l in range(1, len(remaining)) if remaining[l] > 0]
+    pairs = [(r, s) for s in letters for r in letters if r < s]
+    chosen = []
+    out = []
+
+    def rec(start, last_r):
         for idx in range(start, len(pairs)):
             r, s = pairs[idx]
-            if remaining.get(r, 0) >= 1 and remaining.get(s, 0) >= 1:
-                remaining[r] -= 1
-                remaining[s] -= 1
-                chosen.append((r, s))
-                yield from rec(idx, remaining, chosen)
-                chosen.pop()
-                remaining[r] += 1
-                remaining[s] += 1
+            if r < last_r or not (remaining[r] and remaining[s]):
+                continue
+            remaining[r] -= 1
+            remaining[s] -= 1
+            chosen.append((r, s))
+            s1 = chosen[0][1]
+            if not any(remaining[l] for l in letters if l > s1):
+                prefix = tuple(l for l in letters for _ in range(remaining[l]))
+                out.append((prefix, tuple(chosen)))
+            rec(idx, r)
+            chosen.pop()
+            remaining[r] += 1
+            remaining[s] += 1
 
-    yield from rec(0, dict(counts), [])
+    rec(0, 0)
+    out.sort(key=lambda key: (len(key[1]), key[0], key[1]))
+    return out
 
 
 def enumerate_completely_reduced(delta):
-    """All completely reduced bracket-monomials with letter multiset delta.
-
-    Deterministic output order: by bracket count, then prefix, then
-    brackets.  Degrees below 2 admit no bracket and yield the empty list.
-    """
-    delta = tuple(delta)
-    total = sum(delta)
-    out = []
-    if total < 2:
-        return out
-    counts = {i + 1: d for i, d in enumerate(delta) if d > 0}
-    for brackets in _bracket_choices(counts):
-        if not brackets:
-            continue
-        used = {}
-        for r, s in brackets:
-            used[r] = used.get(r, 0) + 1
-            used[s] = used.get(s, 0) + 1
-        prefix = []
-        for letter in sorted(counts):
-            prefix.extend([letter] * (counts[letter] - used.get(letter, 0)))
-        mono = BracketMonomial(tuple(prefix), brackets)
-        if mono.status() == Status.COMPLETELY_REDUCED:
-            out.append(mono)
-    out.sort(key=lambda m: (len(m.brackets), m.prefix, m.brackets))
-    return out
+    """``completely_reduced_keys(delta)`` as ``BracketMonomial`` objects."""
+    return [BracketMonomial(*key) for key in completely_reduced_keys(delta)]

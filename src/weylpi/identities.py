@@ -35,9 +35,9 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, tee
 
-from .bracket import enumerate_completely_reduced
+from .bracket import BracketMonomial, completely_reduced_keys
 from .errors import ResourceLimit
 from .evaluation import eval_vectors, leading_forms, substitute_tuple
 from .fields import Field
@@ -178,18 +178,24 @@ def _full_rank_at_points(monomials, nvars, field):
     """True when, for each bracket count, the leading forms of the
     ``monomials`` (``(prefix, brackets)`` pairs) with that count reach full
     rank at scalar points over the prime field ``field``.  Each point gives
-    a block one column per coefficient of the forms."""
+    a block one column per coefficient of the forms.  The points are drawn
+    once and replayed: every block starts at the first point, and only as
+    many are drawn as the block that needs the most."""
     blocks = {}
     for mono in monomials:
         blocks.setdefault(len(mono[1]), []).append(mono)
-    return all(_block_full_rank(block, nvars, field) for block in blocks.values())
+    replays = tee(_scalar_points(nvars, field.p), len(blocks))
+    return all(
+        _block_full_rank(block, points, field)
+        for block, points in zip(blocks.values(), replays)
+    )
 
 
-def _block_full_rank(block, nvars, field):
+def _block_full_rank(block, points, field):
     p = field.p
     ech = Echelon(field)
     dry = 0
-    for point in _scalar_points(nvars, p):
+    for point in points:
         before = ech.rank
         forms = leading_forms(block, point, p)
         for i in range(len(forms[0])):
@@ -211,12 +217,12 @@ def verify_conjecture(delta, fieldobj=None, max_degree=None):
     if sum(delta) > cap:
         raise ResourceLimit(f"total degree {sum(delta)} exceeds cap {cap}")
 
-    reduced = enumerate_completely_reduced(delta)
-    n = len(reduced)
+    keys = completely_reduced_keys(delta)
+    n = len(keys)
     # dim Id = dim F_delta - rank of the evaluated quotient spanning set
     # {x1^d1...xm^dm} + reduced monomials (sound by the normal-form theorem).
     pure = tuple(l for l, d in enumerate(delta, start=1) for _ in range(d))
-    monomials = [(b.prefix, b.brackets) for b in reduced] + [(pure, ())]
+    monomials = keys + [(pure, ())]
     point_field = fieldobj if fieldobj.p else _CERTIFICATE_FIELD
     if _full_rank_at_points(monomials, len(delta), point_field):
         # full rank of every block bounds the exact rank from below
@@ -225,19 +231,19 @@ def verify_conjecture(delta, fieldobj=None, max_degree=None):
             delta, fieldobj, n, n, dim_id, dim_id, "Verified", route="certified"
         )
     else:
-        report = _exact_report(delta, fieldobj, reduced, pure)
+        report = _exact_report(delta, fieldobj, keys, pure)
     report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return report
 
 
-def _exact_report(delta, fieldobj, reduced, pure):
+def _exact_report(delta, fieldobj, keys, pure):
     """The verdict from exact elimination of the generic evaluations, then
     the ideal span and the witness search if they are dependent."""
     from .rewriter import normal_form
 
-    n = len(reduced)
+    n = len(keys)
     nvars = len(delta)
-    polys = [b.expand(fieldobj) for b in reduced]
+    polys = [BracketMonomial(*key).expand(fieldobj) for key in keys]
     polys.append(NCPoly.monomial(pure, fieldobj, nvars=nvars))
     # One elimination with the pure word last: rows are consumed in order,
     # so the kernel vectors of the bracket rows come out as if they were

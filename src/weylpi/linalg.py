@@ -21,6 +21,11 @@ aug / aug[own row]: the unique vanishing combination of its own row, with
 coefficient 1, and the earlier pivot rows, which are independent.  Over Q
 it is a dict of ``Fraction``s, the same as elimination over fractions
 gives.
+
+The row update row -= r * pivot is the innermost loop of every
+elimination, so ``add`` writes it out, once per field kind, instead of
+feeding a generator to ``Field.add_into``; the augmented part, which is
+short, keeps ``add_into``.
 """
 
 from fractions import Fraction
@@ -50,8 +55,9 @@ class Echelon:
     def add(self, row):
         """Reduce one row against the pivots; True iff it adds to the rank."""
         F = self.field
+        p = F.p
         pivots = self.pivots
-        if F.p:
+        if p:
             row = {c: v for c, v in row.items() if v}
             scale = 1
         else:  # ints or Fractions in, ints from here on
@@ -75,9 +81,25 @@ class Echelon:
                 row = {k: lead * v for k, v in row.items()}
                 if aug is not None:
                     aug = {k: lead * v for k, v in aug.items()}
-            # add_into reduces the sums mod p, so the products need not be
-            F.add_into(row, ((pc, -r * pv) for pc, pv in prow.items()))
+            # row -= r * prow; a coordinate absent from row gets -r * pv,
+            # which is nonzero (mod p too), so only a present one can vanish
+            get = row.get
+            if p:
+                for pc, pv in prow.items():
+                    v = (get(pc, 0) - r * pv) % p
+                    if v:
+                        row[pc] = v
+                    else:
+                        del row[pc]
+            else:
+                for pc, pv in prow.items():
+                    v = get(pc, 0) - r * pv
+                    if v:
+                        row[pc] = v
+                    else:
+                        del row[pc]
             if aug is not None:
+                # add_into reduces the sums mod p, so the products need not be
                 F.add_into(aug, ((pc, -r * pv) for pc, pv in paug.items()))
             if lead != 1:
                 content = gcd(*row.values(), *(aug.values() if aug else ()))
@@ -85,13 +107,13 @@ class Echelon:
                     row, aug = _divided(row, aug, content)
         if not row:
             if aug is not None:
-                if not F.p:
+                if not p:
                     s = aug[own]
                     aug = {k: Fraction(v, s) for k, v in aug.items()}
                 self.kernel.append(aug)
             return False
-        c = min(row)
-        if F.p:
+        # the loop stopped at c = min(row), a coordinate with no pivot
+        if p:
             inv = F.inv(row[c])
             row = {k: F.mul(inv, v) for k, v in row.items()}
             if aug is not None:

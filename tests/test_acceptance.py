@@ -311,3 +311,10 @@ def test_criterion_12_degree_six_exact_cross_check():
                 continue
             dim_id = verify_conjecture(delta, QQ).dim_id
             assert len(identity_basis(delta, QQ)) == ideal_span_dimension(delta, QQ) == dim_id, delta
+
+
+def test_criterion_13_degree_ten_certified():
+    with _Timer("criterion 13: every partition of 10 certified over Q", 10.0):
+        for delta in degree_multidegrees(10):
+            r = verify_conjecture(delta, QQ, max_degree=10)
+            assert (r.verdict, r.route) == ("Verified", "certified"), delta

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ from weylpi.bracket import (
     BracketMonomial,
     Status,
     bracket_sort_key,
+    completely_reduced_keys,
     enumerate_completely_reduced,
     weight_less,
 )
@@ -163,6 +164,52 @@ def test_enumeration_complete_against_brute_force(delta):
     for mono in got:
         assert mono.status() == Status.COMPLETELY_REDUCED
         assert mono.mdeg(len(delta)) == delta
+
+
+def _filtered_enumeration(delta):
+    """Oracle: every s-sorted bracket multiset within the letter budget,
+    built as a monomial with the rest of delta as its prefix, kept when
+    ``status()`` says it is completely reduced."""
+    letters = [l for l, d in enumerate(delta, start=1) if d]
+    pairs = [(r, s) for s in letters for r in letters if r < s]
+    remaining = dict(zip(letters, (d for d in delta if d)))
+    out = []
+
+    def rec(start, chosen):
+        if chosen:
+            prefix = tuple(l for l in letters for _ in range(remaining[l]))
+            mono = BracketMonomial(prefix, tuple(chosen))
+            if mono.status() == Status.COMPLETELY_REDUCED:
+                out.append((mono.prefix, mono.brackets))
+        for idx in range(start, len(pairs)):
+            r, s = pairs[idx]
+            if remaining[r] and remaining[s]:
+                remaining[r] -= 1
+                remaining[s] -= 1
+                rec(idx, chosen + [(r, s)])
+                remaining[r] += 1
+                remaining[s] += 1
+
+    rec(0, [])
+    out.sort(key=lambda key: (len(key[1]), key[0], key[1]))
+    return out
+
+
+def test_pruned_generation_equals_filtered_enumeration():
+    # every multidegree of 1-5 entries in 0..4 with total <= 8, zeros and
+    # unsorted ones included; order matters, the certificate's blocks and
+    # the CLI output follow it
+    deltas = [
+        delta
+        for m in range(1, 6)
+        for delta in product(range(5), repeat=m)
+        if sum(delta) <= 8
+    ]
+    assert len(deltas) == 1497
+    for delta in deltas:
+        keys = completely_reduced_keys(delta)
+        assert keys == _filtered_enumeration(delta), delta
+        assert [(b.prefix, b.brackets) for b in enumerate_completely_reduced(delta)] == keys
 
 
 def _random_monomial(rng, max_vars=6, max_brackets=3):

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from weylpi.bracket import enumerate_completely_reduced
+from weylpi.bracket import completely_reduced_keys, enumerate_completely_reduced
 from weylpi.errors import ResourceLimit
 from weylpi.evaluation import eval_vector, eval_vectors, is_weak_identity, substitute_tuple
 from weylpi.fields import Field
@@ -198,9 +198,9 @@ def test_verify_falls_back_to_the_ideal_span(monkeypatch):
     # cannot fire and the ideal span has to decide
     from weylpi import identities
 
-    real = identities.enumerate_completely_reduced
+    real = identities.completely_reduced_keys
     monkeypatch.setattr(
-        identities, "enumerate_completely_reduced", lambda d: real(d) + real(d)[:1]
+        identities, "completely_reduced_keys", lambda d: real(d) + real(d)[:1]
     )
     r = verify_conjecture((2, 1, 1), QQ)
     assert r.verdict == "Verified"
@@ -214,11 +214,10 @@ def test_verify_witness_search_without_ideal_rows(monkeypatch):
     # x3[x1,x2] is a combination of the reduced monomials modulo St_3, so the
     # dependency it adds is a weak identity inside the ideal: no witness
     from weylpi import identities
-    from weylpi.bracket import BracketMonomial
 
-    real = identities.enumerate_completely_reduced
-    extra = BracketMonomial((3,), ((1, 2),))
-    monkeypatch.setattr(identities, "enumerate_completely_reduced", lambda d: real(d) + [extra])
+    real = identities.completely_reduced_keys
+    extra = ((3,), ((1, 2),))
+    monkeypatch.setattr(identities, "completely_reduced_keys", lambda d: real(d) + [extra])
     monkeypatch.setattr(identities, "_ideal_span_rows", lambda d, f: [])
     normal_forms = []
     monkeypatch.setattr(
@@ -322,6 +321,42 @@ def test_full_rank_certificate_checks_every_bracket_count_block(monkeypatch):
     assert sorted(blocks) == sorted(
         [m for m in monomials if len(m[1]) == k] for k in (0, 1, 2)
     )
+
+
+def test_every_block_replays_the_same_points(monkeypatch):
+    from weylpi import identities
+
+    field = identities._CERTIFICATE_FIELD
+    real_points = identities._scalar_points
+    real_forms = identities.leading_forms
+    drawn, seen = [], []
+
+    def draw(nvars, p):
+        for point in real_points(nvars, p):
+            drawn.append(point)
+            yield point
+
+    def forms(block, point, p):
+        seen.append((len(block[0][1]), point))
+        return real_forms(block, point, p)
+
+    monkeypatch.setattr(identities, "_scalar_points", draw)
+    monkeypatch.setattr(identities, "leading_forms", forms)
+    monomials = completely_reduced_keys((2, 1, 1, 1)) + [((1, 1, 2, 3, 4), ())]
+    needs = {}
+    for k in (0, 1, 2):
+        drawn.clear()
+        assert identities._full_rank_at_points([m for m in monomials if len(m[1]) == k], 4, field)
+        needs[k] = len(drawn)
+    assert needs == {0: 1, 1: 1, 2: 2}  # the sum, 4, would be drawn without replay
+    drawn.clear()
+    seen.clear()
+    assert identities._full_rank_at_points(monomials, 4, field)
+    assert len(drawn) == max(needs.values())
+    first = next(real_points(4, field.p))
+    for k in needs:
+        points = [point for kk, point in seen if kk == k]
+        assert points == drawn[: needs[k]] and points[0] == first
 
 
 def test_verify_respects_degree_cap():
