@@ -73,9 +73,6 @@ class BracketMonomial:
             counts[l - 1] += 1
         return tuple(counts)
 
-    def total_degree(self):
-        return len(self.prefix) + 2 * len(self.brackets)
-
     def status(self):
         t, br = self.prefix, self.brackets
         if any(t[i] > t[i + 1] for i in range(len(t) - 1)):

@@ -97,9 +97,6 @@ class Field:
     def add(self, a, b):
         return a + b if self.p == 0 else (a + b) % self.p
 
-    def sub(self, a, b):
-        return a - b if self.p == 0 else (a - b) % self.p
-
     def mul(self, a, b):
         return a * b if self.p == 0 else (a * b) % self.p
 

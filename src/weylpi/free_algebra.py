@@ -80,10 +80,6 @@ class NCPoly:
             for d, terms in sorted(out.items())
         }
 
-    def is_multihomogeneous(self):
-        degs = {word_mdeg(w, self.nvars) for w in self.terms}
-        return len(degs) <= 1
-
     def mdeg(self):
         """Multidegree of a multihomogeneous polynomial (None if zero)."""
         degs = {word_mdeg(w, self.nvars) for w in self.terms}

@@ -35,13 +35,13 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import product, tee
+from itertools import combinations, product, tee
 
 from .bracket import BracketMonomial, completely_reduced_keys
 from .errors import ResourceLimit
 from .evaluation import eval_vectors, leading_forms, substitute_tuple
 from .fields import Field
-from .free_algebra import NCPoly, _multiset_permutations, gamma, generator_at, st3, t4
+from .free_algebra import NCPoly, _multiset_permutations, gamma, generator_at, st3
 from .linalg import Echelon, row_reduce_sparse
 from .parser import format_poly
 
@@ -85,38 +85,41 @@ def identity_basis(delta, fieldobj):
 
 
 def _ideal_span_rows(delta, fieldobj):
-    """The distinct rows w1 * g(x_i1, ..., x_ia) * w2 of multidegree delta,
-    for g in Gamma_3, St_3, T_4 and words w1, w2, as dicts word -> scalar.
+    """The rows w1 * g(x_i, x_j, x_k) * w2 of multidegree delta, for
+    g = Gamma_3 with i < j, g = St_3 with i < j < k and words w1, w2, as
+    dicts word -> scalar.  They are nonzero and pairwise distinct.
 
-    The generators are multilinear in their arity, so the substitution has
-    the multidegree of its index tuple, counted before it is built; and a
-    row is its terms with u[:cut] and u[cut:] concatenated on either side,
-    which is injective on words, so nothing cancels and no product of
-    polynomials is needed.
+    They span the slice of the ideal generated by Gamma_3, St_3 and T_4:
+    Gamma_3 is antisymmetric in its first two arguments and St_3 is
+    alternating, so any other index tuple gives 0 or minus one of these
+    rows; and T_4 - [St_3(x1,x2,x3), x4] = Gamma_3(x1,x3,x4) x2
+    - Gamma_3(x1,x2,x4) x3 - Gamma_3(x2,x3,x4) x1 holds over the integers,
+    so over every field each T_4 row is a sum of these rows times +-1.
+
+    The generators are multilinear, so the substitution has the multidegree
+    of its index tuple, counted before it is built; and a row is its terms
+    with u[:cut] and u[cut:] concatenated on either side, which is injective
+    on words, so nothing cancels and no product of polynomials is needed.
     """
     delta = tuple(delta)
     m = len(delta)
-    generators = [(gamma(3, fieldobj), 3), (st3(fieldobj), 3), (t4(fieldobj), 4)]
-    seen = set()
+    letters = range(1, m + 1)
+    generators = [
+        (gamma(3, fieldobj), [t for t in product(letters, repeat=3) if t[0] < t[1]]),
+        (st3(fieldobj), combinations(letters, 3)),
+    ]
     rows = []
-    for g, arity in generators:
-        for idxs in product(range(1, m + 1), repeat=arity):
+    for g, tuples in generators:
+        for idxs in tuples:
             mu = [idxs.count(i + 1) for i in range(m)]
             if any(mu[i] > delta[i] for i in range(m)):
                 continue
             sub = generator_at(g, idxs).terms
-            if not sub:
-                continue
             rem = [i + 1 for i in range(m) for _ in range(delta[i] - mu[i])]
             for u in _multiset_permutations(rem):
                 for cut in range(len(u) + 1):
                     w1, w2 = u[:cut], u[cut:]
-                    row = {w1 + w + w2: c for w, c in sub.items()}
-                    key = frozenset(row.items())
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    rows.append(row)
+                    rows.append({w1 + w + w2: c for w, c in sub.items()})
     return rows
 
 

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -6,7 +6,15 @@ from weylpi.bracket import completely_reduced_keys, enumerate_completely_reduced
 from weylpi.errors import ResourceLimit
 from weylpi.evaluation import eval_vector, eval_vectors, is_weak_identity, substitute_tuple
 from weylpi.fields import Field
-from weylpi.free_algebra import NCPoly, _multiset_permutations, gamma, generator_at, st3, t4
+from weylpi.free_algebra import (
+    NCPoly,
+    _multiset_permutations,
+    commutator,
+    gamma,
+    generator_at,
+    st3,
+    t4,
+)
 from weylpi.identities import (
     _ideal_span_rows,
     degree_multidegrees,
@@ -17,7 +25,7 @@ from weylpi.identities import (
     verify_conjecture,
     words_of_multidegree,
 )
-from weylpi.linalg import row_reduce_sparse
+from weylpi.linalg import Echelon, row_reduce_sparse
 from weylpi.rewriter import normal_form
 from weylpi.weyl import WeylElement
 
@@ -118,16 +126,16 @@ def test_normal_form_kills_identity_basis():
 # -- the span rows against their products in the free algebra ----------------
 #
 # The oracle builds each row as it was built before rows were concatenated:
-# the NCPoly product w1 * g(x_i1, ..., x_ia) * w2, for every index tuple.
+# the NCPoly product w1 * g(x_i1, ..., x_ia) * w2, for each generator g and
+# each of its index tuples in ``spec``, nonzero and not seen before.
 
 
-def _product_span_rows(delta, fieldobj):
+def _product_span_rows(delta, fieldobj, spec):
     m = len(delta)
-    generators = [(gamma(3, fieldobj), 3), (st3(fieldobj), 3), (t4(fieldobj), 4)]
     seen = set()
     rows = []
-    for g, arity in generators:
-        for idxs in product(range(1, m + 1), repeat=arity):
+    for g, tuples in spec:
+        for idxs in tuples:
             sub = generator_at(g, idxs)
             if sub.is_zero():
                 continue
@@ -149,15 +157,62 @@ def _product_span_rows(delta, fieldobj):
     return rows
 
 
+def _canonical_spec(field, m):
+    """Gamma_3 at i < j and St_3 at i < j < k."""
+    letters = range(1, m + 1)
+    return [
+        (gamma(3, field), [t for t in product(letters, repeat=3) if t[0] < t[1]]),
+        (st3(field), list(combinations(letters, 3))),
+    ]
+
+
+def _full_spec(field, m):
+    """Every index tuple of Gamma_3, St_3 and T_4."""
+    letters = range(1, m + 1)
+    return [
+        (g, list(product(letters, repeat=arity)))
+        for g, arity in ((gamma(3, field), 3), (st3(field), 3), (t4(field), 4))
+    ]
+
+
 @pytest.mark.parametrize("field", [QQ, Field.prime(2), Field.prime(3)], ids=repr)
 def test_span_rows_equal_the_product_rows(field):
     for n in range(1, 7):
         for delta in degree_multidegrees(n):
             rows = _ideal_span_rows(delta, field)
-            expected = _product_span_rows(delta, field)
+            expected = _product_span_rows(delta, field, _canonical_spec(field, len(delta)))
             assert [list(r.items()) for r in rows] == [list(r.items()) for r in expected]
             assert all(type(c) is type(field.one) for r in rows for c in r.values())
 
+
+@pytest.mark.parametrize(
+    "field", [QQ, Field.prime(2), Field.prime(3), Field.prime(5)], ids=repr
+)
+def test_span_rows_have_the_rank_of_every_generator_tuple(field):
+    deltas = [d for n in range(1, 7) for d in degree_multidegrees(n)]
+    for delta in deltas + [(1, 2), (0, 2, 1), (2, 0, 2)]:
+        rows = _ideal_span_rows(delta, field)
+        assert all(rows), delta
+        assert len({frozenset(r.items()) for r in rows}) == len(rows), delta
+        full = _product_span_rows(delta, field, _full_spec(field, len(delta)))
+        rank, _ = row_reduce_sparse(full, field)
+        assert ideal_span_dimension(delta, field) == rank, delta
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(2), Field.prime(3)], ids=repr)
+def test_t4_is_a_consequence_of_gamma3_and_st3(field):
+    x = lambda i: NCPoly.variable(i, field, nvars=4)
+    g3 = lambda *idxs: generator_at(gamma(3, field), idxs)
+    rest = t4(field) - commutator(st3(field), x(4))
+    assert rest == g3(1, 3, 4) * x(2) - g3(1, 2, 4) * x(3) - g3(2, 3, 4) * x(1)
+    gamma_rows = _product_span_rows(
+        (1, 1, 1, 1), field, [(gamma(3, field), list(product(range(1, 5), repeat=3)))]
+    )
+    ech = Echelon(field)
+    for row in gamma_rows:
+        ech.add(row)
+    assert not ech.add(rest.terms)
+    assert ech.add(t4(field).terms)  # the St_3 part is not a Gamma_3 consequence
 
 
 @pytest.mark.parametrize("field", [QQ, F7])
