@@ -33,6 +33,25 @@ def bracket_sort_key(bracket):
     return (s, r)
 
 
+def _first_descent(seq):
+    """First position i with seq[i] > seq[i + 1], or None."""
+    for i in range(len(seq) - 1):
+        if seq[i] > seq[i + 1]:
+            return i
+    return None
+
+
+def _first_nested(brackets):
+    """First positions (u, v) with r_v < r_u < s_u < s_v (brackets s-sorted)."""
+    for u in range(len(brackets)):
+        ru, su = brackets[u]
+        for v in range(u + 1, len(brackets)):
+            rv, sv = brackets[v]
+            if rv < ru and su < sv:
+                return u, v
+    return None
+
+
 def format_key(prefix, brackets):
     """Text of x_{t1}...x_{tl} [x_{r1},x_{s1}]..., e.g. ``x1 x2 [x1,x3]``."""
     parts = [f"x{t}" for t in prefix]
@@ -75,17 +94,13 @@ class BracketMonomial:
 
     def status(self):
         t, br = self.prefix, self.brackets
-        if any(t[i] > t[i + 1] for i in range(len(t) - 1)):
-            return Status.NONE
         s_seq = [s for _, s in br]
-        if any(s_seq[i] > s_seq[i + 1] for i in range(len(s_seq) - 1)):
+        if _first_descent(t) is not None or _first_descent(s_seq) is not None:
             return Status.NONE
         if t and t[-1] > s_seq[0]:
             return Status.SEMI_REDUCED
-        for j, (rj, sj) in enumerate(br):
-            for i, (ri, si) in enumerate(br):
-                if i != j and rj < ri and si < sj:
-                    return Status.REDUCED
+        if _first_nested(br) is not None:
+            return Status.REDUCED
         return Status.COMPLETELY_REDUCED
 
     # -- weights -----------------------------------------------------------

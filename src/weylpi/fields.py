@@ -8,6 +8,8 @@ module stays agnostic of which field it is working over.
 
 from fractions import Fraction
 
+from .errors import FieldMismatch
+
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
 # (Sorenson and Webster 2015: the least strong pseudoprime to all of them
@@ -113,7 +115,8 @@ class Field:
 
     def add_into(self, terms, pairs):
         """Add each (key, scalar) pair into the dict ``terms`` in place,
-        dropping every key whose coefficient becomes zero."""
+        dropping every key whose coefficient becomes zero.  Over F_p a
+        scalar may be any int, such as a raw product: each sum is reduced."""
         p = self.p
         for k, v in pairs:
             old = terms.get(k)
@@ -144,11 +147,6 @@ class Field:
         return "Q" if self.p == 0 else f"F{self.p}"
 
 
-QQ = Field(0)
-
-
 def check_same_field(a, b):
-    from .errors import FieldMismatch
-
     if a != b:
         raise FieldMismatch(f"{a!r} vs {b!r}")

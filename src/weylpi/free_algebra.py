@@ -109,8 +109,6 @@ class NCPoly:
 
     def scale(self, scalar):
         F = self.field
-        if F.is_zero(scalar):
-            return NCPoly(F, self.nvars)
         return NCPoly(F, self.nvars, {w: F.mul(scalar, c) for w, c in self.terms.items()})
 
     def __mul__(self, other):
@@ -119,7 +117,7 @@ class NCPoly:
         terms = F.add_into(
             {},
             (
-                (w1 + w2, F.mul(c1, c2))
+                (w1 + w2, c1 * c2)
                 for w1, c1 in self.terms.items()
                 for w2, c2 in other.terms.items()
             ),

@@ -28,8 +28,10 @@ It takes the first of these routes that decides (``ConjectureReport.route``):
   bracket rows are independent, the report is ``Verified`` as above.
 - ``ideal-span``: otherwise dim Id is compared with the rank of an explicit
   spanning set of the ideal slice.
-- ``witness``: if they differ, each dependency among the evaluations is
-  tried as a witness outside the ideal (``Refuted``), else ``Inconclusive``.
+- ``witness``: if they differ, the span rows stay in one echelon, and
+  the first dependency among the bracket evaluations (a weak identity)
+  that raises its rank is a witness outside the ideal (``Refuted``); if
+  none does, the report is ``Inconclusive``.
 """
 import math
 import random
@@ -242,44 +244,39 @@ def verify_conjecture(delta, fieldobj=None, max_degree=None):
 def _exact_report(delta, fieldobj, keys, pure):
     """The verdict from exact elimination of the generic evaluations, then
     the ideal span and the witness search if they are dependent."""
-    from .rewriter import normal_form
-
     n = len(keys)
-    nvars = len(delta)
     polys = [BracketMonomial(*key).expand(fieldobj) for key in keys]
-    polys.append(NCPoly.monomial(pure, fieldobj, nvars=nvars))
-    # One elimination with the pure word last: rows are consumed in order,
-    # so the kernel vectors of the bracket rows come out as if they were
-    # reduced alone, and the pure row either adds a pivot or gives the only
-    # kernel vector containing index n.
-    rank_full, kernel = row_reduce_sparse(
-        eval_vectors(polys, fieldobj), fieldobj, want_kernel=True
-    )
-    kernel = [vec for vec in kernel if n not in vec]
-    eval_rank = n - len(kernel)
-    dim_id = space_dimension(delta) - rank_full
+    polys.append(NCPoly.monomial(pure, fieldobj, nvars=len(delta)))
+    rows = eval_vectors(polys, fieldobj)
+    ech = Echelon(fieldobj, want_kernel=True)
+    for row in rows[:n]:
+        ech.add(row)
+    eval_rank, kernel = ech.rank, list(ech.kernel)  # before the pure row adds one
+    ech.add(rows[n])
+    dim_id = space_dimension(delta) - ech.rank
 
     if eval_rank == n:
         return ConjectureReport(
             delta, fieldobj, n, eval_rank, dim_id, dim_id, "Verified", route="exact"
         )
-    span_rows = _ideal_span_rows(delta, fieldobj)
-    dim_I, _ = row_reduce_sparse(span_rows, fieldobj)
+    span = Echelon(fieldobj)
+    for row in _ideal_span_rows(delta, fieldobj):
+        span.add(row)
+    dim_I = span.rank
     if dim_I == dim_id:
         return ConjectureReport(
             delta, fieldobj, n, eval_rank, dim_id, dim_I, "Verified", route="ideal-span"
         )
+    # a dependency g is a weak identity; it lies outside the ideal exactly
+    # when it raises the span's rank, and a failed add leaves the pivots
+    # as they were, so the one span echelon tests every candidate
     witness = None
     for vec in kernel:
-        g = NCPoly.zero(fieldobj, nvars)
-        for idx, c in vec.items():
-            g = g + polys[idx].scale(c)
-        if g.is_zero():
-            continue
-        rank_aug, _ = row_reduce_sparse(span_rows + [g.terms], fieldobj)
-        nf = next(iter(normal_form(g).values()), None)
-        if rank_aug > dim_I and nf is not None and not nf.is_zero():
-            witness = format_poly(g)
+        g = fieldobj.add_into(
+            {}, ((w, c * cw) for idx, c in vec.items() for w, cw in polys[idx].terms.items())
+        )
+        if span.add(g):
+            witness = format_poly(NCPoly(fieldobj, len(delta), g))
             break
     verdict = "Refuted" if witness is not None else "Inconclusive"
     return ConjectureReport(

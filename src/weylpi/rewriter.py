@@ -29,28 +29,11 @@ from dataclasses import dataclass, field as dc_field
 from math import lcm
 
 from .bracket import BracketMonomial, Status, bracket_sort_key, format_key
+from .bracket import _first_descent, _first_nested
 from .errors import NotReduced, NotSemiReduced, ResourceLimit
 from .free_algebra import NCPoly
 
 _MAX_STEPS = 10_000_000
-
-
-def _first_descent(prefix):
-    for i in range(len(prefix) - 1):
-        if prefix[i] > prefix[i + 1]:
-            return i
-    return None
-
-
-def _first_nested(brackets):
-    """First positions (u, v) with r_v < r_u < s_u < s_v (brackets s-sorted)."""
-    for u in range(len(brackets)):
-        ru, su = brackets[u]
-        for v in range(u + 1, len(brackets)):
-            rv, sv = brackets[v]
-            if rv < ru and su < sv:
-                return u, v
-    return None
 
 
 def _key(prefix, brackets):
@@ -230,13 +213,6 @@ class NormalForm:
         for mono, c in self.terms.items():
             out = out + mono.expand(F).scale(c)
         return NCPoly(F, max(out.nvars, nvars), out.terms)
-
-    def format(self):
-        F = self.field
-        parts = [f"beta={F.format(self.beta)}"]
-        for mono, c in self.sorted_terms():
-            parts.append(f"{F.format(c)} * {mono.format()}")
-        return "; ".join(parts)
 
 
 def normal_form(f, trace=None):

@@ -26,6 +26,7 @@ from weylpi.identities import (
     words_of_multidegree,
 )
 from weylpi.linalg import Echelon, row_reduce_sparse
+from weylpi.parser import parse_poly
 from weylpi.rewriter import normal_form
 from weylpi.weyl import WeylElement
 
@@ -265,26 +266,77 @@ def test_verify_falls_back_to_the_ideal_span(monkeypatch):
     assert r.route == "ideal-span"
 
 
-def test_verify_witness_search_without_ideal_rows(monkeypatch):
-    # x3[x1,x2] is a combination of the reduced monomials modulo St_3, so the
-    # dependency it adds is a weak identity inside the ideal: no witness
+@pytest.mark.parametrize("field", [QQ, Field.prime(2), Field.prime(3)])
+def test_verify_refutes_outside_the_gamma3_span(monkeypatch, field):
+    # without the St_3 rows the span is the Gamma_3 slice alone, and the
+    # dependency x3[x1,x2] adds is St_3 modulo it: a weak identity outside
     from weylpi import identities
 
     real = identities.completely_reduced_keys
     extra = ((3,), ((1, 2),))
     monkeypatch.setattr(identities, "completely_reduced_keys", lambda d: real(d) + [extra])
-    monkeypatch.setattr(identities, "_ideal_span_rows", lambda d, f: [])
-    normal_forms = []
+    monkeypatch.setattr(identities, "st3", lambda f: NCPoly.zero(f, 3))
+    r = verify_conjecture((1, 1, 1), field)
+    assert r.verdict == "Refuted"
+    assert (r.n_reduced, r.eval_rank, r.dim_id, r.dim_I) == (3, 2, 3, 2)
+    assert r.route == "witness"
+    g = parse_poly(r.witness, field)
+    assert not g.is_zero() and is_weak_identity(g)
+    gamma_rows = identities._ideal_span_rows((1, 1, 1), field)  # St_3 rows are empty
+    assert row_reduce_sparse(gamma_rows + [g.terms], field)[0] == r.dim_I + 1
+
+
+@pytest.mark.parametrize(
+    "extra, span_rows, dim_I",
+    [
+        # a repeated monomial gives the zero dependency, which adds no rank
+        # even to an empty span
+        ("repeat", lambda f: [], 0),
+        # x3[x1,x2] gives the dependency St_3, which lies in a span of St_3
+        (((3,), ((1, 2),)), lambda f: [st3(f).terms], 1),
+    ],
+    ids=["repeated-key", "st3-span"],
+)
+def test_verify_is_inconclusive_when_no_dependency_leaves_the_span(
+    monkeypatch, extra, span_rows, dim_I
+):
+    from weylpi import identities
+
+    real = identities.completely_reduced_keys
     monkeypatch.setattr(
-        "weylpi.rewriter.normal_form", lambda g: normal_forms.append(g) or normal_form(g)
+        identities,
+        "completely_reduced_keys",
+        lambda d: real(d) + (real(d)[:1] if extra == "repeat" else [extra]),
     )
+    monkeypatch.setattr(identities, "_ideal_span_rows", lambda d, f: span_rows(f))
     r = verify_conjecture((1, 1, 1), QQ)
     assert r.verdict == "Inconclusive"
-    assert (r.n_reduced, r.eval_rank, r.dim_id, r.dim_I) == (3, 2, 3, 0)
+    assert (r.n_reduced, r.eval_rank, r.dim_id, r.dim_I) == (3, 2, 3, dim_I)
     assert r.witness is None
     assert r.route == "witness"
-    (g,) = normal_forms  # the witness loop ran on the one dependency
-    assert is_weak_identity(g) and not g.is_zero()
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(2)])
+def test_fallback_does_not_consult_the_rewriter(monkeypatch, field):
+    from weylpi import identities, rewriter
+
+    real = identities.completely_reduced_keys
+    monkeypatch.setattr(
+        identities, "completely_reduced_keys", lambda d: real(d) + real(d)[:1]
+    )
+    deltas = [d for n in range(1, 6) for d in degree_multidegrees(n)]
+
+    def reports():
+        out = [verify_conjecture(d, field) for d in deltas]
+        return [(_without_time(r), r.route) for r in out]
+
+    unpatched = reports()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fallback called normal_form")
+
+    monkeypatch.setattr(rewriter, "normal_form", refuse)
+    assert reports() == unpatched
 
 
 def _zero_points(nvars, p):
