@@ -7,15 +7,22 @@ characteristic: the parameter-monomial coefficients of the result are
 precisely the evaluations of all partial linearizations at tuples from
 {x, y}.
 
-``eval_vectors`` computes it with an integer kernel: the image of a word
-is a dict ``{(i, j, code): int}`` over the basis x^i y^j, where ``code``
-packs the exponents of (a1, b1, a2, b2, ...) into one int, and it is
-built letter by letter with x^i y^j * x = x^{i+1} y^j + j x^i y^{j-1}.
-The words of a batch are walked in sorted order, so each common prefix is
-multiplied out once.  Coefficients are scaled to integers and enter the
-field once per output coordinate.  ``generic_substitution`` computes the
-same thing with ``WeylElement`` arithmetic and is kept as the reference
-oracle for the kernel.
+``eval_vectors`` computes it with an integer kernel by Horner's rule:
+f = sum_l x_l * f_l, where f_l holds the words of f that start with x_l,
+that letter removed.  The words of a batch are walked in sorted order,
+which is a depth-first walk of their prefix trie.  Each node sums the
+images of the words below it, per polynomial, and a finished node is
+folded into its parent by one left multiplication,
+(a*x + b*y) * x^i y^j = a x^{i+1} y^j + b x^i y^{j+1} + i b x^{i-1} y^j.
+So the many nodes near the leaves carry small images and only the few near
+the root carry large ones.  An image is a dict over the basis x^i y^j
+whose int keys pack i, j and the exponents of (a1, b1, a2, b2, ...).
+Coefficients are scaled to integers.  ``_integer_images`` gives these
+integer rows, which ``is_weak_identity`` and the exact eliminations take
+as they are, and ``eval_vectors`` enters the field once per output
+coordinate.  ``generic_substitution`` computes the same thing with
+``WeylElement`` arithmetic and is kept as the reference oracle for the
+kernel.
 
 ``leading_forms`` gives the top-degree part of the image of bracket-monomials
 at a scalar point mod a prime, which is commutative.
@@ -52,21 +59,102 @@ def generic_substitution(f):
     return _substitute(f, {k: letter_image(k, f.field) for k in letters})
 
 
-def _times_letter(image, codes):
-    """image * (a*x + b*y), where ``codes`` holds the packed parameter
-    codes (a, b)."""
-    a, b = codes
-    out = {}
-    get = out.get
-    for (i, j, code), c in image.items():
-        key = (i + 1, j, code + a)
-        out[key] = get(key, 0) + c
-        if j:
-            key = (i, j - 1, code + a)
-            out[key] = get(key, 0) + j * c
-        key = (i, j + 1, code + b)
-        out[key] = get(key, 0) + c
-    return out
+def _letter_times(shifts, image, into, ishift):
+    """Add (a*x + b*y) * image into ``into``.
+
+    As y*x^i = x^i*y + i*x^(i-1), the product is
+    a*x^(i+1) y^j + b*x^i y^(j+1) + i*b*x^(i-1) y^j on each term x^i y^j.
+    ``shifts`` holds what these three terms add to the term's packed key,
+    and i is the key from bit ``ishift`` on (``_integer_images``).
+    """
+    up, right, down = shifts
+    get = into.get
+    for key, c in image.items():
+        if not c:  # a sum that cancelled adds nothing
+            continue
+        k = key + up
+        into[k] = get(k, 0) + c
+        k = key + right
+        into[k] = get(k, 0) + c
+        i = key >> ishift
+        if i:
+            k = key + down
+            into[k] = get(k, 0) + i * c
+
+
+def _integer_images(polys):
+    """The generic substitution of each polynomial, scaled to integers.
+
+    Returns ``(images, dens, unpack)``: ``dens[r]`` is the lcm of the
+    denominators of polynomial r's coefficients, and ``images[r]`` maps
+    packed int keys to the nonzero ints ``dens[r]`` times the coefficients.
+    ``unpack(key)`` is the coordinate (i, j, exps), with exps the trimmed
+    exponent tuple of (a1, b1, a2, ...).  Keys order as their coordinates
+    do, so an elimination on them picks the same pivots.  A polynomial with
+    integer coefficients has den 1, so its image is its row over Q and,
+    reduced mod p, over F_p.
+    """
+    uses = {}  # word -> [(row, integer coefficient)]
+    dens = []
+    for row, f in enumerate(polys):
+        den = lcm(1, *(c.denominator for c in f.terms.values()))
+        dens.append(den)
+        for w, c in f.terms.items():
+            uses.setdefault(w, []).append((row, c.numerator * (den // c.denominator)))
+
+    # A key packs i, j, a1, b1, ..., am, bm from the top down, ``bits`` bits
+    # each: an exponent is at most the word length, so no slot carries into
+    # the next, and keys order as the tuples (i, j, exps) do.
+    bits = max(map(len, uses), default=0).bit_length()
+    letters = set().union(*uses)
+    m = max(letters, default=0)
+    jshift = 2 * m * bits
+    ishift = jshift + bits
+    I, J = 1 << ishift, 1 << jshift
+    shifts = {}
+    for k in letters:
+        a = 1 << (2 * (m - k) + 1) * bits
+        b = 1 << 2 * (m - k) * bits
+        shifts[k] = (a + I, b + J, b - I)
+
+    # path[t] is the open trie node of the current word's first t letters:
+    # per row, the sum of the images of the suffixes below it seen so far.
+    # A word is visited before its extensions, so its node is new.
+    path = [{}]
+    prev = ()
+
+    def close(depth):
+        while len(path) > depth + 1:
+            child = path.pop()
+            parent = path[-1]
+            letter = shifts[prev[len(path) - 1]]
+            for row, image in child.items():
+                into = parent.get(row)
+                if into is None:
+                    into = parent[row] = {}
+                _letter_times(letter, image, into, ishift)
+
+    for w in sorted(uses):
+        t = 0
+        while t < len(prev) and t < len(w) and prev[t] == w[t]:
+            t += 1
+        close(t)
+        path.extend({} for _ in w[t:])
+        path[-1].update((row, {0: c}) for row, c in uses[w])
+        prev = w
+    close(0)
+    root = path[0]
+    images = [{k: s for k, s in root.get(row, {}).items() if s} for row in range(len(polys))]
+
+    mask = (1 << bits) - 1
+
+    def unpack(key):
+        exps = [key >> t * bits & mask for t in range(2 * m - 1, -1, -1)]
+        while exps and not exps[-1]:
+            exps.pop()
+        return key >> ishift, key >> jshift & mask, tuple(exps)
+
+    return images, dens, unpack
 
 
 def eval_vectors(polys, field):
@@ -76,59 +164,19 @@ def eval_vectors(polys, field):
     scalar, where exps is the trimmed exponent tuple of (a1, b1, a2, ...):
     exactly the coefficients of ``generic_substitution``.
     """
-    uses = {}  # word -> [(row, integer coefficient)]
-    dens = []
-    for row, f in enumerate(polys):
-        den = 1
-        for c in f.terms.values():
-            den = lcm(den, c.denominator)
-        dens.append(den)
-        for w, c in f.terms.items():
-            uses.setdefault(w, []).append((row, c.numerator * (den // c.denominator)))
-
-    # an exponent is at most the word length, so this many bits per slot
-    # never carry into the next
-    bits = max(map(len, uses), default=0).bit_length()
-    codes = {
-        letter: (1 << 2 * (letter - 1) * bits, 1 << (2 * letter - 1) * bits)
-        for letter in set().union(*uses)
-    }
-    # sorted words walk a word trie depth first, so each common prefix is
-    # multiplied out once and only one root-to-leaf path of images is alive
-    accs = [{} for _ in polys]
-    path = [{(0, 0, 0): 1}]  # path[t] is the image of the first t letters
-    prev = ()
-    for w in sorted(uses):
-        t = 0
-        while t < len(prev) and t < len(w) and prev[t] == w[t]:
-            t += 1
-        del path[t + 1 :]
-        for letter in w[t:]:
-            path.append(_times_letter(path[-1], codes[letter]))
-        image = path[-1]
-        for row, c in uses[w]:
-            acc = accs[row]
-            for key, v in image.items():
-                acc[key] = acc.get(key, 0) + c * v
-        prev = w
-
-    mask = (1 << bits) - 1
-    exps_of = {}
+    images, dens, unpack = _integer_images(polys)
+    coords = {}
     out = []
-    for acc, den in zip(accs, dens):
+    for image, den in zip(images, dens):
         vec = {}
-        for (i, j, code), s in acc.items():
+        for key, s in image.items():
             v = field.of(s, den)
             if field.is_zero(v):
                 continue
-            exps = exps_of.get(code)
-            if exps is None:
-                digits, rest = [], code
-                while rest:
-                    digits.append(rest & mask)
-                    rest >>= bits
-                exps = exps_of[code] = tuple(digits)
-            vec[(i, j, exps)] = v
+            coord = coords.get(key)
+            if coord is None:
+                coord = coords[key] = unpack(key)
+            vec[coord] = v
         out.append(vec)
     return out
 
@@ -192,4 +240,7 @@ def is_weak_identity(f):
     to the multiplicity of x_k, so components of different multidegrees
     land on disjoint coordinates and f vanishes iff each component does.
     """
-    return not eval_vector(f)
+    (image,), _, _ = _integer_images([f])
+    p = f.field.p
+    # over F_p the coefficients are ints, so den is 1
+    return not any(s % p for s in image.values()) if p else not image

@@ -41,7 +41,7 @@ from itertools import combinations, product, tee
 
 from .bracket import BracketMonomial, completely_reduced_keys
 from .errors import ResourceLimit
-from .evaluation import eval_vectors, leading_forms, substitute_tuple
+from .evaluation import _integer_images, leading_forms, substitute_tuple
 from .fields import Field
 from .free_algebra import NCPoly, _multiset_permutations, gamma, generator_at, st3
 from .linalg import Echelon, row_reduce_sparse
@@ -76,9 +76,8 @@ def identity_basis(delta, fieldobj):
     delta = tuple(delta)
     words = words_of_multidegree(delta)[::-1]
     nvars = len(delta)
-    rows = eval_vectors(
-        [NCPoly.monomial(w, fieldobj, nvars=nvars) for w in words], fieldobj
-    )
+    # coefficient 1 on each word, so den is 1
+    rows, _, _ = _integer_images([NCPoly.monomial(w, fieldobj, nvars=nvars) for w in words])
     _, kernel = row_reduce_sparse(rows, fieldobj, want_kernel=True)
     return [
         NCPoly(fieldobj, nvars, {words[i]: c for i, c in vec.items()})
@@ -247,7 +246,7 @@ def _exact_report(delta, fieldobj, keys, pure):
     n = len(keys)
     polys = [BracketMonomial(*key).expand(fieldobj) for key in keys]
     polys.append(NCPoly.monomial(pure, fieldobj, nvars=len(delta)))
-    rows = eval_vectors(polys, fieldobj)
+    rows, _, _ = _integer_images(polys)  # coefficients +-1, so den is 1
     ech = Echelon(fieldobj, want_kernel=True)
     for row in rows[:n]:
         ech.add(row)

@@ -5,8 +5,9 @@ arbitrary comparable coordinates, added one at a time, and it keeps the
 rank and, on request, a basis of the vanishing row combinations.
 ``row_reduce_sparse`` runs it over a list of rows.
 
-Over F_p the pivot rows are monic, and a row is reduced by subtracting
-r_c times the pivot of its leading coordinate c.  Over Q the elimination
+Over F_p a row may hold any ints, reduced mod p as it enters; the pivot
+rows are monic, and a row is reduced by subtracting r_c times the pivot
+of its leading coordinate c.  Over Q the elimination
 is fraction free (Bareiss 1968) and runs on plain ints: a row enters
 scaled by the lcm of its denominators, and is reduced by
 row <- (l/g)*row - (r_c/g)*pivot, where l is the pivot's leading entry
@@ -58,7 +59,7 @@ class Echelon:
         p = F.p
         pivots = self.pivots
         if p:
-            row = {c: v for c, v in row.items() if v}
+            row = {c: r for c, v in row.items() if (r := v % p)}
             scale = 1
         else:  # ints or Fractions in, ints from here on
             scale = lcm(*(v.denominator for v in row.values()))

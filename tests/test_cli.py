@@ -8,6 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from weylpi import cli
+from weylpi.fields import Field
+from weylpi.parser import parse_poly
 
 BASE = [sys.executable, "-m", "weylpi.cli"]
 
@@ -62,6 +64,22 @@ def test_check_exit_codes():
     r = run("check", "--expr", "[x1,x2]")
     assert r.returncode == 1
     assert r.stdout.strip() == "not-identity"
+
+
+def test_check_decides_a_large_degree_ten_input(monkeypatch, capsys):
+    # [x1,x2] evaluates to a central scalar, so [[x1,x2], P] is a weak
+    # identity for every P; here P has 9 * 64 words of degree 8
+    monkeypatch.setenv("WEYLPI_MAX_DEGREE", "10")
+    expr = "[[x1,x2], (x3+x4+x5)^2*(x6+x7)^6]"
+    f = parse_poly(expr, Field.rationals(), max_degree=10)
+    assert 2000 <= len(f.terms) <= cli.MAX_EVAL_WORDS
+    assert {len(w) for w in f.terms} == {10}
+    word = (1, 2, 3, 3) + (6,) * 6
+    assert f.terms[word] == 1
+    assert cli.main(["check", "--expr", expr]) == 0
+    # the same words, with the coefficient of one of them raised to 2
+    assert cli.main(["check", "--expr", expr + " + x1*x2*x3^2*x6^6"]) == 1
+    assert capsys.readouterr().out.split() == ["identity", "not-identity"]
 
 
 def test_parse_error_exit_code():

@@ -240,6 +240,31 @@ def test_shared_prefixes_give_the_same_vectors():
         assert eval_vectors(polys, field) == [eval_vector(f) for f in polys]
 
 
+@pytest.mark.parametrize("field", [QQ, Field.prime(2), Field.prime(3)])
+def test_batches_with_shared_words_and_prefix_words_match_the_oracle(field):
+    # The words include the empty word and every prefix of each word, so
+    # many end at internal nodes of the prefix trie; repeated letters give
+    # terms x^i y^j with i, j > 1; the rows share words with different
+    # coefficients, over Q with mixed denominators.
+    rng = random.Random(17)
+    base = [tuple(rng.randint(1, 3) for _ in range(rng.randint(3, 6))) for _ in range(6)]
+    pool = sorted({w[:t] for w in base for t in range(len(w) + 1)})
+    assert () in pool and len(pool) > 15
+
+    def coeff():
+        if field.p:
+            return field.of(rng.randrange(1, field.p))
+        return field.of(rng.choice([-5, -2, -1, 1, 3, 4]), rng.randint(1, 6))
+
+    polys = [NCPoly(field, 3, {w: coeff() for w in rng.sample(pool, 8)}) for _ in range(6)]
+    polys.append(NCPoly(field, 3, {w: coeff() for w in pool}))
+    polys.append(NCPoly(field, 3, {w: coeff() for w in pool}))
+    vectors = eval_vectors(polys, field)
+    for f, vec in zip(polys, vectors):
+        assert vec == _oracle_vector(f)
+        assert all(type(v) is type(field.one) for v in vec.values())
+
+
 # -- leading forms at scalar points against the WeylElement substitution -----
 
 
