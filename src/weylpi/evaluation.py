@@ -24,8 +24,11 @@ coordinate.  ``generic_substitution`` computes the same thing with
 ``WeylElement`` arithmetic and is kept as the reference oracle for the
 kernel.
 
-``leading_forms`` gives the top-degree part of the image of bracket-monomials
-at a scalar point mod a prime, which is commutative.
+``leading_forms`` gives the top-degree part of the generic image of
+bracket-monomials, which is commutative: the product of the prefix's
+linear forms, built once per prefix, times one central scalar
+b_r*a_s - a_r*b_s per bracket.  Its integer rows use the same packed keys
+(``_key_layout``), and ``verify`` takes their exact rank per bracket count.
 """
 
 from math import lcm
@@ -59,13 +62,41 @@ def generic_substitution(f):
     return _substitute(f, {k: letter_image(k, f.field) for k in letters})
 
 
+def _key_layout(length, letters):
+    """The packed int keys of the images of words of at most ``length``
+    letters, each in the set ``letters``, whose largest element is m.
+
+    A key packs i, j, a1, b1, ..., am, bm from the top down, ``bits`` bits
+    each: an exponent is at most the word length, so no slot carries into
+    the next, and keys order as the tuples (i, j, exps) do.  Returns
+    ``(x, y, params, unpack)``: a factor x or y adds ``x`` or ``y`` to a
+    term's key, and factors a_k and b_k add the pair ``params[k]``.
+    ``unpack(key)`` is the coordinate (i, j, exps), with exps the trimmed
+    exponent tuple of (a1, b1, a2, ...).
+    """
+    bits = length.bit_length()
+    m = max(letters, default=0)
+    jshift = 2 * m * bits
+    ishift = jshift + bits
+    params = {k: (1 << (2 * (m - k) + 1) * bits, 1 << 2 * (m - k) * bits) for k in letters}
+    mask = (1 << bits) - 1
+
+    def unpack(key):
+        exps = [key >> t * bits & mask for t in range(2 * m - 1, -1, -1)]
+        while exps and not exps[-1]:
+            exps.pop()
+        return key >> ishift, key >> jshift & mask, tuple(exps)
+
+    return 1 << ishift, 1 << jshift, params, unpack
+
+
 def _letter_times(shifts, image, into, ishift):
     """Add (a*x + b*y) * image into ``into``.
 
     As y*x^i = x^i*y + i*x^(i-1), the product is
     a*x^(i+1) y^j + b*x^i y^(j+1) + i*b*x^(i-1) y^j on each term x^i y^j.
     ``shifts`` holds what these three terms add to the term's packed key,
-    and i is the key from bit ``ishift`` on (``_integer_images``).
+    and i is the key from bit ``ishift`` on (``_key_layout``).
     """
     up, right, down = shifts
     get = into.get
@@ -88,11 +119,10 @@ def _integer_images(polys):
     Returns ``(images, dens, unpack)``: ``dens[r]`` is the lcm of the
     denominators of polynomial r's coefficients, and ``images[r]`` maps
     packed int keys to the nonzero ints ``dens[r]`` times the coefficients.
-    ``unpack(key)`` is the coordinate (i, j, exps), with exps the trimmed
-    exponent tuple of (a1, b1, a2, ...).  Keys order as their coordinates
-    do, so an elimination on them picks the same pivots.  A polynomial with
-    integer coefficients has den 1, so its image is its row over Q and,
-    reduced mod p, over F_p.
+    ``unpack`` decodes a key (``_key_layout``).  Keys order as their
+    coordinates do, so an elimination on them picks the same pivots.  A
+    polynomial with integer coefficients has den 1, so its image is its row
+    over Q and, reduced mod p, over F_p.
     """
     uses = {}  # word -> [(row, integer coefficient)]
     dens = []
@@ -102,20 +132,9 @@ def _integer_images(polys):
         for w, c in f.terms.items():
             uses.setdefault(w, []).append((row, c.numerator * (den // c.denominator)))
 
-    # A key packs i, j, a1, b1, ..., am, bm from the top down, ``bits`` bits
-    # each: an exponent is at most the word length, so no slot carries into
-    # the next, and keys order as the tuples (i, j, exps) do.
-    bits = max(map(len, uses), default=0).bit_length()
-    letters = set().union(*uses)
-    m = max(letters, default=0)
-    jshift = 2 * m * bits
-    ishift = jshift + bits
-    I, J = 1 << ishift, 1 << jshift
-    shifts = {}
-    for k in letters:
-        a = 1 << (2 * (m - k) + 1) * bits
-        b = 1 << 2 * (m - k) * bits
-        shifts[k] = (a + I, b + J, b - I)
+    x, y, params, unpack = _key_layout(max(map(len, uses), default=0), set().union(*uses))
+    ishift = x.bit_length() - 1
+    shifts = {k: (a + x, b + y, b - x) for k, (a, b) in params.items()}
 
     # path[t] is the open trie node of the current word's first t letters:
     # per row, the sum of the images of the suffixes below it seen so far.
@@ -145,15 +164,6 @@ def _integer_images(polys):
     close(0)
     root = path[0]
     images = [{k: s for k, s in root.get(row, {}).items() if s} for row in range(len(polys))]
-
-    mask = (1 << bits) - 1
-
-    def unpack(key):
-        exps = [key >> t * bits & mask for t in range(2 * m - 1, -1, -1)]
-        while exps and not exps[-1]:
-            exps.pop()
-        return key >> ishift, key >> jshift & mask, tuple(exps)
-
     return images, dens, unpack
 
 
@@ -181,33 +191,48 @@ def eval_vectors(polys, field):
     return out
 
 
-def leading_forms(monomials, point, p):
-    """Top-degree parts of the images of bracket-monomials at a scalar point.
+def leading_forms(monomials):
+    """Top-degree parts of the generic images of bracket-monomials.
 
-    ``monomials`` are ``(prefix, brackets)`` pairs (k may be 0) and
-    ``point`` is a tuple of pairs ``(a_k, b_k)``.  The part of the image
-    with i + j = len(prefix) is the commutative product of the
+    ``monomials`` are ``(prefix, brackets)`` pairs (k may be 0).  The part
+    of the image with i + j = len(prefix) is the commutative product of the
     a_t*x + b_t*y over the prefix times the bracket scalars
     b_r*a_s - a_r*b_s (as y*x = x*y + 1).  Returns, per monomial, its
-    coefficients of x^i y^(len(prefix)-i), i = 0, 1, ..., mod the prime p.
+    nonzero integer coefficients, keyed as the rows of ``_integer_images``
+    over the monomials' expansions.
     """
-    forms = {(): [1]}  # prefix -> its product, shared by common prefixes
+    length = max((len(u) + 2 * len(pairs) for u, pairs in monomials), default=0)
+    letters = {t for u, pairs in monomials for t in u + sum(pairs, ())}
+    x, y, params, _ = _key_layout(length, letters)
+    forms = {(): {0: 1}}  # prefix -> its product, shared by common prefixes
 
     def form(prefix):
         prod = forms.get(prefix)
         if prod is None:
-            a, b = point[prefix[-1] - 1]
-            g = form(prefix[:-1])
-            prod = forms[prefix] = [(a * u + b * v) % p for u, v in zip([0] + g, g + [0])]
+            a, b = params[prefix[-1]]
+            prod = forms[prefix] = _times(form(prefix[:-1]), a + x, b + y, 1)
         return prod
 
-    out = []
+    rows = []
     for prefix, brackets in monomials:
-        c = 1
+        row = form(prefix)
         for r, s in brackets:
-            (ar, br), (as_, bs) = point[r - 1], point[s - 1]
-            c = c * (br * as_ - ar * bs) % p
-        out.append([c * v % p for v in form(prefix)])
+            (ar, br), (as_, bs) = params[r], params[s]
+            row = _times(row, br + as_, ar + bs, -1)
+        rows.append({k: c for k, c in row.items() if c})
+    return rows
+
+
+def _times(form, first, second, sign):
+    """``form`` times (u + sign*v), where a factor u or v adds ``first``
+    or ``second`` to a packed key."""
+    out = {}
+    get = out.get
+    for key, c in form.items():
+        k = key + first
+        out[k] = get(k, 0) + c
+        k = key + second
+        out[k] = get(k, 0) + sign * c
     return out
 
 

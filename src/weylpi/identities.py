@@ -17,13 +17,10 @@ It takes the first of these routes that decides (``ConjectureReport.route``):
   prod_{t in u}(a_t x + b_t y) * prod(b_r a_s - a_r b_s).  So the matrix of
   generic evaluations is block triangular by k, and it has full row rank
   when each diagonal block (the rows with k brackets against the columns
-  with i + j = d - 2k) has.  Each block's leading forms are evaluated at
-  seeded scalar points in F_p, with p = 2^61 - 1 over Q and the field
-  itself over F_p, and their coefficients feed the block's own echelon.
-  Full rank there is exact: stacking points multiplies the block by a
-  matrix of parameter-monomial values, which cannot raise its rank, and
-  over Q neither can reducing the integer rows mod p.  A block gives up
-  after ``_DRY_POINTS`` consecutive points that add no rank.
+  with i + j = d - 2k) has.  The block's entries are the integer
+  coefficients of these forms over the columns (i, parameter monomial)
+  (``evaluation.leading_forms``), so its rank over the report's own field
+  is computed exactly, in the block's own echelon, with no sampling.
 - ``exact``: one exact elimination of the generic evaluations.  If the
   bracket rows are independent, the report is ``Verified`` as above.
 - ``ideal-span``: otherwise dim Id is compared with the rank of an explicit
@@ -34,10 +31,9 @@ It takes the first of these routes that decides (``ConjectureReport.route``):
   none does, the report is ``Inconclusive``.
 """
 import math
-import random
 import time
 from dataclasses import dataclass
-from itertools import combinations, product, tee
+from itertools import combinations, product
 
 from .bracket import BracketMonomial, completely_reduced_keys
 from .errors import ResourceLimit
@@ -160,55 +156,19 @@ class ConjectureReport:
         }
 
 
-# Over Q the certificate works mod this prime: the rank of an integer
-# matrix mod p is at most its rank over Q.
-_CERTIFICATE_FIELD = Field(2**61 - 1)
-
-
-def _scalar_points(nvars, p):
-    """Seeded pseudo-random points ((a_1, b_1), ..., (a_m, b_m)) over F_p."""
-    rng = random.Random(0)
-    while True:
-        yield tuple((rng.randrange(p), rng.randrange(p)) for _ in range(nvars))
-
-
-# Over a small field many points add no rank even to a block of full rank
-# (a bracket scalar b_r*a_s - a_r*b_s vanishes at 5/8 of the points of F_2),
-# so a block gives up only after this many consecutive dry points.
-_DRY_POINTS = 24
-
-
-def _full_rank_at_points(monomials, nvars, field):
+def _full_rank(monomials, field):
     """True when, for each bracket count, the leading forms of the
-    ``monomials`` (``(prefix, brackets)`` pairs) with that count reach full
-    rank at scalar points over the prime field ``field``.  Each point gives
-    a block one column per coefficient of the forms.  The points are drawn
-    once and replayed: every block starts at the first point, and only as
-    many are drawn as the block that needs the most."""
+    ``monomials`` (``(prefix, brackets)`` pairs) with that count are
+    linearly independent over ``field``.  Each count's rows go to their own
+    echelon, which stops at the first row that adds no rank."""
     blocks = {}
-    for mono in monomials:
-        blocks.setdefault(len(mono[1]), []).append(mono)
-    replays = tee(_scalar_points(nvars, field.p), len(blocks))
-    return all(
-        _block_full_rank(block, points, field)
-        for block, points in zip(blocks.values(), replays)
-    )
-
-
-def _block_full_rank(block, points, field):
-    p = field.p
-    ech = Echelon(field)
-    dry = 0
-    for point in points:
-        before = ech.rank
-        forms = leading_forms(block, point, p)
-        for i in range(len(forms[0])):
-            ech.add({row: form[i] for row, form in enumerate(forms)})
-            if ech.rank == len(block):
-                return True
-        dry = 0 if ech.rank > before else dry + 1
-        if dry == _DRY_POINTS:
+    for (_, brackets), row in zip(monomials, leading_forms(monomials)):
+        k = len(brackets)
+        if k not in blocks:
+            blocks[k] = Echelon(field)
+        if not blocks[k].add(row):
             return False
+    return True
 
 
 def verify_conjecture(delta, fieldobj=None, max_degree=None):
@@ -227,8 +187,7 @@ def verify_conjecture(delta, fieldobj=None, max_degree=None):
     # {x1^d1...xm^dm} + reduced monomials (sound by the normal-form theorem).
     pure = tuple(l for l, d in enumerate(delta, start=1) for _ in range(d))
     monomials = keys + [(pure, ())]
-    point_field = fieldobj if fieldobj.p else _CERTIFICATE_FIELD
-    if _full_rank_at_points(monomials, len(delta), point_field):
+    if _full_rank(monomials, fieldobj):
         # full rank of every block bounds the exact rank from below
         dim_id = space_dimension(delta) - (n + 1)
         report = ConjectureReport(

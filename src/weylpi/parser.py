@@ -114,22 +114,23 @@ class _Parser:
         return f
 
     def expr(self):
-        sign = 1
+        # every term is added into one dict, so a sum parses in linear time
+        F = self.field
+        terms = {}
+        nvars = 0
         kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.take()
-            sign = -1 if val == "-" else 1
-        f = self.term()
-        if sign < 0:
-            f = -f
         while True:
-            kind, val, _ = self.peek()
+            sign = 1
             if kind == "op" and val in "+-":
                 self.take()
-                g = self.term()
-                f = f - g if val == "-" else f + g
-            else:
-                return f
+                sign = -1 if val == "-" else 1
+            g = self.term()
+            nvars = max(nvars, g.nvars)
+            pairs = g.terms.items()
+            F.add_into(terms, pairs if sign > 0 else ((w, -c) for w, c in pairs))
+            kind, val, _ = self.peek()
+            if not (kind == "op" and val in "+-"):
+                return NCPoly(F, nvars, terms)
 
     def term(self):
         f = self.factor()

@@ -318,3 +318,16 @@ def test_criterion_13_degree_ten_certified():
         for delta in degree_multidegrees(10):
             r = verify_conjecture(delta, QQ, max_degree=10)
             assert (r.verdict, r.route) == ("Verified", "certified"), delta
+
+
+def test_criterion_14_small_fields_certified():
+    with _Timer("criterion 14: every partition certified over F2 to 10, F2/F3/F5 to 8", 10.0):
+        F2 = Field.prime(2)
+        for delta in degree_multidegrees(9) + degree_multidegrees(10):
+            r = verify_conjecture(delta, F2, max_degree=10)
+            assert (r.verdict, r.route) == ("Verified", "certified"), delta
+        for field in (F2, F3, F5):
+            for n in range(1, 9):
+                for delta in degree_multidegrees(n):
+                    r = verify_conjecture(delta, field)
+                    assert (r.verdict, r.route) == ("Verified", "certified"), (field, delta)

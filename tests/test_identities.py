@@ -4,7 +4,13 @@ import pytest
 
 from weylpi.bracket import completely_reduced_keys, enumerate_completely_reduced
 from weylpi.errors import ResourceLimit
-from weylpi.evaluation import eval_vector, eval_vectors, is_weak_identity, substitute_tuple
+from weylpi.evaluation import (
+    eval_vector,
+    eval_vectors,
+    is_weak_identity,
+    leading_forms,
+    substitute_tuple,
+)
 from weylpi.fields import Field
 from weylpi.free_algebra import (
     NCPoly,
@@ -339,11 +345,6 @@ def test_fallback_does_not_consult_the_rewriter(monkeypatch, field):
     assert reports() == unpatched
 
 
-def _zero_points(nvars, p):
-    while True:
-        yield ((0, 0),) * nvars
-
-
 def _without_time(report):
     d = report.to_dict()
     del d["elapsed_ms"]
@@ -355,115 +356,56 @@ def _without_time(report):
     [(QQ, 7), (Field.prime(2), 6), (Field.prime(3), 6), (Field.prime(32003), 6)],
 )
 def test_certified_reports_equal_exact_reports(monkeypatch, field, degree):
-    # all-zero points add no rank, so every multidegree falls back to the
+    # with the certificate refused, every multidegree falls back to the
     # exact elimination, which must give the same report field for field
     from weylpi import identities
 
     deltas = [d for n in range(1, degree + 1) for d in degree_multidegrees(n)]
     fast = [verify_conjecture(d, field) for d in deltas]
-    monkeypatch.setattr(identities, "_scalar_points", _zero_points)
+    monkeypatch.setattr(identities, "_full_rank", lambda monomials, field: False)
     exact = [verify_conjecture(d, field) for d in deltas]
     assert {r.route for r in exact} == {"exact"}
     assert [_without_time(r) for r in fast] == [_without_time(r) for r in exact]
-    routes = [r.route for r in fast]
-    if field.p in (0, 32003):
-        assert set(routes) == {"certified"}
-    else:
-        # points over F_2 run dry before they separate every multidegree
-        assert [(d, r) for d, r in zip(deltas, routes) if r != "certified"] == {
-            2: [((2, 1, 1, 1, 1), "exact")], 3: []
-        }[field.p]
-
-
-def test_full_rank_certificate_stops_when_a_point_adds_nothing(monkeypatch):
-    from weylpi import identities
-
-    drawn = []
-
-    def counting(points):
-        def draw(nvars, p):
-            for point in points(nvars, p):
-                drawn.append(point)
-                yield point
-
-        return draw
-
-    field = identities._CERTIFICATE_FIELD
-    dry = identities._DRY_POINTS
-    monkeypatch.setattr(identities, "_scalar_points", counting(identities._scalar_points))
-    # the two-bracket block of (1,1,1,1): one column per point, so its two
-    # rows need two points
-    block = [((), ((1, 2), (3, 4))), ((), ((1, 3), (2, 4)))]
-    assert identities._full_rank_at_points(block, 4, field)
-    assert len(drawn) == 2
-    # a repeated row caps the rank one short: the second point still adds
-    # rank, then exactly ``dry`` points add none
-    drawn.clear()
-    assert not identities._full_rank_at_points(block + block[:1], 4, field)
-    assert len(drawn) == 2 + dry
-    # all-zero points never add rank
-    drawn.clear()
-    monkeypatch.setattr(identities, "_scalar_points", counting(_zero_points))
-    assert not identities._full_rank_at_points(block, 4, field)
-    assert len(drawn) == dry
+    assert {r.route for r in fast} == {"certified"}
 
 
 def test_full_rank_certificate_checks_every_bracket_count_block(monkeypatch):
     from weylpi import identities
 
-    field = identities._CERTIFICATE_FIELD
-    monomials = [(b.prefix, b.brackets) for b in enumerate_completely_reduced((2, 1, 1, 1))]
-    monomials.append(((1, 1, 2, 3, 4), ()))
-    assert identities._full_rank_at_points(monomials, 4, field)
-    # a repeated row makes its own block deficient, whichever block it is in
-    for row in monomials:
-        assert not identities._full_rank_at_points(monomials + [row], 4, field)
-    # each block holds exactly the rows with one bracket count, in order
-    blocks = []
-    real = identities._block_full_rank
-    monkeypatch.setattr(
-        identities, "_block_full_rank", lambda b, *args: blocks.append(b) or real(b, *args)
-    )
-    assert identities._full_rank_at_points(monomials, 4, field)
-    assert sorted(blocks) == sorted(
-        [m for m in monomials if len(m[1]) == k] for k in (0, 1, 2)
-    )
-
-
-def test_every_block_replays_the_same_points(monkeypatch):
-    from weylpi import identities
-
-    field = identities._CERTIFICATE_FIELD
-    real_points = identities._scalar_points
-    real_forms = identities.leading_forms
-    drawn, seen = [], []
-
-    def draw(nvars, p):
-        for point in real_points(nvars, p):
-            drawn.append(point)
-            yield point
-
-    def forms(block, point, p):
-        seen.append((len(block[0][1]), point))
-        return real_forms(block, point, p)
-
-    monkeypatch.setattr(identities, "_scalar_points", draw)
-    monkeypatch.setattr(identities, "leading_forms", forms)
+    fields = [QQ, Field.prime(2), Field.prime(3)]
     monomials = completely_reduced_keys((2, 1, 1, 1)) + [((1, 1, 2, 3, 4), ())]
-    needs = {}
-    for k in (0, 1, 2):
-        drawn.clear()
-        assert identities._full_rank_at_points([m for m in monomials if len(m[1]) == k], 4, field)
-        needs[k] = len(drawn)
-    assert needs == {0: 1, 1: 1, 2: 2}  # the sum, 4, would be drawn without replay
-    drawn.clear()
-    seen.clear()
-    assert identities._full_rank_at_points(monomials, 4, field)
-    assert len(drawn) == max(needs.values())
-    first = next(real_points(4, field.p))
-    for k in needs:
-        points = [point for kk, point in seen if kk == k]
-        assert points == drawn[: needs[k]] and points[0] == first
+    for field in fields:
+        assert identities._full_rank(monomials, field)
+        # a duplicated row makes its own block deficient, whichever block it
+        # is in, as the block's last row or ahead of its other rows
+        for row in monomials:
+            assert not identities._full_rank(monomials + [row], field)
+            assert not identities._full_rank([row] + monomials, field)
+
+    # each block gets its own echelon over the field, fed exactly the
+    # leading forms of the rows with its bracket count
+    echelons = []
+
+    class Recording(Echelon):
+        def __init__(self, field):
+            super().__init__(field)
+            self.rows = []
+            echelons.append(self)
+
+        def add(self, row):
+            self.rows.append(row)
+            return super().add(row)
+
+    monkeypatch.setattr(identities, "Echelon", Recording)
+    forms = leading_forms(monomials)
+    blocks = sorted(
+        [i for i, (_, b) in enumerate(monomials) if len(b) == k] for k in (0, 1, 2)
+    )
+    for field in fields:
+        echelons.clear()
+        assert identities._full_rank(monomials, field)
+        assert sorted([forms.index(row) for row in e.rows] for e in echelons) == blocks
+        assert all(e.field == field and e.rank == len(e.rows) for e in echelons)
 
 
 def test_verify_respects_degree_cap():

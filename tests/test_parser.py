@@ -128,6 +128,24 @@ def test_term_count_is_capped_before_multiplying(monkeypatch):
     assert len(parse_poly("(x1+x2+x3)^5", QQ).terms) == 243
 
 
+@pytest.mark.parametrize("field", [QQ, F7])
+def test_sum_equals_its_terms_added_one_by_one(field):
+    # repeated terms, terms that cancel and come back, and a cancelled
+    # term with the most variables
+    pieces = [
+        ("-", "x2*x1"), ("+", "3*x1*x2"), ("+", "x2*x1"), ("-", "1/2*x3*x1"),
+        ("-", "3*x1*x2"), ("+", "x1*x5*x1"), ("+", "[x1,x2]"), ("+", "3*x1*x2"),
+        ("-", "x1*x5*x1"), ("+", "2"), ("-", "2"), ("+", "x2*x1"),
+    ]
+    f = parse_poly(" ".join(f"{sign} {text}" for sign, text in pieces), field)
+    expected = NCPoly.zero(field)
+    for sign, text in pieces:
+        g = parse_poly(text, field)
+        expected = expected - g if sign == "-" else expected + g
+    assert list(f.terms.items()) == list(expected.terms.items())
+    assert f.nvars == expected.nvars == 5
+
+
 def test_constant_powers():
     assert parse_poly("2^10", QQ) == parse_poly("1024", QQ)
     assert parse_poly("(1/2)^3*x1", QQ) == parse_poly("1/8*x1", QQ)
