@@ -18,6 +18,7 @@ from .evaluation import is_weak_identity
 from .fields import Field
 from .identities import (
     DEFAULT_MAX_DEGREE,
+    MAX_EVAL_WORDS,
     degree_multidegrees,
     identity_basis,
     space_dimension,
@@ -25,16 +26,6 @@ from .identities import (
 )
 from .parser import format_poly, parse_poly
 from .rewriter import normal_form
-
-# ``check`` and ``idbasis`` evaluate every word they are given, and
-# ``idbasis`` then eliminates them, which grows faster.  On a shared 2-vCPU
-# VM, at this limit: ``check`` evaluates 2520 random words of degree 8 in
-# 0.2 s and of degree 10 in 0.9 s (parsing them takes 2 s more), and the
-# slowest accepted ``idbasis`` slices, (2,1,1,1,1,1) and (2,2,2,2) with
-# 2520 words each, take 5.5-6.5 s; (3,2,1,1,1), 3360 words, took 7.6 s and
-# (2,2,1,1,1,1), 5040 words, 52 s.
-MAX_EVAL_WORDS = 2520
-
 
 def _cap_words(count):
     if count > MAX_EVAL_WORDS:

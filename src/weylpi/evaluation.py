@@ -23,12 +23,6 @@ as they are, and ``eval_vectors`` enters the field once per output
 coordinate.  ``generic_substitution`` computes the same thing with
 ``WeylElement`` arithmetic and is kept as the reference oracle for the
 kernel.
-
-``leading_forms`` gives the top-degree part of the generic image of
-bracket-monomials, which is commutative: the product of the prefix's
-linear forms, built once per prefix, times one central scalar
-b_r*a_s - a_r*b_s per bracket.  Its integer rows use the same packed keys
-(``_key_layout``), and ``verify`` takes their exact rank per bracket count.
 """
 
 from math import lcm
@@ -188,51 +182,6 @@ def eval_vectors(polys, field):
                 coord = coords[key] = unpack(key)
             vec[coord] = v
         out.append(vec)
-    return out
-
-
-def leading_forms(monomials):
-    """Top-degree parts of the generic images of bracket-monomials.
-
-    ``monomials`` are ``(prefix, brackets)`` pairs (k may be 0).  The part
-    of the image with i + j = len(prefix) is the commutative product of the
-    a_t*x + b_t*y over the prefix times the bracket scalars
-    b_r*a_s - a_r*b_s (as y*x = x*y + 1).  Returns, per monomial, its
-    nonzero integer coefficients, keyed as the rows of ``_integer_images``
-    over the monomials' expansions.
-    """
-    length = max((len(u) + 2 * len(pairs) for u, pairs in monomials), default=0)
-    letters = {t for u, pairs in monomials for t in u + sum(pairs, ())}
-    x, y, params, _ = _key_layout(length, letters)
-    forms = {(): {0: 1}}  # prefix -> its product, shared by common prefixes
-
-    def form(prefix):
-        prod = forms.get(prefix)
-        if prod is None:
-            a, b = params[prefix[-1]]
-            prod = forms[prefix] = _times(form(prefix[:-1]), a + x, b + y, 1)
-        return prod
-
-    rows = []
-    for prefix, brackets in monomials:
-        row = form(prefix)
-        for r, s in brackets:
-            (ar, br), (as_, bs) = params[r], params[s]
-            row = _times(row, br + as_, ar + bs, -1)
-        rows.append({k: c for k, c in row.items() if c})
-    return rows
-
-
-def _times(form, first, second, sign):
-    """``form`` times (u + sign*v), where a factor u or v adds ``first``
-    or ``second`` to a packed key."""
-    out = {}
-    get = out.get
-    for key, c in form.items():
-        k = key + first
-        out[k] = get(k, 0) + c
-        k = key + second
-        out[k] = get(k, 0) + sign * c
     return out
 
 

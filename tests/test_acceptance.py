@@ -331,3 +331,11 @@ def test_criterion_14_small_fields_certified():
                 for delta in degree_multidegrees(n):
                     r = verify_conjecture(delta, field)
                     assert (r.verdict, r.route) == ("Verified", "certified"), (field, delta)
+
+
+def test_criterion_15_degrees_eleven_and_twelve_certified():
+    with _Timer("criterion 15: every partition of 11 and 12 certified over Q and F2", 10.0):
+        for field in (QQ, Field.prime(2)):
+            for delta in degree_multidegrees(11) + degree_multidegrees(12):
+                r = verify_conjecture(delta, field, max_degree=12)
+                assert (r.verdict, r.route) == ("Verified", "certified"), (field, delta)

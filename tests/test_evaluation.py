@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from weylpi.bracket import enumerate_completely_reduced
 from weylpi.errors import ArityMismatch
 from weylpi.evaluation import (
-    _integer_images,
     eval_vector,
     eval_vectors,
     generic_substitution,
     is_weak_identity,
-    leading_forms,
     substitute_tuple,
 )
 from weylpi.fields import Field
@@ -265,13 +263,20 @@ def test_batches_with_shared_words_and_prefix_words_match_the_oracle(field):
         assert all(type(v) is type(field.one) for v in vec.values())
 
 
-# -- symbolic leading forms against the generic substitution ------------------
+# -- the certificate's leading terms against the generic substitution ---------
+
+
+def _weight(coord):
+    # x weighs far more than y, a_t weighs t and b_t weighs 0
+    i, _, exps = coord
+    return i, sum(t * e for t, e in enumerate(exps[::2], start=1))
 
 
 @pytest.mark.parametrize("p", [0, 2, 3, 32003, 2**61 - 1])
 def test_point_vectors_match_substitution_up_to_degree_five(p):
-    # the leading form of a monomial with k brackets is the part of its
-    # generic image with i + j = d - 2k, and nothing lies above that part
+    # the image of u[x_r1,x_s1]...[x_rk,x_sk] lies in i + j <= d - 2k, and
+    # its heaviest coordinate is x^(d-2k) prod a_(u + s's) prod b_(r's), with
+    # value 1: the premise of the certificate's distinct-triple check
     field = Field(p)
     for n in range(6):
         for delta in degree_multidegrees(n):
@@ -281,12 +286,17 @@ def test_point_vectors_match_substitution_up_to_degree_five(p):
             monomials = [(b.prefix, b.brackets) for b in reduced] + [(w, ()) for w in words]
             polys = [b.expand(field) for b in reduced]
             polys += [NCPoly.monomial(w, field, nvars=m) for w in words]
-            # the same words, so the same key layout
-            unpack = _integer_images(polys)[2]
-            forms = leading_forms(monomials)
-            for (prefix, _), form, vec in zip(monomials, forms, eval_vectors(polys, field)):
+            for (prefix, brackets), vec in zip(monomials, eval_vectors(polys, field)):
                 top = len(prefix)  # d - 2k
-                values = {unpack(key): field.of(c) for key, c in form.items()}
-                values = {ijk: v for ijk, v in values.items() if not field.is_zero(v)}
-                assert values == {ijk: v for ijk, v in vec.items() if ijk[0] + ijk[1] == top}
+                exps = [0] * (2 * m)
+                for t in prefix + tuple(s for _, s in brackets):
+                    exps[2 * t - 2] += 1
+                for r, _ in brackets:
+                    exps[2 * r - 1] += 1
+                while exps and not exps[-1]:
+                    exps.pop()
+                lead = (top, 0, tuple(exps))
                 assert all(i + j <= top for i, j, _ in vec)
+                assert vec[lead] == field.one
+                others = [c for c in vec if c != lead and c[0] + c[1] == top]
+                assert all(_weight(c) < _weight(lead) for c in others)

@@ -8,7 +8,6 @@ from weylpi.evaluation import (
     eval_vector,
     eval_vectors,
     is_weak_identity,
-    leading_forms,
     substitute_tuple,
 )
 from weylpi.fields import Field
@@ -272,6 +271,26 @@ def test_verify_falls_back_to_the_ideal_span(monkeypatch):
     assert r.route == "ideal-span"
 
 
+def test_exact_route_refuses_a_span_above_the_word_limit(monkeypatch, capsys):
+    # with a repeated key the exact stage finds a dependency at 1^7, and the
+    # ideal span over its 7! = 5040 words is refused before it is built
+    from weylpi import cli, identities
+
+    real = identities.completely_reduced_keys
+    monkeypatch.setattr(
+        identities, "completely_reduced_keys", lambda d: real(d) + real(d)[:1]
+    )
+    monkeypatch.setattr(identities, "_ideal_span_rows", None)  # never reached
+    monkeypatch.delenv("WEYLPI_MAX_DEGREE", raising=False)
+    assert space_dimension((1,) * 7) > identities.MAX_EVAL_WORDS
+    with pytest.raises(ResourceLimit):
+        verify_conjecture((1,) * 7, QQ)
+    assert cli.main(["verify", "--mdeg", "1,1,1,1,1,1,1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("resource limit: ") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("field", [QQ, Field.prime(2), Field.prime(3)])
 def test_verify_refutes_outside_the_gamma3_span(monkeypatch, field):
     # without the St_3 rows the span is the Gamma_3 slice alone, and the
@@ -362,50 +381,28 @@ def test_certified_reports_equal_exact_reports(monkeypatch, field, degree):
 
     deltas = [d for n in range(1, degree + 1) for d in degree_multidegrees(n)]
     fast = [verify_conjecture(d, field) for d in deltas]
-    monkeypatch.setattr(identities, "_full_rank", lambda monomials, field: False)
+    monkeypatch.setattr(identities, "_full_rank", lambda monomials: False)
     exact = [verify_conjecture(d, field) for d in deltas]
     assert {r.route for r in exact} == {"exact"}
     assert [_without_time(r) for r in fast] == [_without_time(r) for r in exact]
     assert {r.route for r in fast} == {"certified"}
 
 
-def test_full_rank_certificate_checks_every_bracket_count_block(monkeypatch):
+def test_full_rank_certificate_checks_every_bracket_count_block():
     from weylpi import identities
 
-    fields = [QQ, Field.prime(2), Field.prime(3)]
     monomials = completely_reduced_keys((2, 1, 1, 1)) + [((1, 1, 2, 3, 4), ())]
-    for field in fields:
-        assert identities._full_rank(monomials, field)
-        # a duplicated row makes its own block deficient, whichever block it
-        # is in, as the block's last row or ahead of its other rows
-        for row in monomials:
-            assert not identities._full_rank(monomials + [row], field)
-            assert not identities._full_rank([row] + monomials, field)
-
-    # each block gets its own echelon over the field, fed exactly the
-    # leading forms of the rows with its bracket count
-    echelons = []
-
-    class Recording(Echelon):
-        def __init__(self, field):
-            super().__init__(field)
-            self.rows = []
-            echelons.append(self)
-
-        def add(self, row):
-            self.rows.append(row)
-            return super().add(row)
-
-    monkeypatch.setattr(identities, "Echelon", Recording)
-    forms = leading_forms(monomials)
-    blocks = sorted(
-        [i for i, (_, b) in enumerate(monomials) if len(b) == k] for k in (0, 1, 2)
-    )
-    for field in fields:
-        echelons.clear()
-        assert identities._full_rank(monomials, field)
-        assert sorted([forms.index(row) for row in e.rows] for e in echelons) == blocks
-        assert all(e.field == field and e.rank == len(e.rows) for e in echelons)
+    assert identities._full_rank(monomials)
+    # a duplicated row repeats its leading term, whichever block it is in,
+    # as the block's last row or ahead of its other rows
+    for row in monomials:
+        assert not identities._full_rank(monomials + [row])
+        assert not identities._full_rank([row] + monomials)
+    # x3[x1,x2] is not reduced, and its leading term x a3 a2 b1 is that of
+    # x2[x1,x3], so the check cannot certify it beside the keys of (1,1,1)
+    keys = completely_reduced_keys((1, 1, 1)) + [((1, 2, 3), ())]
+    assert ((2,), ((1, 3),)) in keys and identities._full_rank(keys)
+    assert not identities._full_rank(keys + [((3,), ((1, 2),))])
 
 
 def test_verify_respects_degree_cap():
