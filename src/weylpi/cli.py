@@ -10,7 +10,6 @@ import contextlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .bracket import enumerate_completely_reduced
 from .errors import ParseError, ResourceLimit, UsageError
@@ -49,6 +48,14 @@ def _field(text):
         raise UsageError(str(exc)) from None
 
 
+def _parse_expr(args):
+    """The field and the parsed ``--expr`` of ``normalize`` or ``check``."""
+    fieldobj = _field(args.field)
+    # argparse reads `--expr=--` as an empty list of values: no expression
+    expr = args.expr if isinstance(args.expr, str) else ""
+    return fieldobj, parse_poly(expr, fieldobj, max_degree=_max_degree())
+
+
 def _parse_mdeg(text):
     try:
         delta = tuple(int(part) for part in text.split(","))
@@ -60,8 +67,7 @@ def _parse_mdeg(text):
 
 
 def cmd_normalize(args):
-    fieldobj = _field(args.field)
-    f = parse_poly(args.expr, fieldobj, max_degree=_max_degree())
+    fieldobj, f = _parse_expr(args)
     trace = [] if args.trace else None
     forms = normal_form(f, trace=trace)
     if trace:
@@ -93,8 +99,7 @@ def cmd_normalize(args):
 
 
 def cmd_check(args):
-    fieldobj = _field(args.field)
-    f = parse_poly(args.expr, fieldobj, max_degree=_max_degree())
+    fieldobj, f = _parse_expr(args)
     _cap_words(len(f.terms))
     if is_weak_identity(f):
         print("identity")
@@ -152,6 +157,8 @@ def cmd_verify(args):
     with out as fh:
         jobs = [(delta, fieldobj.p, cap) for delta in deltas]
         if args.jobs > 1:
+            # imported here only: it takes 20-35 ms, a third of a `check` process's own time
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
                 reports = list(pool.map(_verify_worker, jobs))
         else:

@@ -23,6 +23,14 @@ def term_sort_key(word):
     return (len(word), word)
 
 
+def _word_product(field, f, g):
+    """The product of two word dicts: every concatenation w1 + w2 of a word
+    of ``f`` and a word of ``g``, in that order, with c1 * c2 added in."""
+    return field.add_into(
+        {}, ((w1 + w2, c1 * c2) for w1, c1 in f.items() for w2, c2 in g.items())
+    )
+
+
 class NCPoly:
     """Noncommutative polynomial: mapping word -> nonzero scalar."""
 
@@ -113,16 +121,8 @@ class NCPoly:
 
     def __mul__(self, other):
         check_same_field(self.field, other.field)
-        F = self.field
-        terms = F.add_into(
-            {},
-            (
-                (w1 + w2, c1 * c2)
-                for w1, c1 in self.terms.items()
-                for w2, c2 in other.terms.items()
-            ),
-        )
-        return NCPoly(F, self._merge_nvars(other), terms)
+        terms = _word_product(self.field, self.terms, other.terms)
+        return NCPoly(self.field, self._merge_nvars(other), terms)
 
     def __pow__(self, n):
         if n < 0:

@@ -7,12 +7,16 @@ With ``max_degree`` the parser refuses, from the degrees and term counts
 of the operands, every product, power or commutator of degree above the
 cap, or of more than ``_MAX_PRODUCT_TERMS`` terms, before it is multiplied
 out.
+
+While parsing, values are plain word dicts (see ``_Parser``): every
+product, each step of a power and both halves of a commutator go through
+``free_algebra._word_product``, the routine behind ``NCPoly.__mul__``.
 """
 
 import re
 
 from .errors import ParseError, ResourceLimit, UnknownVariable
-from .free_algebra import NCPoly, commutator
+from .free_algebra import NCPoly, _word_product
 
 # A power of a rational constant grows by the size of the base per unit of
 # exponent; past this many bits it is refused as a resource limit.
@@ -22,49 +26,52 @@ _MAX_CONSTANT_BITS = 1 << 16
 # degree cap, products bounded above this many terms are refused.
 _MAX_PRODUCT_TERMS = 10**5
 
-_TOKEN = re.compile(r"\s*(?:(x\d+)|(\d+)|([+\-*^()\[\],/]))")
+_TOKEN = re.compile(r"x\d+|\d+|[+\-*^()\[\],/]")
+# the first character that starts no token: an x with no digit after it, or
+# any character that is not a space, a digit or an operator
+_BAD = re.compile(r"x(?!\d)|[^\s\dx+\-*^()\[\],/]")
 
 
 def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            while text[pos].isspace():
-                pos += 1
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        var, num, op = m.groups()
-        if var is not None:
-            tokens.append(("var", var, m.start(1)))
-        elif num is not None:
-            tokens.append(("num", num, m.start(2)))
-        else:
-            tokens.append(("op", op, m.start(3)))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+    """The tokens as strings, then "" for the end; positions are found again
+    only for an error (``_Parser.pos``)."""
+    bad = _BAD.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad[0]!r}", bad.start())
+    return _TOKEN.findall(text) + [""]
 
 
-def _int(text, pos):
-    try:
-        return int(text)
-    except ValueError:  # more digits than int() converts
-        raise ParseError(f"number {text[:20]}... is too long", pos) from None
+def _constant(c):
+    return {(): c} if c else {}
 
 
-def _degree(f):
-    return max(map(len, f.terms), default=0)
+def _degree(terms):
+    return max(map(len, terms), default=0)
 
 
 class _Parser:
+    """Recursive descent over the tokens.  Every value is a pair (terms,
+    nvars): a word dict with no zero coefficients, and the largest variable
+    index read into it, cancelled or not.  ``parse`` makes the one NCPoly."""
+
     def __init__(self, text, field, max_degree=None):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.field = field
+        self.one = field.one  # one shared scalar; over Q each field.one is a new Fraction
         self.max_degree = max_degree
+
+    def pos(self, i):
+        """Where token ``i`` starts in the text."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)]
+        return (starts + [len(self.text)])[i]
+
+    def number(self, i):
+        try:
+            return int(self.tokens[i])
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"number {self.tokens[i][:20]}... is too long", self.pos(i)) from None
 
     def cap(self, degree):
         if self.max_degree is not None and degree > self.max_degree:
@@ -81,11 +88,11 @@ class _Parser:
     def cap_product(self, f, g):
         if self.max_degree is not None:
             self.cap(_degree(f) + _degree(g))
-            self.cap_terms(len(f.terms) * len(g.terms))
+            self.cap_terms(len(f) * len(g))
 
     def constant_power(self, f, n):
         F = self.field
-        c = f.terms.get((), F.zero)
+        c = f.get((), F.zero)
         if F.p:
             return pow(c, n, F.p)
         bits = max(abs(c.numerator), c.denominator).bit_length()
@@ -102,101 +109,96 @@ class _Parser:
         return tok
 
     def expect(self, op):
-        kind, val, pos = self.take()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}, found {val!r}", pos)
+        tok = self.take()
+        if tok != op:
+            raise ParseError(f"expected {op!r}, found {tok!r}", self.pos(self.i - 1))
 
     def parse(self):
-        f = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input {val!r}", pos)
-        return f
+        terms, nvars = self.expr()
+        if self.peek():
+            raise ParseError(f"trailing input {self.peek()!r}", self.pos(self.i))
+        return NCPoly(self.field, nvars, terms)
 
     def expr(self):
         # every term is added into one dict, so a sum parses in linear time
         F = self.field
         terms = {}
         nvars = 0
-        kind, val, _ = self.peek()
         while True:
-            sign = 1
-            if kind == "op" and val in "+-":
-                self.take()
-                sign = -1 if val == "-" else 1
-            g = self.term()
-            nvars = max(nvars, g.nvars)
-            pairs = g.terms.items()
-            F.add_into(terms, pairs if sign > 0 else ((w, -c) for w, c in pairs))
-            kind, val, _ = self.peek()
-            if not (kind == "op" and val in "+-"):
-                return NCPoly(F, nvars, terms)
+            sign = self.take() if self.peek() in ("+", "-") else "+"
+            g, g_nvars = self.term()
+            nvars = max(nvars, g_nvars)
+            pairs = g.items()
+            F.add_into(terms, pairs if sign == "+" else ((w, -c) for w, c in pairs))
+            if self.peek() not in ("+", "-"):
+                return terms, nvars
 
     def term(self):
-        f = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                g = self.factor()
-                self.cap_product(f, g)
-                f = f * g
-            else:
-                return f
+        f, nvars = self.factor()
+        while self.peek() == "*":
+            self.take()
+            g, g_nvars = self.factor()
+            self.cap_product(f, g)
+            f = _word_product(self.field, f, g)
+            nvars = max(nvars, g_nvars)
+        return f, nvars
 
     def factor(self):
-        f = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
+        f, nvars = self.atom()
+        if self.peek() == "^":
             self.take()
-            kind, val, pos = self.take()
-            if kind != "num":
-                raise ParseError("exponent must be a nonnegative integer", pos)
-            n = _int(val, pos)
+            if not self.take().isdecimal():
+                raise ParseError("exponent must be a nonnegative integer", self.pos(self.i - 1))
+            n = self.number(self.i - 1)
             degree = _degree(f)
             self.cap(degree * n)
             if degree == 0:  # a constant: one scalar power, not n products
-                return NCPoly(self.field, f.nvars, {(): self.constant_power(f, n)})
+                return _constant(self.constant_power(f, n)), nvars
             if self.max_degree is not None:
                 # with two or more terms the bound passes the limit by n = 64
-                self.cap_terms(len(f.terms) ** min(n, 64))
-            f = f**n
-        return f
+                self.cap_terms(len(f) ** min(n, 64))
+            out = {(): self.one}
+            for _ in range(n):
+                out = _word_product(self.field, out, f)
+            f = out
+        return f, nvars
 
     def atom(self):
-        kind, val, pos = self.take()
-        if kind == "num":
-            num = _int(val, pos)
-            k2, v2, _ = self.peek()
-            if k2 == "op" and v2 == "/":
-                self.take()
-                k3, v3, p3 = self.take()
-                if k3 != "num":
-                    raise ParseError("expected denominator", p3)
-                try:
-                    return NCPoly(self.field, 0, {(): self.field.of(num, _int(v3, p3))})
-                except ZeroDivisionError:
-                    raise ParseError(f"denominator {v3} is not invertible", p3) from None
-            return NCPoly(self.field, 0, {(): self.field.of(num)})
-        if kind == "var":
-            digits = val[1:].lstrip("0")
+        F = self.field
+        i, tok = self.i, self.take()
+        if tok.isdecimal():
+            num = self.number(i)
+            if self.peek() != "/":
+                return _constant(F.of(num)), 0
+            self.take()
+            i, den = self.i, self.take()
+            if not den.isdecimal():
+                raise ParseError("expected denominator", self.pos(i))
+            try:
+                return _constant(F.of(num, self.number(i))), 0
+            except ZeroDivisionError:
+                raise ParseError(f"denominator {den} is not invertible", self.pos(i)) from None
+        if tok[:1] == "x":
+            digits = tok[1:].lstrip("0")
             idx = int(digits) if 0 < len(digits) <= 3 else 0
             if not 1 <= idx <= 999:
-                raise UnknownVariable(f"variable {val[:8]} out of range x1..x999", pos)
+                raise UnknownVariable(f"variable {tok[:8]} out of range x1..x999", self.pos(i))
             self.cap(1)
-            return NCPoly.variable(idx, self.field)
-        if kind == "op" and val == "(":
+            return {(idx,): self.one}, idx
+        if tok == "(":
             f = self.expr()
             self.expect(")")
             return f
-        if kind == "op" and val == "[":
-            f = self.expr()
+        if tok == "[":
+            f, f_nvars = self.expr()
             self.expect(",")
-            g = self.expr()
+            g, g_nvars = self.expr()
             self.expect("]")
             self.cap_product(f, g)
-            return commutator(f, g)
-        raise ParseError(f"unexpected token {val!r}", pos)
+            fg = _word_product(F, f, g)
+            F.add_into(fg, ((w, -c) for w, c in _word_product(F, g, f).items()))
+            return fg, max(f_nvars, g_nvars)
+        raise ParseError(f"unexpected token {tok!r}", self.pos(i))
 
 
 def parse_poly(text, field, max_degree=None):

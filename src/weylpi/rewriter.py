@@ -25,6 +25,7 @@ enters the field once at the end.  The step cap counts distinct keys, and
 a trace gets one line per distinct rewrite, in the order first reached.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from math import lcm
 
@@ -36,8 +37,10 @@ from .free_algebra import NCPoly
 _MAX_STEPS = 10_000_000
 
 
-def _key(prefix, brackets):
-    return prefix, tuple(sorted(brackets, key=bracket_sort_key))
+def _insert(brackets, br):
+    """A canonical bracket tuple with ``br`` inserted in its place."""
+    i = bisect_right(brackets, bracket_sort_key(br), key=bracket_sort_key)
+    return brackets[:i] + (br,) + brackets[i:]
 
 
 def _successors(key, target, trace):
@@ -52,7 +55,7 @@ def _successors(key, target, trace):
             trace.append(f"swap: x{a} x{b} in {format_key(prefix, brackets)}")
         return (
             ((prefix[:i] + (b, a) + prefix[i + 2 :], brackets), 1),
-            (_key(prefix[:i] + prefix[i + 2 :], brackets + ((b, a),)), -1),
+            ((prefix[:i] + prefix[i + 2 :], _insert(brackets, (b, a))), -1),
         )
     if not brackets:
         return ()
@@ -66,8 +69,8 @@ def _successors(key, target, trace):
         head = prefix[:-1]
         rest = brackets[1:]
         return (
-            (_key(head + (s1,), ((r1, t_l),) + rest), 1),
-            (_key(head + (r1,), ((s1, t_l),) + rest), -1),
+            ((head + (s1,), _insert(rest, (r1, t_l))), 1),
+            ((head + (r1,), _insert(rest, (s1, t_l))), -1),
         )
     if target >= Status.COMPLETELY_REDUCED:
         nested = _first_nested(brackets)
@@ -81,8 +84,8 @@ def _successors(key, target, trace):
                 )
             rest = tuple(b for w, b in enumerate(brackets) if w not in (u, v))
             return (
-                (_key(prefix, rest + ((a1, a2), (a3, a4))), -1),
-                (_key(prefix, rest + ((a1, a3), (a2, a4))), 1),
+                ((prefix, _insert(_insert(rest, (a1, a2)), (a3, a4))), -1),
+                ((prefix, _insert(_insert(rest, (a1, a3)), (a2, a4))), 1),
             )
     return ()
 
@@ -101,7 +104,7 @@ def _rewrite(initial, fieldobj, target, trace=None):
     coef = {}  # key -> integer coefficient times den
     stack = []
     for (prefix, brackets), c in initial:
-        key = _key(tuple(prefix), brackets)
+        key = tuple(prefix), tuple(sorted(brackets, key=bracket_sort_key))
         coef[key] = coef.get(key, 0) + c.numerator * (den // c.denominator)
         stack.append(key)
 
@@ -121,7 +124,9 @@ def _rewrite(initial, fieldobj, target, trace=None):
         children = succ[key] = _successors(key, target, trace)
         stack.append(key)
         stack.append(None)
-        stack.extend(child for child, _ in children if child not in succ)
+        for child, _ in children:
+            if child not in succ:
+                stack.append(child)
 
     # propagation: reversed post-order is topological, so each key holds
     # its merged coefficient when it fires

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -310,11 +311,24 @@ def test_verify_jobs_are_clamped_to_the_multidegrees(monkeypatch, capsys):
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert cli.main(["verify", "--degree", "3", "--jobs", "64"]) == 0
     assert cli.main(["verify", "--degree", "4", "--jobs", "2"]) == 0
     assert workers == [3, 2]
     assert capsys.readouterr().out.count("verdict=Verified") == 3 + 5
+
+
+def test_one_job_commands_do_not_import_the_process_pool():
+    code = (
+        "import sys\n"
+        "from weylpi import cli\n"
+        "assert cli.main(['check', '--expr', '[x1,x2]*[x1,x2]']) == 1\n"
+        "assert cli.main(['verify', '--degree', '3']) == 0\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "False"
 
 
 def test_verify_prime_field():
@@ -331,6 +345,8 @@ def test_usage_errors_exit_two():
         (("verify", "--degree", "-3"), None),
         (("verify", "--degree", "3", "--jobs", "0"), None),
         (("verify", "--degree", "3", "--jobs", "-5"), None),
+        (("check", "--expr=--"), None),
+        (("normalize", "--expr=--"), None),
     ):
         r = run(*args, env_extra=env)
         assert r.returncode == 2, args

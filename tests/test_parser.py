@@ -4,7 +4,7 @@ import pytest
 
 from weylpi.errors import ParseError, ResourceLimit, UnknownVariable
 from weylpi.fields import Field
-from weylpi.free_algebra import NCPoly, st3
+from weylpi.free_algebra import NCPoly, commutator, st3
 from weylpi.parser import format_poly, parse_poly
 
 QQ = Field.rationals()
@@ -77,15 +77,17 @@ def test_oversized_input_is_a_parse_error():
 
 def test_degree_cap_refuses_before_multiplying(monkeypatch):
     # every product the parser forms stays within the cap
-    degrees = []
-    mul = NCPoly.__mul__
+    from weylpi import parser
 
-    def recording_mul(f, g):
-        out = mul(f, g)
-        degrees.append(max(map(len, out.terms), default=0))
+    degrees = []
+    product = parser._word_product
+
+    def recording_product(field, f, g):
+        out = product(field, f, g)
+        degrees.append(max(map(len, out), default=0))
         return out
 
-    monkeypatch.setattr(NCPoly, "__mul__", recording_mul)
+    monkeypatch.setattr(parser, "_word_product", recording_product)
     for text in (
         "(x1+x2)^40",
         "x1^99999999",
@@ -110,13 +112,13 @@ def test_term_count_is_capped_before_multiplying(monkeypatch):
 
     monkeypatch.setattr(parser, "_MAX_PRODUCT_TERMS", 100)
     sizes = []
-    mul = NCPoly.__mul__
+    product = parser._word_product
 
-    def recording_mul(f, g):
-        sizes.append(len(f.terms) * len(g.terms))
-        return mul(f, g)
+    def recording_product(field, f, g):
+        sizes.append(len(f) * len(g))
+        return product(field, f, g)
 
-    monkeypatch.setattr(NCPoly, "__mul__", recording_mul)
+    monkeypatch.setattr(parser, "_word_product", recording_product)
     ten = "(" + "+".join(f"x{k}" for k in range(1, 11)) + ")"
     for text in ("(x1+x2+x3)^5", f"{ten}*{ten}*(x1+x2)", f"[{ten}*{ten},x1+x2]"):
         with pytest.raises(ResourceLimit):
@@ -176,3 +178,66 @@ def test_round_trip_randomized(field):
     for _ in range(200):
         f = _random_poly(rng, field)
         assert parse_poly(format_poly(f), field) == f
+
+
+def _random_tree(rng, field, depth):
+    """A random expression as (kind, text, the NCPoly built by NCPoly
+    arithmetic); an operand is parenthesized unless it is a single factor."""
+    inner = ("sum", "sum", "prod", "prod", "pow", "comm", "paren") * 2
+    kind = rng.choice(("num", "var") + inner * (depth > 0))
+    if kind == "num":
+        a, b = rng.randint(0, 9), rng.choice((None, 1, 2, 3, 6))
+        text = str(a) if b is None else f"{a}/{b}"
+        return kind, text, NCPoly(field, 0, {(): field.of(a, b or 1)})
+    if kind == "var":
+        i = rng.randint(1, 5)
+        return kind, f"x{i}", NCPoly.variable(i, field)
+    if kind == "pow":
+        t, g = _operand(rng, field, min(depth - 1, 1))
+        n = rng.randint(0, 3)
+        return kind, f"{t}^{n}", g**n
+    if kind == "comm":
+        _, s, f = _random_tree(rng, field, depth - 1)
+        _, t, g = _random_tree(rng, field, depth - 1)
+        return kind, f"[{s}, {t}]", commutator(f, g)
+    if kind == "paren":
+        _, t, f = _random_tree(rng, field, depth - 1)
+        return kind, f"({t})", f
+    if kind == "prod":
+        children = [_operand(rng, field, depth - 1) for _ in range(rng.randint(2, 3))]
+        f = children[0][1]
+        for _, g in children[1:]:
+            f = f * g
+        return kind, "*".join(t for t, _ in children), f
+    # a sum, maybe with a leading sign and a term that cancels an earlier one
+    children = [_random_tree(rng, field, depth - 1) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.3:
+        children.append(rng.choice(children))
+    text, f = "", NCPoly.zero(field)
+    for k, (child_kind, t, g) in enumerate(children):
+        sign = rng.choice(("+", "-", "")) if k == 0 else rng.choice("+-")
+        text += f" {sign} " if sign else ""
+        text += f"({t})" if child_kind == "sum" else t
+        f = f - g if sign == "-" else f + g
+    return kind, text, f
+
+
+def _operand(rng, field, depth):
+    # the text of an operand of * or ^, and its NCPoly
+    kind, text, f = _random_tree(rng, field, depth)
+    return (f"({text})" if kind in ("sum", "prod", "pow") else text), f
+
+
+@pytest.mark.parametrize("field", [QQ, F7])
+def test_parse_matches_ncpoly_arithmetic(field):
+    # the parser's word-dict arithmetic gives the same terms, in the same
+    # order, and the same nvars as the NCPoly operations
+    f = parse_poly("(x1 + x2)*(x3 - x4) - [x2, x1]", field)
+    words = [(1, 3), (1, 4), (2, 3), (2, 4), (2, 1), (1, 2)]
+    assert list(f.terms) == words  # a product runs over f's words, then g's
+    rng = random.Random(14)
+    for _ in range(400):
+        _, text, expected = _random_tree(rng, field, 4)
+        f = parse_poly(text, field)
+        assert list(f.terms.items()) == list(expected.terms.items()), text
+        assert f.nvars == expected.nvars, text
