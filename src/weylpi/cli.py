@@ -66,6 +66,13 @@ def _parse_mdeg(text):
     return delta
 
 
+def _capped(delta, cap):
+    """``delta``, or exit 3 if its total degree exceeds ``cap``."""
+    if sum(delta) > cap:
+        raise ResourceLimit(f"total degree {sum(delta)} exceeds cap {cap}")
+    return delta
+
+
 def cmd_normalize(args):
     fieldobj, f = _parse_expr(args)
     trace = [] if args.trace else None
@@ -109,9 +116,7 @@ def cmd_check(args):
 
 
 def cmd_enumerate(args):
-    delta = _parse_mdeg(args.mdeg)
-    if sum(delta) > _max_degree():
-        raise ResourceLimit("multidegree exceeds degree cap")
+    delta = _capped(_parse_mdeg(args.mdeg), _max_degree())
     monos = enumerate_completely_reduced(delta)
     for mono in monos:
         print(mono.format())
@@ -121,48 +126,30 @@ def cmd_enumerate(args):
 
 def cmd_idbasis(args):
     fieldobj = _field(args.field)
-    delta = _parse_mdeg(args.mdeg)
-    if sum(delta) > _max_degree():
-        raise ResourceLimit("multidegree exceeds degree cap")
+    delta = _capped(_parse_mdeg(args.mdeg), _max_degree())
     _cap_words(space_dimension(delta))
     for f in identity_basis(delta, fieldobj):
         print(format_poly(f))
     return 0
 
 
-def _verify_worker(job):
-    delta, p, cap = job
-    report = verify_conjecture(delta, Field(p), max_degree=cap)
-    return report.to_dict()
-
-
 def cmd_verify(args):
     fieldobj = _field(args.field)
     cap = _max_degree()
     if args.mdeg:
-        deltas = [_parse_mdeg(args.mdeg)]
+        deltas = [_capped(_parse_mdeg(args.mdeg), cap)]
     elif args.degree < 0:
         raise UsageError(f"--degree must be non-negative, got {args.degree}")
     else:
+        _capped((args.degree,), cap)  # before the partitions are listed
         deltas = degree_multidegrees(args.degree)
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be positive, got {args.jobs}")
-    if sum(deltas[0]) > cap:  # every multidegree of a sweep has one degree
-        raise ResourceLimit(f"total degree {sum(deltas[0])} exceeds cap {cap}")
     # opened before the sweep, so that an unwritable path fails at once
     try:
         out = open(args.json, "w") if args.json else contextlib.nullcontext()
     except OSError as exc:
         raise UsageError(f"cannot write {args.json}: {exc.strerror}") from None
     with out as fh:
-        jobs = [(delta, fieldobj.p, cap) for delta in deltas]
-        if args.jobs > 1:
-            # imported here only: it takes 20-35 ms, a third of a `check` process's own time
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
-                reports = list(pool.map(_verify_worker, jobs))
-        else:
-            reports = [_verify_worker(job) for job in jobs]
+        reports = [verify_conjecture(d, fieldobj, max_degree=cap).to_dict() for d in deltas]
         if fh:
             json.dump({"reports": reports}, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -212,7 +199,6 @@ def build_parser():
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--degree", type=int)
     group.add_argument("--mdeg")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json")
     p.set_defaults(func=cmd_verify)
 

@@ -47,12 +47,15 @@ def _is_prime(n):
 class Field:
     """Rationals (``p == 0``) or the prime field F_p (``p`` prime)."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "zero", "one")
 
     def __init__(self, p=0):
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or prime, got {p}")
         self.p = p
+        # one shared instance each: a Fraction is immutable
+        self.zero = Fraction(0) if p == 0 else 0
+        self.one = Fraction(1) if p == 0 else 1
 
     @classmethod
     def rationals(cls):
@@ -85,14 +88,6 @@ class Field:
         if den % self.p == 0:
             raise ZeroDivisionError(f"denominator {den} not invertible mod {self.p}")
         return num * pow(den, -1, self.p) % self.p
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.p == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.p == 0 else 1
 
     # -- arithmetic --------------------------------------------------------
 

@@ -57,11 +57,11 @@ DEFAULT_MAX_DEGREE = 8
 # words of a slice whose ideal span ``verify``'s exact route builds; the
 # span and the elimination of ``idbasis`` grow fastest.  On a shared 2-vCPU
 # VM, at this limit: ``check`` evaluates 2520 random words of degree 8 in
-# 0.2 s and of degree 10 in 0.9 s (parsing them takes 2 s more), and the
-# slowest accepted ``idbasis`` slices, (2,1,1,1,1,1) and (2,2,2,2) with
-# 2520 words each, take 5.5-6.5 s.  Above it, (3,2,1,1,1), 3360 words, took
-# 7.6 s and (2,2,1,1,1,1), 5040 words, 52 s; the span of 1^7, 5040 words,
-# takes 34 s over F_2 and 94 s over Q.
+# 0.2 s and of degree 10 in 0.9 s (parsing them takes 0.15-0.25 s more),
+# and the slowest accepted ``idbasis`` slices, (2,1,1,1,1,1) and (2,2,2,2)
+# with 2520 words each, take 5.5-6.5 s.  Above it, (3,2,1,1,1), 3360 words,
+# took 7.6 s and (2,2,1,1,1,1), 5040 words, 52 s; the span of 1^7, 5040
+# words, takes 34 s over F_2 and 94 s over Q.
 MAX_EVAL_WORDS = 2520
 
 
@@ -153,7 +153,7 @@ class ConjectureReport:
     n_reduced: int
     eval_rank: int
     dim_id: int
-    dim_I: object  # int or None
+    dim_I: int
     verdict: str  # Verified | Refuted | Inconclusive
     witness: object = None  # expression text or None
     elapsed_ms: float = 0.0

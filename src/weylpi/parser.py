@@ -59,7 +59,6 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.field = field
-        self.one = field.one  # one shared scalar; over Q each field.one is a new Fraction
         self.max_degree = max_degree
 
     def pos(self, i):
@@ -157,7 +156,7 @@ class _Parser:
             if self.max_degree is not None:
                 # with two or more terms the bound passes the limit by n = 64
                 self.cap_terms(len(f) ** min(n, 64))
-            out = {(): self.one}
+            out = {(): self.field.one}
             for _ in range(n):
                 out = _word_product(self.field, out, f)
             f = out
@@ -184,7 +183,7 @@ class _Parser:
             if not 1 <= idx <= 999:
                 raise UnknownVariable(f"variable {tok[:8]} out of range x1..x999", self.pos(i))
             self.cap(1)
-            return {(idx,): self.one}, idx
+            return {(idx,): self.field.one}, idx
         if tok == "(":
             f = self.expr()
             self.expect(")")
