@@ -18,6 +18,7 @@ from .fields import Field
 from .identities import (
     DEFAULT_MAX_DEGREE,
     MAX_EVAL_WORDS,
+    capped,
     degree_multidegrees,
     identity_basis,
     space_dimension,
@@ -66,13 +67,6 @@ def _parse_mdeg(text):
     return delta
 
 
-def _capped(delta, cap):
-    """``delta``, or exit 3 if its total degree exceeds ``cap``."""
-    if sum(delta) > cap:
-        raise ResourceLimit(f"total degree {sum(delta)} exceeds cap {cap}")
-    return delta
-
-
 def cmd_normalize(args):
     fieldobj, f = _parse_expr(args)
     trace = [] if args.trace else None
@@ -116,7 +110,7 @@ def cmd_check(args):
 
 
 def cmd_enumerate(args):
-    delta = _capped(_parse_mdeg(args.mdeg), _max_degree())
+    delta = capped(_parse_mdeg(args.mdeg), _max_degree())
     monos = enumerate_completely_reduced(delta)
     for mono in monos:
         print(mono.format())
@@ -126,7 +120,7 @@ def cmd_enumerate(args):
 
 def cmd_idbasis(args):
     fieldobj = _field(args.field)
-    delta = _capped(_parse_mdeg(args.mdeg), _max_degree())
+    delta = capped(_parse_mdeg(args.mdeg), _max_degree())
     _cap_words(space_dimension(delta))
     for f in identity_basis(delta, fieldobj):
         print(format_poly(f))
@@ -137,11 +131,11 @@ def cmd_verify(args):
     fieldobj = _field(args.field)
     cap = _max_degree()
     if args.mdeg:
-        deltas = [_capped(_parse_mdeg(args.mdeg), cap)]
+        deltas = [capped(_parse_mdeg(args.mdeg), cap)]
     elif args.degree < 0:
         raise UsageError(f"--degree must be non-negative, got {args.degree}")
     else:
-        _capped((args.degree,), cap)  # before the partitions are listed
+        capped((args.degree,), cap)  # before the partitions are listed
         deltas = degree_multidegrees(args.degree)
     # opened before the sweep, so that an unwritable path fails at once
     try:

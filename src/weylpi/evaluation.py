@@ -5,24 +5,31 @@ The generic substitution sends x_k to a_k*x + b_k*y with fresh formal
 parameters, which is exact over an infinite field of the configured
 characteristic: the parameter-monomial coefficients of the result are
 precisely the evaluations of all partial linearizations at tuples from
-{x, y}.
+{x, y}.  ``generic_substitution``, the reference oracle, computes it in
+``WeylElement`` arithmetic; the integer kernel computes it modulo the left
+ideal A1*y, spanned by the x^i y^j with j >= 1.  In A1/A1*y = F[x], y acts
+as d/dx (Dixmier, *Enveloping Algebras*, ch. 4), and
+(a*x + b*y) * x^i = a x^(i+1) + i b x^(i-1).
 
-``eval_vectors`` computes it with an integer kernel by Horner's rule:
-f = sum_l x_l * f_l, where f_l holds the words of f that start with x_l,
-that letter removed.  The words of a batch are walked in sorted order,
-which is a depth-first walk of their prefix trie.  Each node sums the
+Lemma.  Let K = F(a, b) and U = f(a_k*x + b_k*y) in A1(K).  If U is in
+A1(K)*y, then U = 0.  Proof: for t in K, phi_t: x -> x, y -> y + t*x is an
+automorphism of A1(K), as [y + t*x, x] = [y, x], and phi_t(U) =
+U(a + t*b, b).  The coefficients of U modulo A1*y are polynomials in
+(a, b) that vanish identically, so phi_t(U) is in A1*y, and U is in
+A1(K)*(y - t*x) for every t in K.  As gr A1(K) = K[x, y] is a domain, the
+top symbol of U is divisible by infinitely many pairwise coprime linear
+forms, so it is 0, and U = 0.  K is infinite in every characteristic, so
+over Q and every F_p the projection has the kernel of the full image on
+the free algebra: every rank, kernel vector and verdict is unchanged.
+
+``_integer_images`` applies Horner's rule, f = sum_l x_l * f_l with f_l the
+words of f that start with x_l, that letter removed, walking the sorted
+words of a batch depth first over their prefix trie.  Each node sums the
 images of the words below it, per polynomial, and a finished node is
-folded into its parent by one left multiplication,
-(a*x + b*y) * x^i y^j = a x^{i+1} y^j + b x^i y^{j+1} + i b x^{i-1} y^j.
-So the many nodes near the leaves carry small images and only the few near
-the root carry large ones.  An image is a dict over the basis x^i y^j
-whose int keys pack i, j and the exponents of (a1, b1, a2, b2, ...).
-Coefficients are scaled to integers.  ``_integer_images`` gives these
-integer rows, which ``is_weak_identity`` and the exact eliminations take
-as they are, and ``eval_vectors`` enters the field once per output
-coordinate.  ``generic_substitution`` computes the same thing with
-``WeylElement`` arithmetic and is kept as the reference oracle for the
-kernel.
+folded into its parent by one left multiplication, so only the few nodes
+near the root carry large images.  ``is_weak_identity`` and the exact
+eliminations take its integer rows as they are, and ``eval_vectors``
+enters the field once per output coordinate.
 """
 
 from math import lcm
@@ -60,18 +67,16 @@ def _key_layout(length, letters):
     """The packed int keys of the images of words of at most ``length``
     letters, each in the set ``letters``, whose largest element is m.
 
-    A key packs i, j, a1, b1, ..., am, bm from the top down, ``bits`` bits
+    A key packs i, a1, b1, ..., am, bm from the top down, ``bits`` bits
     each: an exponent is at most the word length, so no slot carries into
-    the next, and keys order as the tuples (i, j, exps) do.  Returns
-    ``(x, y, params, unpack)``: a factor x or y adds ``x`` or ``y`` to a
-    term's key, and factors a_k and b_k add the pair ``params[k]``.
-    ``unpack(key)`` is the coordinate (i, j, exps), with exps the trimmed
-    exponent tuple of (a1, b1, a2, ...).
+    the next, and keys order as the pairs (i, exps) do.  Returns
+    ``(x, params, unpack)``: a factor x adds ``x`` to a term's key, and
+    factors a_k and b_k add the pair ``params[k]``.  ``unpack(key)`` is the
+    coordinate (i, exps), with exps trimmed of trailing zeros.
     """
     bits = length.bit_length()
     m = max(letters, default=0)
-    jshift = 2 * m * bits
-    ishift = jshift + bits
+    ishift = 2 * m * bits
     params = {k: (1 << (2 * (m - k) + 1) * bits, 1 << 2 * (m - k) * bits) for k in letters}
     mask = (1 << bits) - 1
 
@@ -79,27 +84,22 @@ def _key_layout(length, letters):
         exps = [key >> t * bits & mask for t in range(2 * m - 1, -1, -1)]
         while exps and not exps[-1]:
             exps.pop()
-        return key >> ishift, key >> jshift & mask, tuple(exps)
+        return key >> ishift, tuple(exps)
 
-    return 1 << ishift, 1 << jshift, params, unpack
+    return 1 << ishift, params, unpack
 
 
 def _letter_times(shifts, image, into, ishift):
-    """Add (a*x + b*y) * image into ``into``.
-
-    As y*x^i = x^i*y + i*x^(i-1), the product is
-    a*x^(i+1) y^j + b*x^i y^(j+1) + i*b*x^(i-1) y^j on each term x^i y^j.
-    ``shifts`` holds what these three terms add to the term's packed key,
-    and i is the key from bit ``ishift`` on (``_key_layout``).
-    """
-    up, right, down = shifts
+    """Add (a*x + b*y) * image into ``into``, modulo A1*y: as
+    y*x^i = x^i*y + i*x^(i-1), each term x^i gives a*x^(i+1) + i*b*x^(i-1).
+    ``shifts`` is (up, down), what these two terms add to the term's packed
+    key, and i is the key from bit ``ishift`` on (``_key_layout``)."""
+    up, down = shifts
     get = into.get
     for key, c in image.items():
         if not c:  # a sum that cancelled adds nothing
             continue
         k = key + up
-        into[k] = get(k, 0) + c
-        k = key + right
         into[k] = get(k, 0) + c
         i = key >> ishift
         if i:
@@ -108,9 +108,8 @@ def _letter_times(shifts, image, into, ishift):
 
 
 def _integer_images(polys):
-    """The generic substitution of each polynomial, scaled to integers.
-
-    Returns ``(images, dens, unpack)``: ``dens[r]`` is the lcm of the
+    """The generic substitution of each polynomial modulo A1*y, scaled to
+    integers: ``(images, dens, unpack)``.  ``dens[r]`` is the lcm of the
     denominators of polynomial r's coefficients, and ``images[r]`` maps
     packed int keys to the nonzero ints ``dens[r]`` times the coefficients.
     ``unpack`` decodes a key (``_key_layout``).  Keys order as their
@@ -126,9 +125,9 @@ def _integer_images(polys):
         for w, c in f.terms.items():
             uses.setdefault(w, []).append((row, c.numerator * (den // c.denominator)))
 
-    x, y, params, unpack = _key_layout(max(map(len, uses), default=0), set().union(*uses))
+    x, params, unpack = _key_layout(max(map(len, uses), default=0), set().union(*uses))
     ishift = x.bit_length() - 1
-    shifts = {k: (a + x, b + y, b - x) for k, (a, b) in params.items()}
+    shifts = {k: (a + x, b - x) for k, (a, b) in params.items()}
 
     # path[t] is the open trie node of the current word's first t letters:
     # per row, the sum of the images of the suffixes below it seen so far.
@@ -162,11 +161,10 @@ def _integer_images(polys):
 
 
 def eval_vectors(polys, field):
-    """Sparse coordinates of the generic substitution of each polynomial.
-
-    Returns one dict per polynomial mapping (i, j, exps) to a nonzero
-    scalar, where exps is the trimmed exponent tuple of (a1, b1, a2, ...):
-    exactly the coefficients of ``generic_substitution``.
+    """Sparse coordinates of the generic substitution of each polynomial
+    modulo A1*y: one dict per polynomial mapping (i, exps) to a nonzero
+    scalar, where exps is the trimmed exponent tuple of (a1, b1, a2, ...),
+    exactly the coefficients of the terms x^i y^0 of ``generic_substitution``.
     """
     images, dens, unpack = _integer_images(polys)
     coords = {}
@@ -186,7 +184,7 @@ def eval_vectors(polys, field):
 
 
 def eval_vector(f):
-    """Sparse coordinates of generic_substitution(f): (i, j, exps) -> scalar."""
+    """``eval_vectors`` of the one polynomial f: (i, exps) -> scalar."""
     return eval_vectors([f], f.field)[0]
 
 
@@ -212,7 +210,8 @@ def is_weak_identity(f):
 
     In the image of a word the parameters a_k, b_k have total degree equal
     to the multiplicity of x_k, so components of different multidegrees
-    land on disjoint coordinates and f vanishes iff each component does.
+    land on disjoint coordinates and f vanishes iff each component does;
+    by the lemma of the module docstring, its image modulo A1*y decides.
     """
     (image,), _, _ = _integer_images([f])
     p = f.field.p

@@ -56,13 +56,20 @@ DEFAULT_MAX_DEGREE = 8
 # The most words the CLI's ``check`` and ``idbasis`` evaluate, and the most
 # words of a slice whose ideal span ``verify``'s exact route builds; the
 # span and the elimination of ``idbasis`` grow fastest.  On a shared 2-vCPU
-# VM, at this limit: ``check`` evaluates 2520 random words of degree 8 in
-# 0.2 s and of degree 10 in 0.9 s (parsing them takes 0.15-0.25 s more),
-# and the slowest accepted ``idbasis`` slices, (2,1,1,1,1,1) and (2,2,2,2)
-# with 2520 words each, take 5.5-6.5 s.  Above it, (3,2,1,1,1), 3360 words,
-# took 7.6 s and (2,2,1,1,1,1), 5040 words, 52 s; the span of 1^7, 5040
+# VM, at this limit: ``check`` evaluates 2520 words of degree 8 in 0.03-0.2 s
+# and of degree 10 in 0.1-0.45 s, random letters slowest (parsing takes
+# 0.15-0.25 s more); the slowest accepted ``idbasis`` slices, (2,1,1,1,1,1)
+# and (2,2,2,2), take 0.7-0.8 s over Q.  Above it, (3,2,1,1,1), 3360 words,
+# takes 0.8 s and (2,2,1,1,1,1), 5040 words, 4.4 s; the span of 1^7, 5040
 # words, takes 34 s over F_2 and 94 s over Q.
 MAX_EVAL_WORDS = 2520
+
+
+def capped(delta, cap):
+    """``delta``, or ``ResourceLimit`` if its total degree exceeds ``cap``."""
+    if sum(delta) > cap:
+        raise ResourceLimit(f"total degree {sum(delta)} exceeds cap {cap}")
+    return delta
 
 
 def words_of_multidegree(delta):
@@ -82,11 +89,11 @@ def space_dimension(delta):
 def identity_basis(delta, fieldobj):
     """Deterministic echelon basis of the weak identities of multidegree delta.
 
-    The kernel of the word-basis -> Weyl-evaluation map in reduced echelon
-    form over the lexicographic word order.  The words are eliminated in
-    reverse order, so each kernel vector has coefficient 1 on its least
-    word and its other words are pivots, which no other vector contains:
-    read backwards, the kernel is already the reduced echelon basis.
+    The kernel of the evaluation, computed modulo A1*y (``evaluation``), in
+    reduced echelon form over the lexicographic word order.  The words are
+    eliminated in reverse order, so each kernel vector has coefficient 1 on
+    its least word and its other words are pivots, which no other vector
+    contains: read backwards, the kernel is already the reduced echelon basis.
     """
     delta = tuple(delta)
     words = words_of_multidegree(delta)[::-1]
@@ -196,11 +203,9 @@ def verify_conjecture(delta, fieldobj=None, max_degree=None):
     """Check that the weak identities of multidegree delta all lie in the
     ideal of known identities; never extrapolated across characteristics."""
     t0 = time.perf_counter()
-    delta = tuple(delta)
     fieldobj = fieldobj or Field.rationals()
     cap = max_degree if max_degree is not None else DEFAULT_MAX_DEGREE
-    if sum(delta) > cap:
-        raise ResourceLimit(f"total degree {sum(delta)} exceeds cap {cap}")
+    delta = capped(tuple(delta), cap)
 
     keys = completely_reduced_keys(delta)
     n = len(keys)

@@ -23,11 +23,14 @@ from weylpi.free_algebra import (
     st3,
     t4,
 )
-from weylpi.identities import degree_multidegrees, words_of_multidegree
+from weylpi.identities import degree_multidegrees, identity_basis, words_of_multidegree
+from weylpi.linalg import row_reduce_sparse
 from weylpi.parser import parse_poly
 from weylpi.weyl import CommPoly, WeylElement, is_central
 
 QQ = Field.rationals()
+F2 = Field.prime(2)
+F3 = Field.prime(3)
 F5 = Field.prime(5)
 
 
@@ -184,13 +187,18 @@ def test_generic_bracket_value_is_central():
 # -- the integer evaluation kernel against the WeylElement oracle ------------
 
 
-def _oracle_vector(f):
+def _full_oracle_vector(f):
     w = generic_substitution(f)
     return {
         (i, j, exps): scalar
         for (i, j), c in w.terms.items()
         for exps, scalar in c.terms.items()
     }
+
+
+def _oracle_vector(f):
+    # the terms x^i y^0 of the full image: the image modulo A1*y
+    return {(i, exps): s for (i, j, exps), s in _full_oracle_vector(f).items() if not j}
 
 
 @pytest.mark.parametrize("p", [0, 2, 3, 32003])
@@ -208,10 +216,8 @@ def test_kernel_matches_oracle_up_to_degree_five(p):
                 assert all(type(v) is type(field.one) for v in vec.values())
 
 
-_term = st.tuples(
-    st.lists(st.integers(1, 4), max_size=4).map(tuple),
-    st.fractions(min_value=-3, max_value=3, max_denominator=6),
-)
+_word = st.lists(st.integers(1, 4), max_size=4).map(tuple)
+_term = st.tuples(_word, st.fractions(min_value=-3, max_value=3, max_denominator=6))
 
 
 @settings(max_examples=60, deadline=None)
@@ -286,7 +292,8 @@ def test_point_vectors_match_substitution_up_to_degree_five(p):
             monomials = [(b.prefix, b.brackets) for b in reduced] + [(w, ()) for w in words]
             polys = [b.expand(field) for b in reduced]
             polys += [NCPoly.monomial(w, field, nvars=m) for w in words]
-            for (prefix, brackets), vec in zip(monomials, eval_vectors(polys, field)):
+            for (prefix, brackets), f in zip(monomials, polys):
+                vec = _full_oracle_vector(f)
                 top = len(prefix)  # d - 2k
                 exps = [0] * (2 * m)
                 for t in prefix + tuple(s for _, s in brackets):
@@ -300,3 +307,45 @@ def test_point_vectors_match_substitution_up_to_degree_five(p):
                 assert vec[lead] == field.one
                 others = [c for c in vec if c != lead and c[0] + c[1] == top]
                 assert all(_weight(c) < _weight(lead) for c in others)
+
+
+# -- the image modulo A1*y against the full image -----------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3])
+def test_identity_basis_is_the_kernel_of_the_full_image(field):
+    for n in range(6):
+        for delta in degree_multidegrees(n):
+            words = words_of_multidegree(delta)[::-1]
+            rows = [_full_oracle_vector(NCPoly.monomial(w, field, nvars=len(delta))) for w in words]
+            _, kernel = row_reduce_sparse(rows, field, want_kernel=True)
+            expected = [{words[i]: c for i, c in vec.items()} for vec in reversed(kernel)]
+            assert [f.terms for f in identity_basis(delta, field)] == expected
+
+
+_SLICES = [(2, 1), (1, 1, 1), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([QQ, F2, F3]),
+    st.sampled_from(_SLICES),
+    st.lists(st.integers(-3, 3), min_size=24, max_size=24),
+    st.integers(-1, 23),
+    st.lists(st.tuples(_word, st.integers(-3, 3)), max_size=3),
+)
+def test_full_image_vanishes_iff_its_part_modulo_a1y_does(field, delta, coeffs, word, terms):
+    # sums of identity-basis elements vanish, and adding a word or random
+    # terms to them makes both images nonzero or leaves both zero
+    f = NCPoly.zero(field, 4)
+    for c, g in zip(coeffs, identity_basis(delta, field)):
+        f = f + g.scale(field.of(c))
+    words = words_of_multidegree(delta)
+    if word >= 0:
+        f = f + NCPoly.monomial(words[word % len(words)], field, nvars=4)
+    f = f + NCPoly(field, 4, {w: field.of(c) for w, c in terms})
+    full = _full_oracle_vector(f)
+    assert (not full) == (not _oracle_vector(f)) == (not eval_vector(f))
+    assert (not full) == is_weak_identity(f)
+    if word >= 0 and not terms:
+        assert full
