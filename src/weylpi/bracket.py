@@ -2,9 +2,11 @@
 enumeration of completely reduced monomials per multidegree.
 
 A bracket-monomial is x_{t1}...x_{tl} [x_{r1},x_{s1}]...[x_{rk},x_{sk}]
-with l >= 0, k >= 1 and r_i < s_i throughout.  Canonical storage sorts the
-prefix ascending and the brackets by (s, r); bracket order is immaterial
-modulo the ideal of known identities, so any fixed convention is sound.
+with l >= 0, k >= 1 and r_i < s_i throughout.  A ``BracketMonomial`` keeps
+the prefix and brackets it is given (x2 x1 [x1,x2] keeps x2 x1 and has
+status NONE); only the rewriter's keys and ``completely_reduced_keys`` are
+canonical, brackets sorted by (s, r).  Bracket order is immaterial modulo
+the ideal of known identities, so any fixed convention is sound.
 
 The completely reduced monomials of a multidegree are generated directly
 as ``(prefix, brackets)`` pairs (``completely_reduced_keys``), not by

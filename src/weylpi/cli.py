@@ -37,9 +37,11 @@ def _max_degree():
     if not raw:
         return DEFAULT_MAX_DEGREE
     try:
-        return int(raw)
+        if (cap := int(raw)) >= 0:
+            return cap
     except ValueError:
-        raise UsageError(f"WEYLPI_MAX_DEGREE must be an integer, got {raw!r}") from None
+        pass
+    raise UsageError(f"WEYLPI_MAX_DEGREE must be a non-negative integer, got {raw!r}")
 
 
 def _field(text):

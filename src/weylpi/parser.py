@@ -50,9 +50,9 @@ def _degree(terms):
 
 
 class _Parser:
-    """Recursive descent over the tokens.  Every value is a pair (terms,
-    nvars): a word dict with no zero coefficients, and the largest variable
-    index read into it, cancelled or not.  ``parse`` makes the one NCPoly."""
+    """Recursive descent over the tokens.  Every value is a word dict with no
+    zero coefficients; ``nvars`` is the largest variable index read so far,
+    cancelled or not.  ``parse`` makes the one NCPoly."""
 
     def __init__(self, text, field, max_degree=None):
         self.text = text
@@ -60,6 +60,7 @@ class _Parser:
         self.i = 0
         self.field = field
         self.max_degree = max_degree
+        self.nvars = 0
 
     def pos(self, i):
         """Where token ``i`` starts in the text."""
@@ -113,37 +114,33 @@ class _Parser:
             raise ParseError(f"expected {op!r}, found {tok!r}", self.pos(self.i - 1))
 
     def parse(self):
-        terms, nvars = self.expr()
+        terms = self.expr()
         if self.peek():
             raise ParseError(f"trailing input {self.peek()!r}", self.pos(self.i))
-        return NCPoly(self.field, nvars, terms)
+        return NCPoly(self.field, self.nvars, terms)
 
     def expr(self):
         # every term is added into one dict, so a sum parses in linear time
         F = self.field
         terms = {}
-        nvars = 0
         while True:
             sign = self.take() if self.peek() in ("+", "-") else "+"
-            g, g_nvars = self.term()
-            nvars = max(nvars, g_nvars)
-            pairs = g.items()
+            pairs = self.term().items()
             F.add_into(terms, pairs if sign == "+" else ((w, -c) for w, c in pairs))
             if self.peek() not in ("+", "-"):
-                return terms, nvars
+                return terms
 
     def term(self):
-        f, nvars = self.factor()
+        f = self.factor()
         while self.peek() == "*":
             self.take()
-            g, g_nvars = self.factor()
+            g = self.factor()
             self.cap_product(f, g)
             f = _word_product(self.field, f, g)
-            nvars = max(nvars, g_nvars)
-        return f, nvars
+        return f
 
     def factor(self):
-        f, nvars = self.atom()
+        f = self.atom()
         if self.peek() == "^":
             self.take()
             if not self.take().isdecimal():
@@ -152,7 +149,7 @@ class _Parser:
             degree = _degree(f)
             self.cap(degree * n)
             if degree == 0:  # a constant: one scalar power, not n products
-                return _constant(self.constant_power(f, n)), nvars
+                return _constant(self.constant_power(f, n))
             if self.max_degree is not None:
                 # with two or more terms the bound passes the limit by n = 64
                 self.cap_terms(len(f) ** min(n, 64))
@@ -160,7 +157,7 @@ class _Parser:
             for _ in range(n):
                 out = _word_product(self.field, out, f)
             f = out
-        return f, nvars
+        return f
 
     def atom(self):
         F = self.field
@@ -168,13 +165,13 @@ class _Parser:
         if tok.isdecimal():
             num = self.number(i)
             if self.peek() != "/":
-                return _constant(F.of(num)), 0
+                return _constant(F.of(num))
             self.take()
             i, den = self.i, self.take()
             if not den.isdecimal():
                 raise ParseError("expected denominator", self.pos(i))
             try:
-                return _constant(F.of(num, self.number(i))), 0
+                return _constant(F.of(num, self.number(i)))
             except ZeroDivisionError:
                 raise ParseError(f"denominator {den} is not invertible", self.pos(i)) from None
         if tok[:1] == "x":
@@ -183,20 +180,21 @@ class _Parser:
             if not 1 <= idx <= 999:
                 raise UnknownVariable(f"variable {tok[:8]} out of range x1..x999", self.pos(i))
             self.cap(1)
-            return {(idx,): self.field.one}, idx
+            self.nvars = max(self.nvars, idx)
+            return {(idx,): self.field.one}
         if tok == "(":
             f = self.expr()
             self.expect(")")
             return f
         if tok == "[":
-            f, f_nvars = self.expr()
+            f = self.expr()
             self.expect(",")
-            g, g_nvars = self.expr()
+            g = self.expr()
             self.expect("]")
             self.cap_product(f, g)
             fg = _word_product(F, f, g)
             F.add_into(fg, ((w, -c) for w, c in _word_product(F, g, f).items()))
-            return fg, max(f_nvars, g_nvars)
+            return fg
         raise ParseError(f"unexpected token {tok!r}", self.pos(i))
 
 

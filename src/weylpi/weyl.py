@@ -4,19 +4,17 @@ Elements are stored in the normal-ordered basis x^i y^j.  Coefficients are
 always commutative polynomials (``CommPoly``) in the substitution
 parameters a1, b1, a2, b2, ...; scalar-only computations use constant
 CommPolys so there is a single code path.
+
+Products use the closed normal-ordering formula y^j x^i = sum_k k! C(i,k)
+C(j,k) x^(i-k) y^(j-k), k = 0..min(i,j) (Dixmier, *Enveloping Algebras*,
+ch. 4); its coefficients are integers, so it holds in every characteristic.
 """
 
-from functools import lru_cache
 from itertools import zip_longest
+from math import comb, factorial
 
 from .errors import NotPurelyX
 from .fields import check_same_field
-
-
-def param_name(index):
-    # parameters come in pairs per free-algebra variable: a_k, b_k
-    k, which = divmod(index, 2)
-    return f"{'ab'[which]}{k + 1}"
 
 
 def _trim(exps):
@@ -98,44 +96,8 @@ class CommPoly:
             and self.terms == other.terms
         )
 
-    def format(self):
-        if not self.terms:
-            return "0"
-        F = self.field
-        parts = []
-        for e, c in sorted(self.terms.items()):
-            mono = "*".join(
-                param_name(i) + (f"^{p}" if p > 1 else "")
-                for i, p in enumerate(e)
-                if p > 0
-            )
-            if not mono:
-                parts.append(F.format(c))
-            elif c == F.one:
-                parts.append(mono)
-            else:
-                parts.append(f"{F.format(c)}*{mono}")
-        return " + ".join(parts)
-
     def __repr__(self):
-        return f"CommPoly({self.format()})"
-
-
-@lru_cache(maxsize=None)
-def _y_power_times_x_powers(j, i):
-    """y^j x^i rewritten into the x^a y^b basis; integer coefficients.
-
-    Applies the rule y^j x = x y^j + j y^{j-1} once per x letter.
-    """
-    terms = {(0, j): 1}
-    for _ in range(i):
-        nxt = {}
-        for (a, b), c in terms.items():
-            nxt[(a + 1, b)] = nxt.get((a + 1, b), 0) + c
-            if b > 0:
-                nxt[(a, b - 1)] = nxt.get((a, b - 1), 0) + c * b
-        terms = nxt
-    return tuple(terms.items())
+        return f"CommPoly({self.terms!r})"
 
 
 class WeylElement:
@@ -210,9 +172,9 @@ class WeylElement:
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 c = c1 * c2
-                for (a, b), n in _y_power_times_x_powers(j1, i2):
-                    ij = (i1 + a, b + j2)
-                    contrib = c.scale(F.of(n))
+                for k in range(min(j1, i2) + 1):
+                    ij = (i1 + i2 - k, j1 + j2 - k)
+                    contrib = c.scale(F.of(factorial(k) * comb(i2, k) * comb(j1, k)))
                     s = terms.get(ij)
                     terms[ij] = contrib if s is None else s + contrib
         return WeylElement(F, terms)
@@ -224,27 +186,8 @@ class WeylElement:
             and self.terms == other.terms
         )
 
-    def format(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j), c in sorted(self.terms.items()):
-            mono = ""
-            if i:
-                mono += f"x^{i}" if i > 1 else "x"
-            if j:
-                mono += ("*" if mono else "") + (f"y^{j}" if j > 1 else "y")
-            coeff = c.format()
-            if not mono:
-                parts.append(f"({coeff})")
-            elif coeff == "1":
-                parts.append(mono)
-            else:
-                parts.append(f"({coeff})*{mono}")
-        return " + ".join(parts)
-
     def __repr__(self):
-        return f"WeylElement({self.format()})"
+        return f"WeylElement({self.terms!r})"
 
 
 def commutator_with_y(a):

@@ -30,6 +30,8 @@ def test_construction_validates_brackets():
         bm((), ((2, 2),))
     with pytest.raises(ValueError):
         bm((), ((3, 2),))
+    with pytest.raises(ValueError):
+        bm((0,), ((1, 2),))
 
 
 def test_expand_examples():

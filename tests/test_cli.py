@@ -86,11 +86,15 @@ def test_parse_error_exit_code():
     r = run("check", "--expr", "x1 + + *")
     assert r.returncode == 2
     assert "error:" in r.stderr
-    for args in (("--expr", "1/0"), ("--field", "fp:5", "--expr", "3/5")):
+    for args, message in (
+        (("--expr", "1/0"), "not invertible"),
+        (("--field", "fp:5", "--expr", "3/5"), "not invertible"),
+        (("--expr", "1/x1"), "expected denominator"),
+    ):
         r = run("check", *args)
         assert r.returncode == 2, args
         assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
-        assert "not invertible" in r.stderr
+        assert message in r.stderr
 
 
 def test_enumerate_counts():
@@ -229,7 +233,7 @@ def _cli_args(draw):
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(argv=_cli_args(), cap=st.sampled_from(["5", "abc", ""]))
+@given(argv=_cli_args(), cap=st.sampled_from(["5", "abc", "", "-1"]))
 def test_cli_fuzz_exit_codes(argv, cap):
     # every input succeeds or gets its documented exit code; an uncaught
     # exception fails the test with its traceback
@@ -328,6 +332,8 @@ def test_usage_errors_exit_two():
         (("check", "--field", "fp:4", "--expr", "x1"), None),
         (("check", "--field", "fp:x", "--expr", "x1"), None),
         (("verify", "--mdeg", "1,1"), {"WEYLPI_MAX_DEGREE": "abc"}),
+        (("verify", "--degree", "0"), {"WEYLPI_MAX_DEGREE": "-5"}),
+        (("check", "--expr", "1"), {"WEYLPI_MAX_DEGREE": "-1"}),
         (("verify", "--degree", "-3"), None),
         (("check", "--expr=--"), None),
         (("normalize", "--expr=--"), None),

@@ -62,6 +62,8 @@ def test_substitute_tuple_paper_values():
 def test_substitute_tuple_arity():
     with pytest.raises(ArityMismatch):
         substitute_tuple(st3(QQ), ("x", "y"))
+    with pytest.raises(ValueError):
+        substitute_tuple(st3(QQ), ("x", "y", "z"))
 
 
 @pytest.mark.parametrize("field", [QQ, F5])

@@ -18,6 +18,7 @@ def test_rational_arithmetic():
     assert QQ.add(QQ.of(1, 2), QQ.of(1, 3)) == Fraction(5, 6)
     assert QQ.mul(QQ.zero, QQ.of(7, 3)) == 0
     assert QQ.inv(QQ.of(-3, 4)) == Fraction(-4, 3)
+    assert QQ.of(Fraction(1, 2), 3) == Fraction(1, 6)
 
 
 def test_prime_field_arithmetic():

@@ -50,6 +50,13 @@ def test_field_mismatch():
         x(1) * NCPoly.variable(1, Field.prime(5))
 
 
+def test_variable_index_and_power_must_be_valid():
+    with pytest.raises(ValueError):
+        NCPoly.variable(0, QQ)
+    with pytest.raises(ValueError):
+        x(1) ** -1
+
+
 def test_mul_associative_and_distributive():
     rng = random.Random(42)
     for _ in range(25):
@@ -166,6 +173,8 @@ def test_complete_linearization():
 def test_linearization_errors():
     with pytest.raises(DegreeMismatch):
         partial_linearization(x(1) ** 2, 1, (1,))
+    with pytest.raises(DegreeMismatch):
+        partial_linearization(x(1) * x(2), 3, (1,))
     with pytest.raises(NotMultihomogeneous):
         partial_linearization(parse_poly("x1 + x1^2", QQ), 1, (1,))
 

@@ -99,6 +99,7 @@ def test_normal_form_of_pure_power():
 
 def test_normal_form_of_zero_is_empty():
     assert normal_form(NCPoly.zero(QQ)) == {}
+    assert semi_reduce(NCPoly.zero(QQ)) == (QQ.zero, {})
 
 
 def test_normal_form_statuses_and_mdeg():

@@ -105,6 +105,15 @@ def test_product_degree_bound():
             assert i <= i1 + i2 and j <= j1 + j2
 
 
+@pytest.mark.parametrize("field", [QQ, Field.prime(2), F3])
+def test_basis_products_match_single_swap_oracle(field):
+    # y^j1 x^i2 with j1, i2 >= 2 reaches the k >= 2 terms of the formula
+    for i1, j1, i2, j2 in product(range(4), repeat=4):
+        prod = WeylElement.basis(i1, j1, field) * WeylElement.basis(i2, j2, field)
+        word = "x" * i1 + "y" * j1 + "x" * i2 + "y" * j2
+        assert prod == brute_force_normal_order(word, field), (i1, j1, i2, j2)
+
+
 def test_derivative_bracket():
     F = QQ
     a = WeylElement.poly_in_x([F.zero, F.zero, F.zero, F.one], F)  # x^3
