@@ -2,15 +2,15 @@
 enumeration of completely reduced monomials per multidegree.
 
 A bracket-monomial is x_{t1}...x_{tl} [x_{r1},x_{s1}]...[x_{rk},x_{sk}]
-with l >= 0, k >= 1 and r_i < s_i throughout.  A ``BracketMonomial`` keeps
-the prefix and brackets it is given (x2 x1 [x1,x2] keeps x2 x1 and has
-status NONE); only the rewriter's keys and ``completely_reduced_keys`` are
-canonical, brackets sorted by (s, r).  Bracket order is immaterial modulo
-the ideal of known identities, so any fixed convention is sound.
+with l >= 0, k >= 1 and r_i < s_i throughout.  A canonical key is a
+``BracketMonomial``, the tuple (prefix, brackets) with brackets sorted by
+(s, r), as the rewriter and ``enumerate_completely_reduced`` return it; one
+built by hand keeps the order it is given (x2 x1 [x1,x2] keeps x2 x1 and
+has status NONE).  Bracket order is immaterial modulo the ideal of known
+identities, so any fixed convention is sound.
 
-The completely reduced monomials of a multidegree are generated directly
-as ``(prefix, brackets)`` pairs (``completely_reduced_keys``), not by
-building every bracket multiset and filtering by ``status()``.  The
+The completely reduced monomials of a multidegree are generated directly,
+not by building every bracket multiset and filtering by ``status()``.  The
 pruning is exact: in (s, r) order no bracket is nested in another exactly
 when the r's do not decrease either, and a branch cut where they would
 decrease keeps that nested pair in every extension, so it holds no
@@ -18,7 +18,7 @@ completely reduced monomial.
 """
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .free_algebra import NCPoly
 
@@ -54,6 +54,11 @@ def _first_nested(brackets):
     return None
 
 
+def term_order(key):
+    """Sort key of a ``(prefix, brackets)`` key: (k, prefix, brackets)."""
+    return (len(key[1]), key[0], key[1])
+
+
 def format_key(prefix, brackets):
     """Text of x_{t1}...x_{tl} [x_{r1},x_{s1}]..., e.g. ``x1 x2 [x1,x3]``."""
     parts = [f"x{t}" for t in prefix]
@@ -61,21 +66,23 @@ def format_key(prefix, brackets):
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class BracketMonomial:
-    prefix: tuple
-    brackets: tuple
+class BracketMonomial(namedtuple("BracketMonomial", "prefix brackets")):
+    """The ``(prefix, brackets)`` tuple, checked when built by hand; the
+    library wraps the keys it builds with ``_make``, which skips the check."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(self.prefix))
-        object.__setattr__(self, "brackets", tuple(tuple(b) for b in self.brackets))
-        if not self.brackets:
+    __slots__ = ()
+
+    def __new__(cls, prefix, brackets):
+        prefix = tuple(prefix)
+        brackets = tuple(tuple(b) for b in brackets)
+        if not brackets:
             raise ValueError("a bracket-monomial needs at least one bracket")
-        for r, s in self.brackets:
+        for r, s in brackets:
             if not (1 <= r < s):
                 raise ValueError(f"bracket ({r},{s}) needs 1 <= r < s")
-        if any(t < 1 for t in self.prefix):
+        if any(t < 1 for t in prefix):
             raise ValueError("prefix letters are 1-based")
+        return super().__new__(cls, prefix, brackets)
 
     # -- grading and status ------------------------------------------------
 
@@ -144,10 +151,10 @@ def weight_less(a, b):
     return a < b
 
 
-def completely_reduced_keys(delta):
-    """The ``(prefix, brackets)`` pairs of the completely reduced
-    bracket-monomials with letter multiset delta, sorted by (k, prefix,
-    brackets).  Degrees below 2 admit no bracket and give the empty list.
+def enumerate_completely_reduced(delta):
+    """The completely reduced bracket-monomials with letter multiset delta,
+    sorted by ``term_order``.  Degrees below 2 admit no bracket and give
+    the empty list.
 
     Brackets are chosen in (s, r) order, so a new bracket (r, s) can only
     be nested around an earlier one (r', s'), which happens exactly when
@@ -172,17 +179,12 @@ def completely_reduced_keys(delta):
             s1 = chosen[0][1]
             if not any(remaining[l] for l in letters if l > s1):
                 prefix = tuple(l for l in letters for _ in range(remaining[l]))
-                out.append((prefix, tuple(chosen)))
+                out.append(BracketMonomial._make((prefix, tuple(chosen))))
             rec(idx, r)
             chosen.pop()
             remaining[r] += 1
             remaining[s] += 1
 
     rec(0, 0)
-    out.sort(key=lambda key: (len(key[1]), key[0], key[1]))
+    out.sort(key=term_order)
     return out
-
-
-def enumerate_completely_reduced(delta):
-    """``completely_reduced_keys(delta)`` as ``BracketMonomial`` objects."""
-    return [BracketMonomial(*key) for key in completely_reduced_keys(delta)]

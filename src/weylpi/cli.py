@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 negative verdict, 2 parse/usage error,
 """
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -42,6 +41,10 @@ def _max_degree():
     except ValueError:
         pass
     raise UsageError(f"WEYLPI_MAX_DEGREE must be a non-negative integer, got {raw!r}")
+
+
+def _unwritable(path, exc):
+    return UsageError(f"cannot write {path}: {exc.strerror}")
 
 
 def _field(text):
@@ -132,7 +135,7 @@ def cmd_idbasis(args):
 def cmd_verify(args):
     fieldobj = _field(args.field)
     cap = _max_degree()
-    if args.mdeg:
+    if args.mdeg is not None:
         deltas = [capped(_parse_mdeg(args.mdeg), cap)]
     elif args.degree < 0:
         raise UsageError(f"--degree must be non-negative, got {args.degree}")
@@ -141,14 +144,22 @@ def cmd_verify(args):
         deltas = degree_multidegrees(args.degree)
     # opened before the sweep, so that an unwritable path fails at once
     try:
-        out = open(args.json, "w") if args.json else contextlib.nullcontext()
+        fh = open(args.json, "w") if args.json else None
     except OSError as exc:
-        raise UsageError(f"cannot write {args.json}: {exc.strerror}") from None
-    with out as fh:
+        raise _unwritable(args.json, exc) from None
+    try:
         reports = [verify_conjecture(d, fieldobj, max_degree=cap).to_dict() for d in deltas]
+    except BaseException:
         if fh:
-            json.dump({"reports": reports}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.close()
+        raise
+    if fh:
+        try:
+            with fh:  # a full device may fail the write or the close
+                json.dump({"reports": reports}, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise _unwritable(args.json, exc) from None
     for rep in reports:
         print(
             "mdeg=({}) verdict={} n_reduced={} eval_rank={} dim_id={} dim_I={}".format(

@@ -43,7 +43,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .bracket import BracketMonomial, completely_reduced_keys
+from .bracket import enumerate_completely_reduced
 from .errors import ResourceLimit
 from .evaluation import _integer_images, substitute_tuple
 from .fields import Field
@@ -207,7 +207,7 @@ def verify_conjecture(delta, fieldobj=None, max_degree=None):
     cap = max_degree if max_degree is not None else DEFAULT_MAX_DEGREE
     delta = capped(tuple(delta), cap)
 
-    keys = completely_reduced_keys(delta)
+    keys = enumerate_completely_reduced(delta)
     n = len(keys)
     # dim Id = dim F_delta - rank of the evaluated quotient spanning set
     # {x1^d1...xm^dm} + reduced monomials (sound by the normal-form theorem).
@@ -229,7 +229,7 @@ def _exact_report(delta, fieldobj, keys, pure):
     """The verdict from exact elimination of the generic evaluations, then
     the ideal span and the witness search if they are dependent."""
     n = len(keys)
-    polys = [BracketMonomial(*key).expand(fieldobj) for key in keys]
+    polys = [key.expand(fieldobj) for key in keys]
     polys.append(NCPoly.monomial(pure, fieldobj, nvars=len(delta)))
     rows, _, _ = _integer_images(polys)  # coefficients +-1, so den is 1
     ech = Echelon(fieldobj, want_kernel=True)

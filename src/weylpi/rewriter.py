@@ -16,20 +16,21 @@ strictly decreasing (monomial weight, bracket weight) measure.
 
 Many rewrite paths meet in the same term, so one call builds a rewrite DAG
 over canonical (prefix, brackets) keys, brackets sorted by
-``bracket_sort_key``.  A depth-first pass picks the rule of each distinct
-key once and records its two signed successors (none for a terminal key);
-the coefficients are then pushed down in topological order, so every key
-fires once with its merged coefficient.  That arithmetic runs on integers
-(rationals scaled to a common denominator) and each output coefficient
-enters the field once at the end.  The step cap counts distinct keys, and
-a trace gets one line per distinct rewrite, in the order first reached.
+``bracket_sort_key``; a terminal key is returned as a ``BracketMonomial``.
+A depth-first pass picks the rule of each distinct key once and records
+its two signed successors (none for a terminal key); the coefficients are
+then pushed down in topological order, so every key fires once with its
+merged coefficient.  That arithmetic runs on integers (rationals scaled to
+a common denominator) and each output coefficient enters the field once at
+the end.  The step cap counts distinct keys, and a trace gets one line per
+distinct rewrite, in the order first reached.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from math import lcm
 
-from .bracket import BracketMonomial, Status, bracket_sort_key, format_key
+from .bracket import BracketMonomial, Status, bracket_sort_key, format_key, term_order
 from .bracket import _first_descent, _first_nested
 from .errors import NotReduced, NotSemiReduced, ResourceLimit
 from .free_algebra import NCPoly
@@ -95,7 +96,7 @@ def _rewrite(initial, fieldobj, target, trace=None):
 
     ``initial`` is a list of ((prefix, brackets), coeff).  Returns
     (beta, out) where beta collects bracket-free sorted words and ``out``
-    maps canonical (prefix, brackets) keys to nonzero coefficients.
+    maps canonical ``BracketMonomial`` keys to nonzero coefficients.
     """
     F = fieldobj
     den = 1
@@ -143,14 +144,10 @@ def _rewrite(initial, fieldobj, target, trace=None):
         elif key[1]:
             v = F.of(c, den)
             if not F.is_zero(v):
-                out[key] = v
+                out[BracketMonomial._make(key)] = v
         else:
             beta += c
     return F.of(beta, den), out
-
-
-def _to_monomial_dict(raw):
-    return {BracketMonomial(p, br): c for (p, br), c in raw.items()}
 
 
 def semi_reduce(f, trace=None):
@@ -161,33 +158,25 @@ def semi_reduce(f, trace=None):
         return F.zero, {}
     f.mdeg()  # raises NotMultihomogeneous on mixed input
     initial = [((tuple(w), ()), c) for w, c in f.terms.items()]
-    beta, raw = _rewrite(initial, F, Status.SEMI_REDUCED, trace)
-    return beta, _to_monomial_dict(raw)
+    return _rewrite(initial, F, Status.SEMI_REDUCED, trace)
 
 
 def reduce_monomial(b, fieldobj, trace=None):
     """Rewrite a semi-reduced bracket-monomial into reduced ones."""
     if b.status() < Status.SEMI_REDUCED:
         raise NotSemiReduced(b.format())
-    beta, raw = _rewrite(
-        [((b.prefix, b.brackets), fieldobj.one)], fieldobj, Status.REDUCED, trace
-    )
+    beta, out = _rewrite([(b, fieldobj.one)], fieldobj, Status.REDUCED, trace)
     assert fieldobj.is_zero(beta)  # k never decreases, so no pure word appears
-    return _to_monomial_dict(raw)
+    return out
 
 
 def completely_reduce(b, fieldobj, trace=None):
     """Rewrite a reduced bracket-monomial into completely reduced ones."""
     if b.status() < Status.REDUCED:
         raise NotReduced(b.format())
-    beta, raw = _rewrite(
-        [((b.prefix, b.brackets), fieldobj.one)],
-        fieldobj,
-        Status.COMPLETELY_REDUCED,
-        trace,
-    )
+    beta, out = _rewrite([(b, fieldobj.one)], fieldobj, Status.COMPLETELY_REDUCED, trace)
     assert fieldobj.is_zero(beta)
-    return _to_monomial_dict(raw)
+    return out
 
 
 @dataclass
@@ -203,9 +192,7 @@ class NormalForm:
         return self.field.is_zero(self.beta) and not self.terms
 
     def sorted_terms(self):
-        return sorted(
-            self.terms.items(), key=lambda it: (len(it[0].brackets), it[0].prefix, it[0].brackets)
-        )
+        return sorted(self.terms.items(), key=lambda it: term_order(it[0]))
 
     def to_poly(self):
         """Reconstruct as an NCPoly (a representative of f mod the ideal)."""
@@ -230,7 +217,6 @@ def normal_form(f, trace=None):
     F = f.field
     for delta, comp in f.multihomogeneous_components().items():
         initial = [((tuple(w), ()), c) for w, c in comp.terms.items()]
-        beta, raw = _rewrite(initial, F, Status.COMPLETELY_REDUCED, trace)
-        nf = NormalForm(F, delta, beta, _to_monomial_dict(raw))
-        out[delta] = nf
+        beta, terms = _rewrite(initial, F, Status.COMPLETELY_REDUCED, trace)
+        out[delta] = NormalForm(F, delta, beta, terms)
     return out

@@ -10,6 +10,7 @@ import sys
 import time
 from itertools import product
 
+from childenv import child_env
 from weylpi.bracket import BracketMonomial, enumerate_completely_reduced
 from weylpi.evaluation import generic_substitution, is_weak_identity, substitute_tuple
 from weylpi.fields import Field
@@ -267,6 +268,7 @@ def test_criterion_10_degree_six_frontier(tmp_path):
                  "--json", str(out)],
                 capture_output=True,
                 text=True,
+                env=child_env(),
             )
             assert proc.returncode in (0, 1)
             payloads.append(json.loads(out.read_text()))

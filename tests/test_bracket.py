@@ -9,7 +9,6 @@ from weylpi.bracket import (
     BracketMonomial,
     Status,
     bracket_sort_key,
-    completely_reduced_keys,
     enumerate_completely_reduced,
     weight_less,
 )
@@ -32,6 +31,11 @@ def test_construction_validates_brackets():
         bm((), ((3, 2),))
     with pytest.raises(ValueError):
         bm((0,), ((1, 2),))
+    with pytest.raises(ValueError):
+        bm((), ((0, 1),))
+    # lists are taken as tuples, in the order given
+    mono = BracketMonomial([2, 1], [[1, 2]])
+    assert mono == ((2, 1), ((1, 2),)) and repr(mono) == "BracketMonomial(x2 x1 [x1,x2])"
 
 
 def test_expand_examples():
@@ -209,9 +213,12 @@ def test_pruned_generation_equals_filtered_enumeration():
     ]
     assert len(deltas) == 1497
     for delta in deltas:
-        keys = completely_reduced_keys(delta)
-        assert keys == _filtered_enumeration(delta), delta
-        assert [(b.prefix, b.brackets) for b in enumerate_completely_reduced(delta)] == keys
+        monos = enumerate_completely_reduced(delta)
+        assert monos == _filtered_enumeration(delta), delta
+        for mono in monos:
+            # one value: the monomial is its (prefix, brackets) key
+            key = (mono.prefix, mono.brackets)
+            assert type(mono) is BracketMonomial and mono == key and hash(mono) == hash(key)
 
 
 def _random_monomial(rng, max_vars=6, max_brackets=3):

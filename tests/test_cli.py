@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -7,7 +8,9 @@ from unittest import mock
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from childenv import child_env
 from weylpi import cli
+from weylpi.errors import ResourceLimit
 from weylpi.fields import Field
 from weylpi.parser import parse_poly
 
@@ -15,13 +18,8 @@ BASE = [sys.executable, "-m", "weylpi.cli"]
 
 
 def run(*args, env_extra=None):
-    import os
-
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
-        BASE + list(args), capture_output=True, text=True, env=env
+        BASE + list(args), capture_output=True, text=True, env=child_env(env_extra)
     )
 
 
@@ -134,7 +132,7 @@ def test_degree_cap_exit_code(tmp_path):
     r = subprocess.run(
         BASE + ["verify", "--degree", "1000", "--json", str(out)],
         capture_output=True, text=True, timeout=10,
-        env={**os.environ, "WEYLPI_MAX_DEGREE": ""},
+        env=child_env({"WEYLPI_MAX_DEGREE": ""}),
     )
     assert r.returncode == 3
     assert r.stderr == f"resource limit: total degree 1000 exceeds cap {cli.DEFAULT_MAX_DEGREE}\n"
@@ -164,7 +162,7 @@ def test_wide_power_exits_three_before_expanding():
     for expr in (f"({ten})^8", f"({ten})*({ten})*({ten})*({ten})*({ten})*({ten})"):
         r = subprocess.run(
             BASE + ["normalize", "--expr", expr],
-            capture_output=True, text=True, timeout=20,
+            capture_output=True, text=True, timeout=20, env=child_env(),
         )
         assert r.returncode == 3
         assert r.stderr.startswith("resource limit: ") and len(r.stderr.splitlines()) == 1
@@ -183,7 +181,7 @@ def test_evaluation_cost_is_bounded_before_evaluating():
     ):
         r = subprocess.run(
             BASE + argv, capture_output=True, text=True, timeout=20,
-            env={**os.environ, "WEYLPI_MAX_DEGREE": "", **env},
+            env=child_env({"WEYLPI_MAX_DEGREE": "", **env}),
         )
         assert r.returncode == 3, argv
         assert r.stdout == ""
@@ -300,6 +298,31 @@ def test_verify_json_to_unwritable_path_fails_before_the_sweep(tmp_path):
     assert out.read_text() == "kept"
 
 
+def test_verify_json_write_failure_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # a write or close that fails after the open gets the open's one-line
+    # error and exit 2, before any report is printed
+    if os.path.exists("/dev/full"):
+        r = run("verify", "--degree", "3", "--json", "/dev/full")
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == "error: cannot write /dev/full: No space left on device\n"
+
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    out = str(tmp_path / "r.json")
+    monkeypatch.setattr(cli.json, "dump", full)
+    assert cli.main(["verify", "--degree", "3", "--json", out]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: No space left on device\n")
+
+    # a resource limit in the sweep keeps its own exit code
+    def limit(*args, **kwargs):
+        raise ResourceLimit("sweep refused")
+
+    monkeypatch.setattr(cli, "verify_conjecture", limit)
+    assert cli.main(["verify", "--degree", "3", "--json", out]) == 3
+    assert capsys.readouterr() == ("", "resource limit: sweep refused\n")
+
+
 def test_one_job_commands_do_not_import_the_process_pool():
     code = (
         "import sys\n"
@@ -308,7 +331,9 @@ def test_one_job_commands_do_not_import_the_process_pool():
         "assert cli.main(['verify', '--degree', '3']) == 0\n"
         "print('concurrent.futures.process' in sys.modules)\n"
     )
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "False"
 
@@ -335,6 +360,7 @@ def test_usage_errors_exit_two():
         (("verify", "--degree", "0"), {"WEYLPI_MAX_DEGREE": "-5"}),
         (("check", "--expr", "1"), {"WEYLPI_MAX_DEGREE": "-1"}),
         (("verify", "--degree", "-3"), None),
+        (("verify", "--mdeg="), None),
         (("check", "--expr=--"), None),
         (("normalize", "--expr=--"), None),
     ):

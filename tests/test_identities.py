@@ -2,7 +2,7 @@ from itertools import combinations, product
 
 import pytest
 
-from weylpi.bracket import completely_reduced_keys, enumerate_completely_reduced
+from weylpi.bracket import BracketMonomial, enumerate_completely_reduced
 from weylpi.errors import ResourceLimit
 from weylpi.evaluation import (
     eval_vector,
@@ -259,9 +259,9 @@ def test_verify_falls_back_to_the_ideal_span(monkeypatch):
     # cannot fire and the ideal span has to decide
     from weylpi import identities
 
-    real = identities.completely_reduced_keys
+    real = identities.enumerate_completely_reduced
     monkeypatch.setattr(
-        identities, "completely_reduced_keys", lambda d: real(d) + real(d)[:1]
+        identities, "enumerate_completely_reduced", lambda d: real(d) + real(d)[:1]
     )
     r = verify_conjecture((2, 1, 1), QQ)
     assert r.verdict == "Verified"
@@ -276,9 +276,9 @@ def test_exact_route_refuses_a_span_above_the_word_limit(monkeypatch, capsys):
     # ideal span over its 7! = 5040 words is refused before it is built
     from weylpi import cli, identities
 
-    real = identities.completely_reduced_keys
+    real = identities.enumerate_completely_reduced
     monkeypatch.setattr(
-        identities, "completely_reduced_keys", lambda d: real(d) + real(d)[:1]
+        identities, "enumerate_completely_reduced", lambda d: real(d) + real(d)[:1]
     )
     monkeypatch.setattr(identities, "_ideal_span_rows", None)  # never reached
     monkeypatch.delenv("WEYLPI_MAX_DEGREE", raising=False)
@@ -297,9 +297,9 @@ def test_verify_refutes_outside_the_gamma3_span(monkeypatch, field):
     # dependency x3[x1,x2] adds is St_3 modulo it: a weak identity outside
     from weylpi import identities
 
-    real = identities.completely_reduced_keys
-    extra = ((3,), ((1, 2),))
-    monkeypatch.setattr(identities, "completely_reduced_keys", lambda d: real(d) + [extra])
+    real = identities.enumerate_completely_reduced
+    extra = BracketMonomial((3,), ((1, 2),))
+    monkeypatch.setattr(identities, "enumerate_completely_reduced", lambda d: real(d) + [extra])
     monkeypatch.setattr(identities, "st3", lambda f: NCPoly.zero(f, 3))
     r = verify_conjecture((1, 1, 1), field)
     assert r.verdict == "Refuted"
@@ -318,7 +318,7 @@ def test_verify_refutes_outside_the_gamma3_span(monkeypatch, field):
         # even to an empty span
         ("repeat", lambda f: [], 0),
         # x3[x1,x2] gives the dependency St_3, which lies in a span of St_3
-        (((3,), ((1, 2),)), lambda f: [st3(f).terms], 1),
+        (BracketMonomial((3,), ((1, 2),)), lambda f: [st3(f).terms], 1),
     ],
     ids=["repeated-key", "st3-span"],
 )
@@ -327,10 +327,10 @@ def test_verify_is_inconclusive_when_no_dependency_leaves_the_span(
 ):
     from weylpi import identities
 
-    real = identities.completely_reduced_keys
+    real = identities.enumerate_completely_reduced
     monkeypatch.setattr(
         identities,
-        "completely_reduced_keys",
+        "enumerate_completely_reduced",
         lambda d: real(d) + (real(d)[:1] if extra == "repeat" else [extra]),
     )
     monkeypatch.setattr(identities, "_ideal_span_rows", lambda d, f: span_rows(f))
@@ -345,9 +345,9 @@ def test_verify_is_inconclusive_when_no_dependency_leaves_the_span(
 def test_fallback_does_not_consult_the_rewriter(monkeypatch, field):
     from weylpi import identities, rewriter
 
-    real = identities.completely_reduced_keys
+    real = identities.enumerate_completely_reduced
     monkeypatch.setattr(
-        identities, "completely_reduced_keys", lambda d: real(d) + real(d)[:1]
+        identities, "enumerate_completely_reduced", lambda d: real(d) + real(d)[:1]
     )
     deltas = [d for n in range(1, 6) for d in degree_multidegrees(n)]
 
@@ -391,7 +391,7 @@ def test_certified_reports_equal_exact_reports(monkeypatch, field, degree):
 def test_full_rank_certificate_checks_every_bracket_count_block():
     from weylpi import identities
 
-    monomials = completely_reduced_keys((2, 1, 1, 1)) + [((1, 1, 2, 3, 4), ())]
+    monomials = enumerate_completely_reduced((2, 1, 1, 1)) + [((1, 1, 2, 3, 4), ())]
     assert identities._full_rank(monomials)
     # a duplicated row repeats its leading term, whichever block it is in,
     # as the block's last row or ahead of its other rows
@@ -400,7 +400,7 @@ def test_full_rank_certificate_checks_every_bracket_count_block():
         assert not identities._full_rank([row] + monomials)
     # x3[x1,x2] is not reduced, and its leading term x a3 a2 b1 is that of
     # x2[x1,x3], so the check cannot certify it beside the keys of (1,1,1)
-    keys = completely_reduced_keys((1, 1, 1)) + [((1, 2, 3), ())]
+    keys = enumerate_completely_reduced((1, 1, 1)) + [((1, 2, 3), ())]
     assert ((2,), ((1, 3),)) in keys and identities._full_rank(keys)
     assert not identities._full_rank(keys + [((3,), ((1, 2),))])
 

@@ -109,6 +109,7 @@ def test_normal_form_statuses_and_mdeg():
         for delta, nf in normal_form(f).items():
             assert nf.mdeg == delta
             for mono in nf.terms:
+                assert type(mono) is BracketMonomial
                 assert mono.status() == Status.COMPLETELY_REDUCED
                 assert mono.mdeg(len(delta)) == delta
 
@@ -388,11 +389,14 @@ def test_partial_reductions_match_path_oracle(field):
             initial = [((w, ()), c) for w, c in comp.terms.items()]
             beta, semis = semi_reduce(comp)
             assert (beta, semis) == _path_rewrite(initial, field, Status.SEMI_REDUCED)
+            assert {type(m) for m in semis} <= {BracketMonomial}
             for mono in semis:
                 start = [((mono.prefix, mono.brackets), field.one)]
                 reduced = reduce_monomial(mono, field)
                 assert reduced == _path_rewrite(start, field, Status.REDUCED)[1]
+                assert {type(m) for m in reduced} == {BracketMonomial}
                 for red in reduced:
                     start = [((red.prefix, red.brackets), field.one)]
                     full = completely_reduce(red, field)
                     assert full == _path_rewrite(start, field, Status.COMPLETELY_REDUCED)[1]
+                    assert {type(m) for m in full} <= {BracketMonomial}
