@@ -9,12 +9,9 @@ built by hand keeps the order it is given (x2 x1 [x1,x2] keeps x2 x1 and
 has status NONE).  Bracket order is immaterial modulo the ideal of known
 identities, so any fixed convention is sound.
 
-The completely reduced monomials of a multidegree are generated directly,
-not by building every bracket multiset and filtering by ``status()``.  The
-pruning is exact: in (s, r) order no bracket is nested in another exactly
-when the r's do not decrease either, and a branch cut where they would
-decrease keeps that nested pair in every extension, so it holds no
-completely reduced monomial.
+The completely reduced monomials of a multidegree are built from their
+multisets R of r's: R names the key, and exactly the R that pass a ballot
+condition occur (the lemma proved in ``enumerate_completely_reduced``).
 """
 
 import enum
@@ -156,35 +153,43 @@ def enumerate_completely_reduced(delta):
     sorted by ``term_order``.  Degrees below 2 admit no bracket and give
     the empty list.
 
-    Brackets are chosen in (s, r) order, so a new bracket (r, s) can only
-    be nested around an earlier one (r', s'), which happens exactly when
-    r < r' (then s' < s, as s' = s forces r' <= r): the r's never
-    decrease.  What is left of delta is the sorted prefix, kept only when
-    its last letter is <= s_1.
+    Lemma.  Fix delta.  A completely reduced key u [x_r1,x_s1]...[x_rk,x_sk]
+    (brackets in (s, r) order) is named by its multiset R of r's, and a
+    nonempty multiset R within delta occurs iff, for every letter t,
+    #{r in R : r >= t} <= #{letters of delta - R greater than t}.
+
+    (a) R determines the key.  In (s, r) order a later bracket (r, s) is
+    nested around an earlier (r', s') exactly when r < r' (then s' < s, as
+    s' = s forces r' <= r), so the r's run nondecreasing, as the s's do.
+    As max u <= s_1, the s's are the k largest letters of delta - R and u
+    is the rest, sorted; the brackets pair sorted R with the sorted s's.
+    (b) Which R occur.  If R occurs, each r_i >= t is paired with its own
+    s_i > t outside R, which gives the inequality.  Conversely, take
+    t = r_i: at least k - i + 1 letters of delta - R exceed r_i, and the
+    k - i + 1 largest of them are s_i..s_k, so s_i > r_i.  The key built
+    as in (a) then has a sorted prefix, nondecreasing r's and s's and
+    max u <= s_1, so it is completely reduced.
+
+    The inequality need only hold at the letters present (elsewhere its
+    left side is that at the next present letter up, or 0, and its right
+    side is no smaller).  The recursion walks the present letters from the
+    largest down, making r's of as many copies of each as it allows, so
+    zero entries of delta add no depth.
     """
-    remaining = [0, *delta]  # 1-based letter budget
-    letters = [l for l in range(1, len(remaining)) if remaining[l] > 0]
-    pairs = [(r, s) for s in letters for r in letters if r < s]
-    chosen = []
+    present = [(l, d) for l, d in enumerate(delta, start=1) if d]
     out = []
 
-    def rec(start, last_r):
-        for idx in range(start, len(pairs)):
-            r, s = pairs[idx]
-            if r < last_r or not (remaining[r] and remaining[s]):
-                continue
-            remaining[r] -= 1
-            remaining[s] -= 1
-            chosen.append((r, s))
-            s1 = chosen[0][1]
-            if not any(remaining[l] for l in letters if l > s1):
-                prefix = tuple(l for l in letters for _ in range(remaining[l]))
-                out.append(BracketMonomial._make((prefix, tuple(chosen))))
-            rec(idx, r)
-            chosen.pop()
-            remaining[r] += 1
-            remaining[s] += 1
+    def rec(i, rs, rest):
+        # rs, rest: the r's and the other letters of present[i:], ascending
+        if not i:
+            if rs:
+                cut = len(rest) - len(rs)
+                out.append(BracketMonomial._make((rest[:cut], tuple(zip(rs, rest[cut:])))))
+            return
+        l, d = present[i - 1]
+        for c in range(min(d, len(rest) - len(rs)) + 1):  # the inequality at l
+            rec(i - 1, (l,) * c + rs, (l,) * (d - c) + rest)
 
-    rec(0, 0)
+    rec(len(present), (), ())
     out.sort(key=term_order)
     return out

@@ -23,11 +23,13 @@ It takes the first of these routes that decides (``ConjectureReport.route``):
   x^(d-2k) prod_{t in u} a_t prod_i a_(s_i) b_(r_i), with coefficient +1
   in every characteristic, and rows whose heaviest terms differ are
   independent over any field (in a dependency, the heaviest of its leading
-  terms would not cancel).  The term is named by the triple
-  (k, sorted(u + s's), sorted(r's)), so distinct triples certify every
-  block with no elimination.  Completely reduced keys always give distinct
-  triples: their r's and s's are nondecreasing and max u <= s_1, so a key
-  is rebuilt from its r's; a repeated or non-reduced key may collide.
+  terms would not cancel).  Within one multidegree u and the s's make up
+  delta - R, where R is the multiset of r's and k = |R|, so the term is
+  x^(d-2k) a^(delta-R) b^R and R names it: distinct r-multisets certify
+  every block with no elimination, and the pure word has R empty.
+  Completely reduced keys always have distinct R (the lemma in
+  ``bracket.enumerate_completely_reduced``: R determines the key); a
+  repeated or non-reduced key may collide.
 - ``exact``: one exact elimination of the generic evaluations.  If the
   bracket rows are independent, the report is ``Verified`` as above.
 - ``ideal-span``: otherwise dim Id is compared with the rank of an explicit
@@ -183,20 +185,12 @@ class ConjectureReport:
 
 
 def _full_rank(monomials):
-    """True when the ``monomials`` (``(prefix, brackets)`` pairs) have
-    pairwise distinct leading triples (k, sorted(u + s's), sorted(r's)),
-    which certifies that their generic evaluations are independent."""
-    seen = set()
-    for u, brackets in monomials:
-        lead = (
-            len(brackets),
-            tuple(sorted(u + tuple(s for _, s in brackets))),
-            tuple(sorted(r for r, _ in brackets)),
-        )
-        if lead in seen:
-            return False
-        seen.add(lead)
-    return True
+    """True when the ``monomials`` (``(prefix, brackets)`` pairs of one
+    multidegree) have pairwise distinct multisets of r's, which name their
+    leading terms and so certify that their generic evaluations are
+    independent."""
+    leads = {tuple(sorted(r for r, _ in brackets)) for _, brackets in monomials}
+    return len(leads) == len(monomials)
 
 
 def verify_conjecture(delta, fieldobj=None, max_degree=None):

@@ -68,7 +68,7 @@ class CommPoly:
         terms = F.add_into(
             {},
             (
-                (_trim(a + b for a, b in zip_longest(e1, e2, fillvalue=0)), c1 * c2)
+                (tuple(a + b for a, b in zip_longest(e1, e2, fillvalue=0)), c1 * c2)
                 for e1, c1 in self.terms.items()
                 for e2, c2 in other.terms.items()
             ),

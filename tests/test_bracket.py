@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,7 @@ def test_expand_examples():
     assert f == parse_poly("[x1,x2]*[x3,x4]", QQ)
     g = bm((1,), ((2, 3),)).expand(QQ)
     assert g == parse_poly("x1*x2*x3 - x1*x3*x2", QQ)
+    assert bm((1,), ((2, 3),)).mdeg() == (1, 1, 1)
     assert len(bm((3,), ((1, 2),)).expand(QQ).terms) == 2
 
 
@@ -117,6 +119,10 @@ def test_enumeration_matches_example_lists():
         "x2 [x1,x4] [x3,x5]",
         "x3 [x1,x4] [x2,x5]",
     ]
+    # with the pure word, 1^d has the ballot count C(d, d//2) of r-multisets
+    # (3431 keys for 1^14)
+    for d in range(1, 15):
+        assert len(enumerate_completely_reduced((1,) * d)) == comb(d, d // 2) - 1
 
 
 def test_enumeration_two_variable_case():
@@ -128,6 +134,9 @@ def test_enumeration_two_variable_case():
                 for i in range(1, s + 1)
             ]
             assert sorted(monos, key=lambda m: len(m.brackets)) == expected
+    for r in range(1, 24):
+        for s in range(1, min(r, 24 - r) + 1):
+            assert len(enumerate_completely_reduced((r, s))) == s, (r, s)
 
 
 def test_enumeration_single_variable_and_small_degree():

@@ -95,13 +95,16 @@ def test_parse_error_exit_code():
         assert message in r.stderr
 
 
-def test_enumerate_counts():
+def test_enumerate_counts(capsys):
     r = run("enumerate", "--mdeg", "1,1,1,1")
     assert r.returncode == 0
     lines = r.stdout.strip().splitlines()
     assert lines[-1] == "count=5"
     assert lines[0] == "x1 x2 [x3,x4]"
     assert run("enumerate", "--mdeg", "3").stdout.strip() == "count=0"
+    # zero entries add no recursion depth, only the letters present do
+    assert cli.main(["enumerate", "--mdeg", "0," * 1500 + "1,1"]) == 0
+    assert capsys.readouterr().out == "[x1501,x1502]\ncount=1\n"
 
 
 def test_idbasis_output():

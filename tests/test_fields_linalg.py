@@ -45,8 +45,9 @@ def test_field_parse():
 
 
 def test_non_prime_characteristic_rejected():
-    with pytest.raises(ValueError):
-        Field(4)
+    for p in (4, 1, -3):
+        with pytest.raises(ValueError):
+            Field(p)
 
 
 def test_primality_is_exact_on_strong_pseudoprimes():

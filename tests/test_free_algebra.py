@@ -71,6 +71,7 @@ def test_mdeg_additive():
     assert (f * g).mdeg() == tuple(
         a + b for a, b in zip(f.mdeg(), g.mdeg())
     )
+    assert NCPoly.zero(QQ, 2).mdeg() is None
 
 
 def test_multihomogeneous_components():
@@ -168,6 +169,9 @@ def test_complete_linearization():
     words = complete_linearization(x(1) ** 3).terms
     assert len(words) == 6
     assert all(sorted(w) == [1, 2, 3] for w in words)
+    zero = NCPoly.zero(QQ, 2)
+    assert complete_linearization(zero) is zero
+    assert partial_linearization(zero, 1, (1, 1)) is zero
 
 
 def test_linearization_errors():

@@ -403,6 +403,11 @@ def test_full_rank_certificate_checks_every_bracket_count_block():
     keys = enumerate_completely_reduced((1, 1, 1)) + [((1, 2, 3), ())]
     assert ((2,), ((1, 3),)) in keys and identities._full_rank(keys)
     assert not identities._full_rank(keys + [((3,), ((1, 2),))])
+    # ((), ((2, 3), (1, 4))) has nested brackets, and its r's {1, 2} are
+    # those of [x1,x3] [x2,x4]
+    keys = enumerate_completely_reduced((1, 1, 1, 1)) + [((1, 2, 3, 4), ())]
+    assert ((), ((1, 3), (2, 4))) in keys and identities._full_rank(keys)
+    assert not identities._full_rank(keys + [((), ((2, 3), (1, 4)))])
 
 
 def test_verify_respects_degree_cap():

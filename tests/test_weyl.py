@@ -163,3 +163,7 @@ def test_generic_bracket_is_central_scalar():
     assert set(br.terms) == {(0, 0)}
     assert br.terms[(0, 0)] == b1 * a2 - a1 * b2
     assert is_central(br)
+    assert CommPoly(F).constant_value() == 0
+    assert a1.constant_value() is None
+    # trailing zero exponents are trimmed on input
+    assert CommPoly(F, {(1, 0, 0): F.one}) == a1
