@@ -27,11 +27,6 @@ class Status(enum.IntEnum):
     COMPLETELY_REDUCED = 3
 
 
-def bracket_sort_key(bracket):
-    r, s = bracket
-    return (s, r)
-
-
 def _first_descent(seq):
     """First position i with seq[i] > seq[i + 1], or None."""
     for i in range(len(seq) - 1):

@@ -77,8 +77,10 @@ def cmd_normalize(args):
     trace = [] if args.trace else None
     forms = normal_form(f, trace=trace)
     if trace:
+        # with --json, stdout carries the JSON document alone
+        out = sys.stderr if args.json else sys.stdout
         for line in trace:
-            print(f"trace: {line}")
+            print(f"trace: {line}", file=out)
     if args.json:
         payload = []
         for delta in sorted(forms):

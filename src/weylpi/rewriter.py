@@ -15,79 +15,93 @@ The strategy always fixes the leftmost violation; termination follows the
 strictly decreasing (monomial weight, bracket weight) measure.
 
 Many rewrite paths meet in the same term, so one call builds a rewrite DAG
-over canonical (prefix, brackets) keys, brackets sorted by
-``bracket_sort_key``; a terminal key is returned as a ``BracketMonomial``.
-A depth-first pass picks the rule of each distinct key once and records
-its two signed successors (none for a terminal key); the coefficients are
-then pushed down in topological order, so every key fires once with its
-merged coefficient.  That arithmetic runs on integers (rationals scaled to
-a common denominator) and each output coefficient enters the field once at
-the end.  The step cap counts distinct keys, and a trace gets one line per
-distinct rewrite, in the order first reached.
+over canonical (prefix, brackets) keys.  Inside the DAG each bracket
+[x_r, x_s] is held as the pair (s, r), so plain tuple order sorts the
+brackets of a key canonically and a new bracket goes in by bisection; a
+terminal key is turned back to (r, s) pairs and returned as a
+``BracketMonomial``, and a trace line prints brackets as [x_r,x_s].  Each
+distinct key gets a dense integer id when first reached.  A depth-first
+pass over ids picks the rule of each key once and stores its two children
+as (first id, second id, sign of the first), the second's sign being the
+opposite (nothing for a terminal key); the coefficients are then pushed
+down a list indexed by id in topological order, so every key fires once
+with its merged coefficient.  That arithmetic runs on integers (rationals
+scaled to a common denominator) and each output coefficient enters the
+field once at the end.  The step cap counts distinct keys expanded,
+terminal ones included, and a trace gets one line per distinct rewrite,
+in the order first reached.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from math import lcm
 
-from .bracket import BracketMonomial, Status, bracket_sort_key, format_key, term_order
-from .bracket import _first_descent, _first_nested
+from .bracket import BracketMonomial, Status, _first_descent, format_key, term_order
 from .errors import NotReduced, NotSemiReduced, ResourceLimit
 from .free_algebra import NCPoly
 
 _MAX_STEPS = 10_000_000
 
 
-def _insert(brackets, br):
-    """A canonical bracket tuple with ``br`` inserted in its place."""
-    i = bisect_right(brackets, bracket_sort_key(br), key=bracket_sort_key)
-    return brackets[:i] + (br,) + brackets[i:]
+def _insert(brackets, sr):
+    """An internal bracket tuple with the (s, r) pair ``sr`` inserted in its place."""
+    i = bisect_right(brackets, sr)
+    return brackets[:i] + (sr,) + brackets[i:]
+
+
+def _text(prefix, brackets):
+    """``format_key`` of an internal key, brackets turned back to (r, s)."""
+    return format_key(prefix, [(r, s) for s, r in brackets])
 
 
 def _successors(key, target, trace):
-    """The two (child key, sign) pairs of the rule that fires on a
-    canonical key, or () if the key is terminal at ``target`` status.
-    A firing rule appends its line to ``trace`` unless that is None."""
+    """(first child, second child, sign of the first) of the rule that fires
+    on an internal key, or () if the key is terminal at ``target`` status;
+    the second child's sign is minus the first's.  A firing rule appends its
+    line to ``trace`` unless that is None."""
     prefix, brackets = key
     i = _first_descent(prefix)
     if i is not None:
-        a, b = prefix[i], prefix[i + 1]  # a > b
+        a, b = prefix[i], prefix[i + 1]  # a > b: the new bracket [x_b, x_a]
         if trace is not None:
-            trace.append(f"swap: x{a} x{b} in {format_key(prefix, brackets)}")
+            trace.append(f"swap: x{a} x{b} in {_text(prefix, brackets)}")
         return (
-            ((prefix[:i] + (b, a) + prefix[i + 2 :], brackets), 1),
-            ((prefix[:i] + prefix[i + 2 :], _insert(brackets, (b, a))), -1),
+            (prefix[:i] + (b, a) + prefix[i + 2 :], brackets),
+            (prefix[:i] + prefix[i + 2 :], _insert(brackets, (a, b))),
+            1,
         )
     if not brackets:
         return ()
-    if target >= Status.REDUCED and prefix and prefix[-1] > brackets[0][1]:
+    if target >= Status.REDUCED and prefix and prefix[-1] > brackets[0][0]:
         t_l = prefix[-1]
-        r1, s1 = brackets[0]
+        s1, r1 = brackets[0]
         if trace is not None:
             trace.append(
-                f"pull-in: pull x{t_l} into [x{r1},x{s1}] in {format_key(prefix, brackets)}"
+                f"pull-in: pull x{t_l} into [x{r1},x{s1}] in {_text(prefix, brackets)}"
             )
         head = prefix[:-1]
         rest = brackets[1:]
         return (
-            ((head + (s1,), _insert(rest, (r1, t_l))), 1),
-            ((head + (r1,), _insert(rest, (s1, t_l))), -1),
+            (head + (s1,), _insert(rest, (t_l, r1))),
+            (head + (r1,), _insert(rest, (t_l, s1))),
+            1,
         )
     if target >= Status.COMPLETELY_REDUCED:
-        nested = _first_nested(brackets)
-        if nested is not None:
-            u, v = nested
-            a2, a3 = brackets[u]
-            a1, a4 = brackets[v]
-            if trace is not None:
-                trace.append(
-                    f"unnest: [x{a2},x{a3}][x{a1},x{a4}] in {format_key(prefix, brackets)}"
-                )
-            rest = tuple(b for w, b in enumerate(brackets) if w not in (u, v))
-            return (
-                ((prefix, _insert(_insert(rest, (a1, a2)), (a3, a4))), -1),
-                ((prefix, _insert(_insert(rest, (a1, a3)), (a2, a4))), 1),
-            )
+        # in (s, r) order a later bracket v nests an earlier u iff r_v < r_u
+        for u, (a3, a2) in enumerate(brackets):
+            for v in range(u + 1, len(brackets)):
+                a4, a1 = brackets[v]
+                if a1 < a2:
+                    if trace is not None:
+                        trace.append(
+                            f"unnest: [x{a2},x{a3}][x{a1},x{a4}] in {_text(prefix, brackets)}"
+                        )
+                    rest = brackets[:u] + brackets[u + 1 : v] + brackets[v + 1 :]
+                    return (
+                        (prefix, _insert(_insert(rest, (a2, a1)), (a4, a3))),
+                        (prefix, _insert(_insert(rest, (a3, a1)), (a4, a2))),
+                        -1,
+                    )
     return ()
 
 
@@ -102,49 +116,78 @@ def _rewrite(initial, fieldobj, target, trace=None):
     den = 1
     for _, c in initial:
         den = lcm(den, c.denominator)
-    coef = {}  # key -> integer coefficient times den
+    # key i: keys[i] is the internal key, kids[i] its stored children
+    # (None until expanded, () if terminal) and coef[i] its coefficient
+    ids = {}
+    keys, kids, coef = [], [], []
     stack = []
     for (prefix, brackets), c in initial:
-        key = tuple(prefix), tuple(sorted(brackets, key=bracket_sort_key))
-        coef[key] = coef.get(key, 0) + c.numerator * (den // c.denominator)
-        stack.append(key)
+        key = tuple(prefix), tuple(sorted((s, r) for r, s in brackets))
+        i = ids.setdefault(key, len(keys))
+        if i == len(keys):
+            keys.append(key)
+            kids.append(None)
+            coef.append(0)
+        coef[i] += c.numerator * (den // c.denominator)
+        stack.append(i)
 
-    # discovery: depth first, each distinct key expanded once; a None on
-    # the stack marks that the key below it is finished (post-order)
-    succ = {}
+    # discovery: depth first, each distinct key expanded once; ~i on the
+    # stack marks that key i is finished (post-order)
     order = []
+    steps = 0
     while stack:
-        key = stack.pop()
-        if key is None:
-            order.append(stack.pop())
+        i = stack.pop()
+        if i < 0:
+            order.append(~i)
             continue
-        if key in succ:
+        if kids[i] is not None:
             continue
-        if len(succ) >= _MAX_STEPS:
+        if steps >= _MAX_STEPS:
             raise ResourceLimit(f"rewriting exceeded the step cap of {_MAX_STEPS}")
-        children = succ[key] = _successors(key, target, trace)
-        stack.append(key)
-        stack.append(None)
-        for child, _ in children:
-            if child not in succ:
-                stack.append(child)
+        steps += 1
+        children = _successors(keys[i], target, trace)
+        if not children:
+            kids[i] = ()
+            order.append(i)
+            continue
+        first, second, sign = children
+        a = ids.setdefault(first, len(keys))
+        if a == len(keys):
+            keys.append(first)
+            kids.append(None)
+            coef.append(0)
+        b = ids.setdefault(second, len(keys))
+        if b == len(keys):
+            keys.append(second)
+            kids.append(None)
+            coef.append(0)
+        kids[i] = a, b, sign
+        stack.append(~i)
+        if kids[a] is None:
+            stack.append(a)
+        if kids[b] is None:
+            stack.append(b)
 
     # propagation: reversed post-order is topological, so each key holds
     # its merged coefficient when it fires
     beta = 0
     out = {}
-    for key in reversed(order):
-        c = coef.pop(key, 0)
+    for i in reversed(order):
+        c = coef[i]
         if not c:
             continue
-        children = succ[key]
+        children = kids[i]
         if children:
-            for child, sign in children:
-                coef[child] = coef.get(child, 0) + sign * c
-        elif key[1]:
+            a, b, sign = children
+            c *= sign
+            coef[a] += c
+            coef[b] -= c
+            continue
+        prefix, brackets = keys[i]
+        if brackets:
             v = F.of(c, den)
             if not F.is_zero(v):
-                out[BracketMonomial._make(key)] = v
+                out[BracketMonomial._make((prefix, tuple((r, s) for s, r in brackets)))] = v
         else:
             beta += c
     return F.of(beta, den), out

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from weylpi.bracket import (
     BracketMonomial,
     Status,
-    bracket_sort_key,
     enumerate_completely_reduced,
     weight_less,
 )
@@ -153,7 +152,7 @@ def _brute_force_completely_reduced(delta):
     def rec(remaining, brackets):
         if brackets:
             prefix = tuple(sorted(remaining))
-            canon = tuple(sorted(brackets, key=bracket_sort_key))
+            canon = tuple(sorted(brackets, key=lambda rs: rs[::-1]))
             mono = BracketMonomial(prefix, canon)
             if mono.status() == Status.COMPLETELY_REDUCED:
                 found.add(mono)

@@ -51,6 +51,19 @@ def test_normalize_trace_and_json():
     ]
 
 
+def test_normalize_trace_with_json_keeps_stdout_json():
+    r = run("normalize", "--expr", "x3*[x1,x2]", "--trace", "--json")
+    assert r.returncode == 0
+    payload = json.loads(r.stdout)
+    assert payload[0]["terms"] == [
+        {"coeff": "-1", "monomial": "x1 [x2,x3]"},
+        {"coeff": "1", "monomial": "x2 [x1,x3]"},
+    ]
+    err = r.stderr.splitlines()
+    assert err and all(line.startswith("trace: ") for line in err)
+    assert "trace: pull-in: pull x3 into [x1,x2] in x3 [x1,x2]" in err
+
+
 def test_normalize_over_prime_field():
     r = run("normalize", "--field", "fp:5", "--expr", "x1^3 + 4*x1^3")
     assert r.returncode == 0

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from weylpi.bracket import BracketMonomial, Status, bracket_sort_key, format_key, weight_less
+from weylpi.bracket import (
+    BracketMonomial,
+    Status,
+    _first_descent,
+    _first_nested,
+    format_key,
+    weight_less,
+)
 from weylpi import cli, rewriter
 from weylpi.errors import NotMultihomogeneous, NotReduced, NotSemiReduced, ResourceLimit
 from weylpi.evaluation import generic_substitution, substitute_tuple
@@ -224,6 +231,98 @@ def test_step_cap_raises_resource_limit(monkeypatch, capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, passes", [("x3*x2*x1*x4", 16), ("x4*x3*x2*x1", 20)])
+def test_step_cap_counts_distinct_keys_expanded(monkeypatch, text, passes):
+    # the cap counts every distinct key the walk expands, terminal ones too
+    f = parse_poly(text, QQ)
+    monkeypatch.setattr(rewriter, "_MAX_STEPS", passes)
+    normal_form(f)
+    monkeypatch.setattr(rewriter, "_MAX_STEPS", passes - 1)
+    with pytest.raises(ResourceLimit):
+        normal_form(f)
+
+
+# The full trace and the terms in insertion order: `normalize --trace`
+# prints this trace, and the benchmark's rewrite-step count reads its length.
+PINNED = {
+    "x4*x3*x2*x1": (
+        [
+            "swap: x4 x3 in x4 x3 x2 x1",
+            "swap: x2 x1 in x2 x1 [x3,x4]",
+            "swap: x4 x2 in x3 x4 x2 x1",
+            "swap: x3 x1 in x3 x1 [x2,x4]",
+            "swap: x3 x2 in x3 x2 x4 x1",
+            "swap: x4 x1 in x4 x1 [x2,x3]",
+            "unnest: [x2,x3][x1,x4] in [x2,x3] [x1,x4]",
+            "pull-in: pull x4 into [x2,x3] in x1 x4 [x2,x3]",
+            "swap: x4 x1 in x2 x3 x4 x1",
+            "swap: x3 x1 in x2 x3 x1 x4",
+            "pull-in: pull x4 into [x1,x3] in x2 x4 [x1,x3]",
+            "swap: x2 x1 in x2 x1 x3 x4",
+            "pull-in: pull x4 into [x1,x2] in x3 x4 [x1,x2]",
+            "swap: x3 x2 in x3 x2 [x1,x4]",
+        ],
+        1,
+        [
+            (((2, 3), ((1, 4),)), -3),
+            (((1, 3), ((2, 4),)), -1),
+            (((), ((1, 3), (2, 4))), 2),
+            (((1, 2), ((3, 4),)), 1),
+            (((), ((1, 2), (3, 4))), -2),
+        ],
+    ),
+    "x3*[x1,x2]*x5*x4": (
+        [
+            "swap: x3 x2 in x3 x2 x1 x5 x4",
+            "swap: x5 x4 in x1 x5 x4 [x2,x3]",
+            "pull-in: pull x5 into [x2,x3] in x1 x4 x5 [x2,x3]",
+            "swap: x4 x2 in x1 x4 x2 [x3,x5]",
+            "swap: x4 x3 in x1 x4 x3 [x2,x5]",
+            "unnest: [x3,x4][x2,x5] in x1 [x3,x4] [x2,x5]",
+            "swap: x3 x1 in x2 x3 x1 x5 x4",
+            "swap: x5 x4 in x2 x5 x4 [x1,x3]",
+            "pull-in: pull x5 into [x1,x3] in x2 x4 x5 [x1,x3]",
+            "swap: x4 x1 in x2 x4 x1 [x3,x5]",
+            "swap: x2 x1 in x2 x1 x4 [x3,x5]",
+            "pull-in: pull x4 into [x1,x2] in x4 [x1,x2] [x3,x5]",
+            "swap: x4 x3 in x2 x4 x3 [x1,x5]",
+            "unnest: [x3,x4][x1,x5] in x2 [x3,x4] [x1,x5]",
+            "swap: x2 x1 in x2 x1 x3 x5 x4",
+            "swap: x5 x4 in x3 x5 x4 [x1,x2]",
+            "pull-in: pull x3 into [x1,x2] in x3 [x1,x2] [x4,x5]",
+            "pull-in: pull x5 into [x1,x2] in x3 x4 x5 [x1,x2]",
+            "swap: x4 x1 in x3 x4 x1 [x2,x5]",
+            "swap: x3 x1 in x3 x1 x4 [x2,x5]",
+            "pull-in: pull x4 into [x1,x3] in x4 [x1,x3] [x2,x5]",
+            "swap: x4 x2 in x3 x4 x2 [x1,x5]",
+            "unnest: [x2,x4][x1,x5] in x3 [x2,x4] [x1,x5]",
+            "swap: x3 x2 in x3 x2 x4 [x1,x5]",
+            "pull-in: pull x4 into [x2,x3] in x4 [x2,x3] [x1,x5]",
+            "swap: x5 x4 in x1 x2 x3 x5 x4",
+            "swap: x3 x1 in x3 x1 x2 x5 x4",
+            "swap: x3 x2 in x1 x3 x2 x5 x4",
+        ],
+        0,
+        [
+            (((2, 3, 4), ((1, 5),)), 1),
+            (((2,), ((1, 4), (3, 5))), 1),
+            (((1, 3, 4), ((2, 5),)), -1),
+            (((1,), ((2, 4), (3, 5))), -1),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("text", sorted(PINNED))
+def test_trace_and_term_order_are_pinned(text):
+    lines, beta, terms = PINNED[text]
+    trace = []
+    (nf,) = normal_form(parse_poly(text, QQ), trace=trace).values()
+    assert trace == lines
+    assert nf.beta == QQ.of(beta)
+    assert list(nf.terms.items()) == [(bm(*key), QQ.of(c)) for key, c in terms]
+
+
 @pytest.mark.parametrize(
     "text, lines",
     [
@@ -253,8 +352,8 @@ def _path_rewrite(initial, F, target, trace=None):
     stack = list(initial)
     while stack:
         (prefix, brackets), c = stack.pop()
-        brackets = tuple(sorted(brackets, key=bracket_sort_key))
-        i = rewriter._first_descent(prefix)
+        brackets = tuple(sorted(brackets, key=lambda rs: rs[::-1]))
+        i = _first_descent(prefix)
         if i is not None:
             a, b = prefix[i], prefix[i + 1]
             if trace is not None:
@@ -277,7 +376,7 @@ def _path_rewrite(initial, F, target, trace=None):
             stack.append(((head + (r1,), ((s1, t_l),) + rest), F.neg(c)))
             continue
         if target >= Status.COMPLETELY_REDUCED:
-            nested = rewriter._first_nested(brackets)
+            nested = _first_nested(brackets)
             if nested is not None:
                 u, v = nested
                 a2, a3 = brackets[u]
