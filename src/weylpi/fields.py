@@ -105,9 +105,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         return Fraction(1) / a if self.p == 0 else pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def add_into(self, terms, pairs):
         """Add each (key, scalar) pair into the dict ``terms`` in place,
         dropping every key whose coefficient becomes zero.  Over F_p a

@@ -9,7 +9,7 @@ vanishes by evaluation at equal arguments, and the alpha_i vanish by
 independence), so the identity space and the ideal coincide there, and
 dim Id = dim F_delta - rank of all n+1 evaluations.
 
-It takes the first of these routes that decides (``ConjectureReport.route``):
+It reports how the verdict was reached (``ConjectureReport.route``):
 
 - ``certified``: under x_k -> a_k*x + b_k*y the image of
   u[x_r1,x_s1]...[x_rk,x_sk] has terms x^i y^j with i + j <= d - 2k, and
@@ -30,15 +30,10 @@ It takes the first of these routes that decides (``ConjectureReport.route``):
   Completely reduced keys always have distinct R (the lemma in
   ``bracket.enumerate_completely_reduced``: R determines the key); a
   repeated or non-reduced key may collide.
-- ``exact``: one exact elimination of the generic evaluations.  If the
-  bracket rows are independent, the report is ``Verified`` as above.
-- ``ideal-span``: otherwise dim Id is compared with the rank of an explicit
-  spanning set of the ideal slice, which is refused (``ResourceLimit``)
-  when the slice has more than ``MAX_EVAL_WORDS`` words.
-- ``witness``: if they differ, the span rows stay in one echelon, and
-  the first dependency among the bracket evaluations (a weak identity)
-  that raises its rank is a witness outside the ideal (``Refuted``); if
-  none does, the report is ``Inconclusive``.
+- ``uncertified``: if the r-multisets collide, which the lemma rules out
+  for completely reduced keys and so would mean a bug, the report is
+  ``Inconclusive`` and claims nothing: ``eval_rank``, ``dim_id`` and
+  ``dim_I`` are None.
 """
 import math
 import time
@@ -50,21 +45,9 @@ from .errors import ResourceLimit
 from .evaluation import _integer_images, substitute_tuple
 from .fields import Field
 from .free_algebra import NCPoly, _multiset_permutations, gamma, generator_at, st3
-from .linalg import Echelon, row_reduce_sparse
-from .parser import format_poly
+from .linalg import row_reduce_sparse
 
 DEFAULT_MAX_DEGREE = 8
-
-# The most words the CLI's ``check`` and ``idbasis`` evaluate, and the most
-# words of a slice whose ideal span ``verify``'s exact route builds; the
-# span and the elimination of ``idbasis`` grow fastest.  On a shared 2-vCPU
-# VM, at this limit: ``check`` evaluates 2520 words of degree 8 in 0.03-0.2 s
-# and of degree 10 in 0.1-0.45 s, random letters slowest (parsing takes
-# 0.15-0.25 s more); the slowest accepted ``idbasis`` slices, (2,1,1,1,1,1)
-# and (2,2,2,2), take 0.7-0.8 s over Q.  Above it, (3,2,1,1,1), 3360 words,
-# takes 0.8 s and (2,2,1,1,1,1), 5040 words, 4.4 s; the span of 1^7, 5040
-# words, takes 34 s over F_2 and 94 s over Q.
-MAX_EVAL_WORDS = 2520
 
 
 def capped(delta, cap):
@@ -160,13 +143,12 @@ class ConjectureReport:
     mdeg: tuple
     field: Field
     n_reduced: int
-    eval_rank: int
+    eval_rank: int  # None when uncertified, as dim_id and dim_I are
     dim_id: int
     dim_I: int
-    verdict: str  # Verified | Refuted | Inconclusive
-    witness: object = None  # expression text or None
+    verdict: str  # Verified | Inconclusive
     elapsed_ms: float = 0.0
-    # how the verdict was reached: certified | exact | ideal-span | witness;
+    # how the verdict was reached: certified | uncertified;
     # not part of to_dict(), whose keys are fixed
     route: str = ""
 
@@ -179,7 +161,7 @@ class ConjectureReport:
             "dim_id": self.dim_id,
             "dim_I": self.dim_I,
             "verdict": self.verdict,
-            "witness": self.witness,
+            "witness": None,  # no route gives a witness; the keys stay fixed
             "elapsed_ms": self.elapsed_ms,
         }
 
@@ -214,55 +196,12 @@ def verify_conjecture(delta, fieldobj=None, max_degree=None):
             delta, fieldobj, n, n, dim_id, dim_id, "Verified", route="certified"
         )
     else:
-        report = _exact_report(delta, fieldobj, keys, pure)
+        # the lemma rules this out, so reaching it is a bug: claim nothing
+        report = ConjectureReport(
+            delta, fieldobj, n, None, None, None, "Inconclusive", route="uncertified"
+        )
     report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return report
-
-
-def _exact_report(delta, fieldobj, keys, pure):
-    """The verdict from exact elimination of the generic evaluations, then
-    the ideal span and the witness search if they are dependent."""
-    n = len(keys)
-    polys = [key.expand(fieldobj) for key in keys]
-    polys.append(NCPoly.monomial(pure, fieldobj, nvars=len(delta)))
-    rows, _, _ = _integer_images(polys)  # coefficients +-1, so den is 1
-    ech = Echelon(fieldobj, want_kernel=True)
-    for row in rows[:n]:
-        ech.add(row)
-    eval_rank, kernel = ech.rank, list(ech.kernel)  # before the pure row adds one
-    ech.add(rows[n])
-    dim_id = space_dimension(delta) - ech.rank
-
-    if eval_rank == n:
-        return ConjectureReport(
-            delta, fieldobj, n, eval_rank, dim_id, dim_id, "Verified", route="exact"
-        )
-    words = space_dimension(delta)
-    if words > MAX_EVAL_WORDS:
-        raise ResourceLimit(f"{words} words to span exceed the limit of {MAX_EVAL_WORDS}")
-    span = Echelon(fieldobj)
-    for row in _ideal_span_rows(delta, fieldobj):
-        span.add(row)
-    dim_I = span.rank
-    if dim_I == dim_id:
-        return ConjectureReport(
-            delta, fieldobj, n, eval_rank, dim_id, dim_I, "Verified", route="ideal-span"
-        )
-    # a dependency g is a weak identity; it lies outside the ideal exactly
-    # when it raises the span's rank, and a failed add leaves the pivots
-    # as they were, so the one span echelon tests every candidate
-    witness = None
-    for vec in kernel:
-        g = fieldobj.add_into(
-            {}, ((w, c * cw) for idx, c in vec.items() for w, cw in polys[idx].terms.items())
-        )
-        if span.add(g):
-            witness = format_poly(NCPoly(fieldobj, len(delta), g))
-            break
-    verdict = "Refuted" if witness is not None else "Inconclusive"
-    return ConjectureReport(
-        delta, fieldobj, n, eval_rank, dim_id, dim_I, verdict, witness, route="witness"
-    )
 
 
 def two_variable_certificate(r, s, fieldobj=None):

@@ -134,14 +134,6 @@ class WeylElement:
     def one(cls, field):
         return cls.basis(0, 0, field)
 
-    @classmethod
-    def poly_in_x(cls, coeffs, field):
-        """sum coeffs[i] x^i with scalar coefficients."""
-        return cls(
-            field,
-            {(i, 0): CommPoly.constant(field, c) for i, c in enumerate(coeffs)},
-        )
-
     def is_zero(self):
         return not self.terms
 

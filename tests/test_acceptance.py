@@ -280,7 +280,7 @@ def test_criterion_10_degree_six_frontier(tmp_path):
                     "dim_I", "verdict", "witness", "elapsed_ms",
                 }
                 assert rep["field"] == "q"
-                assert rep["verdict"] in ("Verified", "Refuted", "Inconclusive")
+                assert rep["verdict"] in ("Verified", "Inconclusive")
                 assert sum(rep["mdeg"]) == 6
                 assert 0 <= rep["eval_rank"] <= rep["n_reduced"]
                 if rep["dim_I"] is not None:
@@ -306,11 +306,9 @@ def test_criterion_11_degree_nine_certified():
 
 def test_criterion_12_degree_six_exact_cross_check():
     # the check that goes through neither the rewriter nor the certificate:
-    # the exact identity space and the exact ideal span; 2.2 s here
-    with _Timer("criterion 12: identity basis = ideal span = dim_id at degree 6 but 1^6", 8.0):
+    # the exact identity space and the exact ideal span; 1.1 s here
+    with _Timer("criterion 12: identity basis = ideal span = dim_id at degree 6", 8.0):
         for delta in degree_multidegrees(6):
-            if delta == (1,) * 6:
-                continue
             dim_id = verify_conjecture(delta, QQ).dim_id
             assert len(identity_basis(delta, QQ)) == ideal_span_dimension(delta, QQ) == dim_id, delta
 

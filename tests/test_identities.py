@@ -1,8 +1,9 @@
+import json
 from itertools import combinations, product
 
 import pytest
 
-from weylpi.bracket import BracketMonomial, enumerate_completely_reduced
+from weylpi.bracket import enumerate_completely_reduced
 from weylpi.errors import ResourceLimit
 from weylpi.evaluation import (
     eval_vector,
@@ -31,7 +32,6 @@ from weylpi.identities import (
     words_of_multidegree,
 )
 from weylpi.linalg import Echelon, row_reduce_sparse
-from weylpi.parser import parse_poly
 from weylpi.rewriter import normal_form
 from weylpi.weyl import WeylElement
 
@@ -241,151 +241,53 @@ def test_verify_dimensions_match_basis_route():
         assert r.dim_I == ideal_span_dimension(delta, QQ)
 
 
-@pytest.mark.parametrize("field", [QQ, Field.prime(2)])
+@pytest.mark.parametrize("field", [QQ, Field.prime(2), Field.prime(3), Field.prime(32003)])
 def test_one_elimination_matches_separate_ranks(field):
-    for n in range(1, 6):
+    # the certified report against the exact elimination of the generic
+    # evaluations, done here without the certificate
+    degree = 7 if field.p == 0 else 6
+    for n in range(1, degree + 1):
         for delta in degree_multidegrees(n):
             reduced = enumerate_completely_reduced(delta)
             rows = eval_vectors([b.expand(field) for b in reduced], field)
             pure = NCPoly.monomial(words_of_multidegree(delta)[0], field, nvars=len(delta))
             rank_full, _ = row_reduce_sparse(rows + [eval_vector(pure)], field)
             r = verify_conjecture(delta, field)
-            assert r.eval_rank == row_reduce_sparse(rows, field)[0]
-            assert r.dim_id == space_dimension(delta) - rank_full
+            assert (r.verdict, r.route) == ("Verified", "certified"), delta
+            assert r.eval_rank == r.n_reduced == row_reduce_sparse(rows, field)[0], delta
+            assert r.dim_I == r.dim_id == space_dimension(delta) - rank_full, delta
 
 
-def test_verify_falls_back_to_the_ideal_span(monkeypatch):
-    # a repeated monomial makes the evaluations dependent, so the shortcut
-    # cannot fire and the ideal span has to decide
-    from weylpi import identities
-
-    real = identities.enumerate_completely_reduced
-    monkeypatch.setattr(
-        identities, "enumerate_completely_reduced", lambda d: real(d) + real(d)[:1]
-    )
-    r = verify_conjecture((2, 1, 1), QQ)
-    assert r.verdict == "Verified"
-    assert (r.n_reduced, r.eval_rank) == (4, 3)
-    assert r.dim_id == r.dim_I == 8
-    assert r.witness is None
-    assert r.route == "ideal-span"
-
-
-def test_exact_route_refuses_a_span_above_the_word_limit(monkeypatch, capsys):
-    # with a repeated key the exact stage finds a dependency at 1^7, and the
-    # ideal span over its 7! = 5040 words is refused before it is built
+def test_verify_is_uncertified_when_a_key_repeats(monkeypatch, capsys, tmp_path):
+    # a repeated key repeats its r-multiset, so the certificate itself
+    # refuses, and the report claims nothing
     from weylpi import cli, identities
 
     real = identities.enumerate_completely_reduced
     monkeypatch.setattr(
         identities, "enumerate_completely_reduced", lambda d: real(d) + real(d)[:1]
     )
-    monkeypatch.setattr(identities, "_ideal_span_rows", None)  # never reached
     monkeypatch.delenv("WEYLPI_MAX_DEGREE", raising=False)
-    assert space_dimension((1,) * 7) > identities.MAX_EVAL_WORDS
-    with pytest.raises(ResourceLimit):
-        verify_conjecture((1,) * 7, QQ)
-    assert cli.main(["verify", "--mdeg", "1,1,1,1,1,1,1"]) == 3
+    r = verify_conjecture((2, 1, 1), QQ)
+    assert (r.verdict, r.route) == ("Inconclusive", "uncertified")
+    assert (r.n_reduced, r.eval_rank, r.dim_id, r.dim_I) == (4, None, None, None)
+
+    assert cli.main(["verify", "--mdeg", "2,1,1"]) == 1
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("resource limit: ") and len(err.splitlines()) == 1
-
-
-@pytest.mark.parametrize("field", [QQ, Field.prime(2), Field.prime(3)])
-def test_verify_refutes_outside_the_gamma3_span(monkeypatch, field):
-    # without the St_3 rows the span is the Gamma_3 slice alone, and the
-    # dependency x3[x1,x2] adds is St_3 modulo it: a weak identity outside
-    from weylpi import identities
-
-    real = identities.enumerate_completely_reduced
-    extra = BracketMonomial((3,), ((1, 2),))
-    monkeypatch.setattr(identities, "enumerate_completely_reduced", lambda d: real(d) + [extra])
-    monkeypatch.setattr(identities, "st3", lambda f: NCPoly.zero(f, 3))
-    r = verify_conjecture((1, 1, 1), field)
-    assert r.verdict == "Refuted"
-    assert (r.n_reduced, r.eval_rank, r.dim_id, r.dim_I) == (3, 2, 3, 2)
-    assert r.route == "witness"
-    g = parse_poly(r.witness, field)
-    assert not g.is_zero() and is_weak_identity(g)
-    gamma_rows = identities._ideal_span_rows((1, 1, 1), field)  # St_3 rows are empty
-    assert row_reduce_sparse(gamma_rows + [g.terms], field)[0] == r.dim_I + 1
-
-
-@pytest.mark.parametrize(
-    "extra, span_rows, dim_I",
-    [
-        # a repeated monomial gives the zero dependency, which adds no rank
-        # even to an empty span
-        ("repeat", lambda f: [], 0),
-        # x3[x1,x2] gives the dependency St_3, which lies in a span of St_3
-        (BracketMonomial((3,), ((1, 2),)), lambda f: [st3(f).terms], 1),
-    ],
-    ids=["repeated-key", "st3-span"],
-)
-def test_verify_is_inconclusive_when_no_dependency_leaves_the_span(
-    monkeypatch, extra, span_rows, dim_I
-):
-    from weylpi import identities
-
-    real = identities.enumerate_completely_reduced
-    monkeypatch.setattr(
-        identities,
-        "enumerate_completely_reduced",
-        lambda d: real(d) + (real(d)[:1] if extra == "repeat" else [extra]),
-    )
-    monkeypatch.setattr(identities, "_ideal_span_rows", lambda d, f: span_rows(f))
-    r = verify_conjecture((1, 1, 1), QQ)
-    assert r.verdict == "Inconclusive"
-    assert (r.n_reduced, r.eval_rank, r.dim_id, r.dim_I) == (3, 2, 3, dim_I)
-    assert r.witness is None
-    assert r.route == "witness"
-
-
-@pytest.mark.parametrize("field", [QQ, Field.prime(2)])
-def test_fallback_does_not_consult_the_rewriter(monkeypatch, field):
-    from weylpi import identities, rewriter
-
-    real = identities.enumerate_completely_reduced
-    monkeypatch.setattr(
-        identities, "enumerate_completely_reduced", lambda d: real(d) + real(d)[:1]
-    )
-    deltas = [d for n in range(1, 6) for d in degree_multidegrees(n)]
-
-    def reports():
-        out = [verify_conjecture(d, field) for d in deltas]
-        return [(_without_time(r), r.route) for r in out]
-
-    unpatched = reports()
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the fallback called normal_form")
-
-    monkeypatch.setattr(rewriter, "normal_form", refuse)
-    assert reports() == unpatched
-
-
-def _without_time(report):
-    d = report.to_dict()
-    del d["elapsed_ms"]
-    return d
-
-
-@pytest.mark.parametrize(
-    "field, degree",
-    [(QQ, 7), (Field.prime(2), 6), (Field.prime(3), 6), (Field.prime(32003), 6)],
-)
-def test_certified_reports_equal_exact_reports(monkeypatch, field, degree):
-    # with the certificate refused, every multidegree falls back to the
-    # exact elimination, which must give the same report field for field
-    from weylpi import identities
-
-    deltas = [d for n in range(1, degree + 1) for d in degree_multidegrees(n)]
-    fast = [verify_conjecture(d, field) for d in deltas]
-    monkeypatch.setattr(identities, "_full_rank", lambda monomials: False)
-    exact = [verify_conjecture(d, field) for d in deltas]
-    assert {r.route for r in exact} == {"exact"}
-    assert [_without_time(r) for r in fast] == [_without_time(r) for r in exact]
-    assert {r.route for r in fast} == {"certified"}
+    assert out.splitlines() == [
+        "mdeg=(2,1,1) verdict=Inconclusive n_reduced=4 eval_rank=None dim_id=None dim_I=None",
+        "summary: 0/1 Verified",
+    ]
+    assert err == ""
+    path = tmp_path / "report.json"
+    assert cli.main(["verify", "--mdeg", "2,1,1", "--json", str(path)]) == 1
+    assert capsys.readouterr().out == out
+    (rep,) = json.loads(path.read_text())["reports"]
+    assert isinstance(rep.pop("elapsed_ms"), float)
+    assert rep == {
+        "mdeg": [2, 1, 1], "field": "q", "n_reduced": 4, "eval_rank": None,
+        "dim_id": None, "dim_I": None, "verdict": "Inconclusive", "witness": None,
+    }
 
 
 def test_full_rank_certificate_checks_every_bracket_count_block():
