@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
-from weylpi.bracket import enumerate_completely_reduced
+from weylpi.bracket import BracketMonomial, enumerate_completely_reduced
 from weylpi.errors import ResourceLimit
 from weylpi.evaluation import (
     eval_vector,
@@ -241,32 +241,94 @@ def test_verify_dimensions_match_basis_route():
         assert r.dim_I == ideal_span_dimension(delta, QQ)
 
 
-@pytest.mark.parametrize("field", [QQ, Field.prime(2), Field.prime(3), Field.prime(32003)])
+def _eliminated_ranks(delta, field):
+    # the ranks of the generic evaluations of the reduced keys, without and
+    # with the pure word, by exact elimination here, without the certificate
+    reduced = enumerate_completely_reduced(delta)
+    rows = eval_vectors([b.expand(field) for b in reduced], field)
+    pure = NCPoly.monomial(words_of_multidegree(delta)[0], field, nvars=len(delta))
+    rank_full, _ = row_reduce_sparse(rows + [eval_vector(pure)], field)
+    return row_reduce_sparse(rows, field)[0], rank_full
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(2)])
 def test_one_elimination_matches_separate_ranks(field):
-    # the certified report against the exact elimination of the generic
-    # evaluations, done here without the certificate
-    degree = 7 if field.p == 0 else 6
+    for n in range(1, 6):
+        for delta in degree_multidegrees(n):
+            rank_rows, rank_full = _eliminated_ranks(delta, field)
+            r = verify_conjecture(delta, field)
+            assert r.eval_rank == rank_rows, delta
+            assert r.dim_id == space_dimension(delta) - rank_full, delta
+
+
+@pytest.mark.parametrize(
+    "field, degree",
+    [(QQ, 7), (Field.prime(2), 6), (Field.prime(3), 6), (Field.prime(32003), 6)],
+)
+def test_certified_reports_equal_exact_reports(field, degree):
+    # every certified report, field for field, against the report the
+    # exact ranks give: Verified when the reduced keys are independent and
+    # the pure word adds one to their rank
     for n in range(1, degree + 1):
         for delta in degree_multidegrees(n):
-            reduced = enumerate_completely_reduced(delta)
-            rows = eval_vectors([b.expand(field) for b in reduced], field)
-            pure = NCPoly.monomial(words_of_multidegree(delta)[0], field, nvars=len(delta))
-            rank_full, _ = row_reduce_sparse(rows + [eval_vector(pure)], field)
+            rank_rows, rank_full = _eliminated_ranks(delta, field)
+            n_reduced = len(enumerate_completely_reduced(delta))
+            assert rank_rows == n_reduced and rank_full == n_reduced + 1, delta
+            dim_id = space_dimension(delta) - rank_full
+            spec = "q" if field.p == 0 else f"fp:{field.p}"
             r = verify_conjecture(delta, field)
-            assert (r.verdict, r.route) == ("Verified", "certified"), delta
-            assert r.eval_rank == r.n_reduced == row_reduce_sparse(rows, field)[0], delta
-            assert r.dim_I == r.dim_id == space_dimension(delta) - rank_full, delta
+            assert r.route == "certified", delta
+            assert _without_time(r) == {
+                "mdeg": list(delta), "field": spec, "n_reduced": n_reduced,
+                "eval_rank": rank_rows, "dim_id": dim_id, "dim_I": dim_id,
+                "verdict": "Verified", "witness": None,
+            }, delta
+
+
+def _without_time(report):
+    d = report.to_dict()
+    del d["elapsed_ms"]
+    return d
+
+
+def _with_extra_key(monkeypatch, extra):
+    from weylpi import identities
+
+    real = identities.enumerate_completely_reduced
+    monkeypatch.setattr(
+        identities,
+        "enumerate_completely_reduced",
+        lambda d: real(d) + (real(d)[:1] if extra == "repeat" else [extra]),
+    )
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        # a repeated key gives the zero dependency
+        "repeat",
+        # x3[x1,x2] gives the dependency St_3, an identity of the ideal,
+        # but it shares its r-multiset {1} with x2[x1,x3]
+        BracketMonomial((3,), ((1, 2),)),
+    ],
+    ids=["repeated-key", "st3-span"],
+)
+def test_verify_is_inconclusive_when_no_dependency_leaves_the_span(monkeypatch, extra):
+    # the dependency lies in the ideal, but the certificate refuses, and
+    # verify claims nothing rather than search for it
+    _with_extra_key(monkeypatch, extra)
+    r = verify_conjecture((1, 1, 1), QQ)
+    assert (r.verdict, r.route) == ("Inconclusive", "uncertified")
+    assert (r.n_reduced, r.eval_rank, r.dim_id, r.dim_I) == (3, None, None, None)
+    assert _without_time(r)["witness"] is None
 
 
 def test_verify_is_uncertified_when_a_key_repeats(monkeypatch, capsys, tmp_path):
     # a repeated key repeats its r-multiset, so the certificate itself
     # refuses, and the report claims nothing
-    from weylpi import cli, identities
+    from weylpi import cli
 
-    real = identities.enumerate_completely_reduced
-    monkeypatch.setattr(
-        identities, "enumerate_completely_reduced", lambda d: real(d) + real(d)[:1]
-    )
+    _with_extra_key(monkeypatch, "repeat")
     monkeypatch.delenv("WEYLPI_MAX_DEGREE", raising=False)
     r = verify_conjecture((2, 1, 1), QQ)
     assert (r.verdict, r.route) == ("Inconclusive", "uncertified")
@@ -288,6 +350,30 @@ def test_verify_is_uncertified_when_a_key_repeats(monkeypatch, capsys, tmp_path)
         "mdeg": [2, 1, 1], "field": "q", "n_reduced": 4, "eval_rank": None,
         "dim_id": None, "dim_I": None, "verdict": "Inconclusive", "witness": None,
     }
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(2)])
+def test_fallback_does_not_consult_the_rewriter(monkeypatch, field):
+    # neither the certified route nor the uncertified guard calls normal_form
+    from weylpi import identities, rewriter
+
+    real = identities.enumerate_completely_reduced
+    deltas = [d for n in range(1, 6) for d in degree_multidegrees(n)]
+
+    def reports():
+        out = []
+        for keys in (real, lambda d: real(d) + real(d)[:1]):
+            monkeypatch.setattr(identities, "enumerate_completely_reduced", keys)
+            out += [verify_conjecture(d, field) for d in deltas]
+        return [(_without_time(r), r.route) for r in out]
+
+    unpatched = reports()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify called normal_form")
+
+    monkeypatch.setattr(rewriter, "normal_form", refuse)
+    assert reports() == unpatched
 
 
 def test_full_rank_certificate_checks_every_bracket_count_block():
