@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 negative verdict, 2 parse/usage error,
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -14,14 +15,7 @@ from .bracket import enumerate_completely_reduced
 from .errors import ParseError, ResourceLimit, UsageError
 from .evaluation import is_weak_identity
 from .fields import Field
-from .identities import (
-    DEFAULT_MAX_DEGREE,
-    capped,
-    degree_multidegrees,
-    identity_basis,
-    space_dimension,
-    verify_conjecture,
-)
+from .identities import degree_multidegrees, identity_basis, space_dimension, verify_conjecture
 from .parser import format_poly, parse_poly
 from .rewriter import normal_form
 
@@ -34,10 +28,21 @@ from .rewriter import normal_form
 # words, takes 1.1 s and (2,2,1,1,1,1), 10080 words, 6.0 s.
 MAX_EVAL_WORDS = 2520
 
+# The total-degree cap; ``WEYLPI_MAX_DEGREE`` overrides it.  The library
+# applies none, but ``parse_poly`` takes it as ``max_degree``.
+DEFAULT_MAX_DEGREE = 8
+
 
 def _cap_words(count):
     if count > MAX_EVAL_WORDS:
         raise ResourceLimit(f"{count} words to evaluate exceed the limit of {MAX_EVAL_WORDS}")
+
+
+def _capped(delta, cap):
+    """``delta``, or ``ResourceLimit`` if its total degree exceeds ``cap``."""
+    if sum(delta) > cap:
+        raise ResourceLimit(f"total degree {sum(delta)} exceeds cap {cap}")
+    return delta
 
 
 def _max_degree():
@@ -45,15 +50,11 @@ def _max_degree():
     if not raw:
         return DEFAULT_MAX_DEGREE
     try:
-        if (cap := int(raw)) >= 0:
+        if raw.isascii() and (cap := int(raw)) >= 0:
             return cap
     except ValueError:
         pass
     raise UsageError(f"WEYLPI_MAX_DEGREE must be a non-negative integer, got {raw!r}")
-
-
-def _unwritable(path, exc):
-    return UsageError(f"cannot write {path}: {exc.strerror}")
 
 
 def _field(text):
@@ -72,13 +73,11 @@ def _parse_expr(args):
 
 
 def _parse_mdeg(text):
-    try:
-        delta = tuple(int(part) for part in text.split(","))
-    except ValueError:
+    parts = [part.strip() for part in text.split(",")]
+    # int() alone would also take a sign, underscores and non-ASCII digits
+    if not all(part.isascii() and part.isdigit() for part in parts):
         raise ParseError(f"malformed multidegree {text!r}", 0)
-    if not delta or any(d < 0 for d in delta):
-        raise ParseError(f"malformed multidegree {text!r}", 0)
-    return delta
+    return tuple(int(part) for part in parts)
 
 
 def cmd_normalize(args):
@@ -126,7 +125,7 @@ def cmd_check(args):
 
 
 def cmd_enumerate(args):
-    delta = capped(_parse_mdeg(args.mdeg), _max_degree())
+    delta = _capped(_parse_mdeg(args.mdeg), _max_degree())
     monos = enumerate_completely_reduced(delta)
     for mono in monos:
         print(mono.format())
@@ -136,7 +135,7 @@ def cmd_enumerate(args):
 
 def cmd_idbasis(args):
     fieldobj = _field(args.field)
-    delta = capped(_parse_mdeg(args.mdeg), _max_degree())
+    delta = _capped(_parse_mdeg(args.mdeg), _max_degree())
     _cap_words(space_dimension(delta))
     for f in identity_basis(delta, fieldobj):
         print(format_poly(f))
@@ -147,30 +146,22 @@ def cmd_verify(args):
     fieldobj = _field(args.field)
     cap = _max_degree()
     if args.mdeg is not None:
-        deltas = [capped(_parse_mdeg(args.mdeg), cap)]
+        deltas = [_capped(_parse_mdeg(args.mdeg), cap)]
     elif args.degree < 0:
         raise UsageError(f"--degree must be non-negative, got {args.degree}")
     else:
-        capped((args.degree,), cap)  # before the partitions are listed
+        _capped((args.degree,), cap)  # before the partitions are listed
         deltas = degree_multidegrees(args.degree)
-    # opened before the sweep, so that an unwritable path fails at once
+    # opened before the sweep, so that an unwritable path fails at once;
+    # a full device may fail the write or the close
     try:
-        fh = open(args.json, "w") if args.json else None
-    except OSError as exc:
-        raise _unwritable(args.json, exc) from None
-    try:
-        reports = [verify_conjecture(d, fieldobj, max_degree=cap).to_dict() for d in deltas]
-    except BaseException:
-        if fh:
-            fh.close()
-        raise
-    if fh:
-        try:
-            with fh:  # a full device may fail the write or the close
+        with open(args.json, "w") if args.json else contextlib.nullcontext() as fh:
+            reports = [verify_conjecture(d, fieldobj).to_dict() for d in deltas]
+            if fh:
                 json.dump({"reports": reports}, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-        except OSError as exc:
-            raise _unwritable(args.json, exc) from None
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.json}: {exc.strerror}") from None
     for rep in reports:
         print(
             "mdeg=({}) verdict={} n_reduced={} eval_rank={} dim_id={} dim_I={}".format(

@@ -73,7 +73,7 @@ class Field:
         text = text.strip().lower()
         if text == "q":
             return cls(0)
-        if text.startswith("fp:") and text[3:].isdecimal():
+        if text.startswith("fp:") and text[3:].isascii() and text[3:].isdecimal():
             return cls.prime(int(text[3:]))
         raise ValueError(f"unknown field spec {text!r}; expected 'q' or 'fp:P'")
 

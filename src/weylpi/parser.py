@@ -26,10 +26,10 @@ _MAX_CONSTANT_BITS = 1 << 16
 # degree cap, products bounded above this many terms are refused.
 _MAX_PRODUCT_TERMS = 10**5
 
-_TOKEN = re.compile(r"x\d+|\d+|[+\-*^()\[\],/]")
+_TOKEN = re.compile(r"x\d+|\d+|[+\-*^()\[\],/]", re.ASCII)
 # the first character that starts no token: an x with no digit after it, or
-# any character that is not a space, a digit or an operator
-_BAD = re.compile(r"x(?!\d)|[^\s\dx+\-*^()\[\],/]")
+# any character that is not an ASCII space, an ASCII digit or an operator
+_BAD = re.compile(r"x(?!\d)|[^\s\dx+\-*^()\[\],/]", re.ASCII)
 
 
 def _tokenize(text):

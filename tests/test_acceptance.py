@@ -300,7 +300,7 @@ def test_criterion_10_degree_six_frontier(tmp_path):
 def test_criterion_11_degree_nine_certified():
     with _Timer("criterion 11: every partition of 9 certified over Q", 10.0):
         for delta in degree_multidegrees(9):
-            r = verify_conjecture(delta, QQ, max_degree=9)
+            r = verify_conjecture(delta, QQ)
             assert (r.verdict, r.route) == ("Verified", "certified"), delta
 
 
@@ -316,7 +316,7 @@ def test_criterion_12_degree_six_exact_cross_check():
 def test_criterion_13_degree_ten_certified():
     with _Timer("criterion 13: every partition of 10 certified over Q", 10.0):
         for delta in degree_multidegrees(10):
-            r = verify_conjecture(delta, QQ, max_degree=10)
+            r = verify_conjecture(delta, QQ)
             assert (r.verdict, r.route) == ("Verified", "certified"), delta
 
 
@@ -324,7 +324,7 @@ def test_criterion_14_small_fields_certified():
     with _Timer("criterion 14: every partition certified over F2 to 10, F2/F3/F5 to 8", 10.0):
         F2 = Field.prime(2)
         for delta in degree_multidegrees(9) + degree_multidegrees(10):
-            r = verify_conjecture(delta, F2, max_degree=10)
+            r = verify_conjecture(delta, F2)
             assert (r.verdict, r.route) == ("Verified", "certified"), delta
         for field in (F2, F3, F5):
             for n in range(1, 9):
@@ -337,5 +337,5 @@ def test_criterion_15_degrees_eleven_and_twelve_certified():
     with _Timer("criterion 15: every partition of 11 and 12 certified over Q and F2", 10.0):
         for field in (QQ, Field.prime(2)):
             for delta in degree_multidegrees(11) + degree_multidegrees(12):
-                r = verify_conjecture(delta, field, max_degree=12)
+                r = verify_conjecture(delta, field)
                 assert (r.verdict, r.route) == ("Verified", "certified"), (field, delta)

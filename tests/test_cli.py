@@ -101,6 +101,10 @@ def test_parse_error_exit_code():
         (("--expr", "1/0"), "not invertible"),
         (("--field", "fp:5", "--expr", "3/5"), "not invertible"),
         (("--expr", "1/x1"), "expected denominator"),
+        # only ASCII digits: \d and int() would also read Arabic-Indic ones
+        (("--expr", "x\u0662*x\u0661"), "unexpected character"),
+        (("--expr", "x1 +\u00a0x2"), "unexpected character"),
+        (("--field", "fp:\u0663", "--expr", "x1"), "unknown field spec"),
     ):
         r = run("check", *args)
         assert r.returncode == 2, args
@@ -379,11 +383,17 @@ def test_usage_errors_exit_two():
         (("verify", "--mdeg="), None),
         (("check", "--expr=--"), None),
         (("normalize", "--expr=--"), None),
+        (("verify", "--mdeg", "\u0661,\u0661"), None),
+        (("verify", "--mdeg", "+1,1"), None),
+        (("verify", "--degree", "0"), {"WEYLPI_MAX_DEGREE": "\u0669"}),
     ):
         r = run(*args, env_extra=env)
         assert r.returncode == 2, args
         assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
         assert "Traceback" not in r.stderr
+    # the cap is read before --degree is checked
+    r = run("verify", "--degree", "-3", env_extra={"WEYLPI_MAX_DEGREE": "abc"})
+    assert r.stderr == "error: WEYLPI_MAX_DEGREE must be a non-negative integer, got 'abc'\n"
 
 
 def test_large_prime_fields_are_decided_exactly():

@@ -4,7 +4,6 @@ from itertools import combinations, product
 import pytest
 
 from weylpi.bracket import BracketMonomial, enumerate_completely_reduced
-from weylpi.errors import ResourceLimit
 from weylpi.evaluation import (
     eval_vector,
     eval_vectors,
@@ -398,10 +397,16 @@ def test_full_rank_certificate_checks_every_bracket_count_block():
     assert not identities._full_rank(keys + [((), ((2, 3), (1, 4)))])
 
 
-def test_verify_respects_degree_cap():
-    with pytest.raises(ResourceLimit):
-        verify_conjecture((5, 4), QQ, max_degree=8)
-    verify_conjecture((2, 1), QQ, max_degree=3)  # at the cap is fine
+def test_verify_respects_degree_cap(monkeypatch, capsys):
+    # the library applies no cap; the CLI refuses above its own
+    from weylpi import cli
+
+    assert verify_conjecture((5, 4), QQ).verdict == "Verified"
+    monkeypatch.setenv("WEYLPI_MAX_DEGREE", "8")
+    assert cli.main(["verify", "--mdeg", "5,4"]) == 3
+    assert capsys.readouterr().err == "resource limit: total degree 9 exceeds cap 8\n"
+    monkeypatch.setenv("WEYLPI_MAX_DEGREE", "3")
+    assert cli.main(["verify", "--mdeg", "2,1"]) == 0  # at the cap is fine
 
 
 def test_two_variable_certificate_values():
