@@ -15,11 +15,10 @@ from .identities import (
 )
 from .parser import format_poly, parse_poly
 from .rewriter import NormalForm, normal_form, semi_reduce
-from .weyl import CommPoly, WeylElement, commutator_with_y, is_central
+from .weyl import WeylElement, commutator_with_y, is_central
 
 __all__ = [
     "BracketMonomial",
-    "CommPoly",
     "ConjectureReport",
     "Field",
     "NCPoly",

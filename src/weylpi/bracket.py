@@ -17,7 +17,7 @@ condition occur (the lemma proved in ``enumerate_completely_reduced``).
 import enum
 from collections import namedtuple
 
-from .free_algebra import NCPoly
+from .free_algebra import NCPoly, word_mdeg
 
 
 class Status(enum.IntEnum):
@@ -86,12 +86,7 @@ class BracketMonomial(namedtuple("BracketMonomial", "prefix brackets")):
 
     def mdeg(self, nvars=None):
         letters = self.letters()
-        if nvars is None:
-            nvars = max(letters)
-        counts = [0] * nvars
-        for l in letters:
-            counts[l - 1] += 1
-        return tuple(counts)
+        return word_mdeg(letters, max(letters) if nvars is None else nvars)
 
     def status(self):
         t, br = self.prefix, self.brackets

@@ -45,16 +45,23 @@ def _capped(delta, cap):
     return delta
 
 
+def _natural(text):
+    """The value of ``text`` if it is ASCII digits, with whitespace around
+    them allowed, at most 4300 of them (``int``'s default limit); else None."""
+    digits = text.strip()
+    if text.isascii() and digits.isdigit() and len(digits) <= 4300:
+        return int(digits)
+    return None
+
+
 def _max_degree():
     raw = os.environ.get("WEYLPI_MAX_DEGREE")
     if not raw:
         return DEFAULT_MAX_DEGREE
-    try:
-        if raw.isascii() and (cap := int(raw)) >= 0:
-            return cap
-    except ValueError:
-        pass
-    raise UsageError(f"WEYLPI_MAX_DEGREE must be a non-negative integer, got {raw!r}")
+    cap = _natural(raw)
+    if cap is None:
+        raise UsageError(f"WEYLPI_MAX_DEGREE must be a non-negative integer, got {raw!r}")
+    return cap
 
 
 def _field(text):
@@ -73,11 +80,10 @@ def _parse_expr(args):
 
 
 def _parse_mdeg(text):
-    parts = [part.strip() for part in text.split(",")]
-    # int() alone would also take a sign, underscores and non-ASCII digits
-    if not all(part.isascii() and part.isdigit() for part in parts):
+    parts = tuple(_natural(part) for part in text.split(","))
+    if None in parts:
         raise ParseError(f"malformed multidegree {text!r}", 0)
-    return tuple(int(part) for part in parts)
+    return parts
 
 
 def cmd_normalize(args):
@@ -147,11 +153,11 @@ def cmd_verify(args):
     cap = _max_degree()
     if args.mdeg is not None:
         deltas = [_capped(_parse_mdeg(args.mdeg), cap)]
-    elif args.degree < 0:
-        raise UsageError(f"--degree must be non-negative, got {args.degree}")
+    elif (degree := _natural(args.degree)) is None:
+        raise UsageError(f"--degree must be a non-negative integer, got {args.degree!r}")
     else:
-        _capped((args.degree,), cap)  # before the partitions are listed
-        deltas = degree_multidegrees(args.degree)
+        _capped((degree,), cap)  # before the partitions are listed
+        deltas = degree_multidegrees(degree)
     # opened before the sweep, so that an unwritable path fails at once;
     # a full device may fail the write or the close
     try:
@@ -206,7 +212,7 @@ def build_parser():
     p = sub.add_parser("verify", help="conjecture verification per multidegree")
     p.add_argument("--field", default="q")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--degree", type=int)
+    group.add_argument("--degree")
     group.add_argument("--mdeg")
     p.add_argument("--json")
     p.set_defaults(func=cmd_verify)

@@ -6,10 +6,11 @@ parameters, which is exact over an infinite field of the configured
 characteristic: the parameter-monomial coefficients of the result are
 precisely the evaluations of all partial linearizations at tuples from
 {x, y}.  ``generic_substitution``, the reference oracle, computes it in
-``WeylElement`` arithmetic; the integer kernel computes it modulo the left
-ideal A1*y, spanned by the x^i y^j with j >= 1.  In A1/A1*y = F[x], y acts
-as d/dx (Dixmier, *Enveloping Algebras*, ch. 4), and
-(a*x + b*y) * x^i = a x^(i+1) + i b x^(i-1).
+``WeylElement`` arithmetic, as a flat dict (i, j, exps) -> scalar for the
+terms x^i y^j a1^e1 b1^e2 a2^e3 ...; the integer kernel computes it modulo
+the left ideal A1*y, spanned by the x^i y^j with j >= 1.  In
+A1/A1*y = F[x], y acts as d/dx (Dixmier, *Enveloping Algebras*, ch. 4),
+and (a*x + b*y) * x^i = a x^(i+1) + i b x^(i-1).
 
 Lemma.  Let K = F(a, b) and U = f(a_k*x + b_k*y) in A1(K).  If U is in
 A1(K)*y, then U = 0.  Proof: for t in K, phi_t: x -> x, y -> y + t*x is an
@@ -35,14 +36,15 @@ enters the field once per output coordinate.
 from math import lcm
 
 from .errors import ArityMismatch
-from .weyl import CommPoly, WeylElement
+from .weyl import WeylElement
 
 
 def letter_image(k, field):
-    """The generic image a_k*x + b_k*y of the k-th variable."""
-    a = CommPoly.parameter(field, 2 * (k - 1))
-    b = CommPoly.parameter(field, 2 * (k - 1) + 1)
-    return WeylElement(field, {(1, 0): a, (0, 1): b})
+    """The generic image a_k*x + b_k*y of the k-th variable: a_k and b_k
+    are the parameters at exponent indices 2k-2 and 2k-1."""
+    a_k = (0,) * (2 * k - 2) + (1,)
+    b_k = (0,) * (2 * k - 1) + (1,)
+    return WeylElement(field, {(1, 0, a_k): field.one, (0, 1, b_k): field.one})
 
 
 def _substitute(f, images):
@@ -164,7 +166,7 @@ def eval_vectors(polys, field):
     """Sparse coordinates of the generic substitution of each polynomial
     modulo A1*y: one dict per polynomial mapping (i, exps) to a nonzero
     scalar, where exps is the trimmed exponent tuple of (a1, b1, a2, ...),
-    exactly the coefficients of the terms x^i y^0 of ``generic_substitution``.
+    exactly the terms (i, 0, exps) of ``generic_substitution``.
     """
     images, dens, unpack = _integer_images(polys)
     coords = {}

@@ -43,7 +43,7 @@ from itertools import combinations, product
 from .bracket import enumerate_completely_reduced
 from .evaluation import _integer_images, substitute_tuple
 from .fields import Field
-from .free_algebra import NCPoly, _multiset_permutations, gamma, generator_at, st3
+from .free_algebra import NCPoly, _multiset_permutations, gamma, generator_at, st3, word_mdeg
 from .linalg import row_reduce_sparse
 
 
@@ -109,7 +109,7 @@ def _ideal_span_rows(delta, fieldobj):
     rows = []
     for g, tuples in generators:
         for idxs in tuples:
-            mu = [idxs.count(i + 1) for i in range(m)]
+            mu = word_mdeg(idxs, m)
             if any(mu[i] > delta[i] for i in range(m)):
                 continue
             sub = generator_at(g, idxs).terms

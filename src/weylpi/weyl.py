@@ -1,9 +1,10 @@
 """Exact arithmetic in the Weyl algebra A1 = F<x,y>/(yx - xy - 1).
 
-Elements are stored in the normal-ordered basis x^i y^j.  Coefficients are
-always commutative polynomials (``CommPoly``) in the substitution
-parameters a1, b1, a2, b2, ...; scalar-only computations use constant
-CommPolys so there is a single code path.
+An element is one flat dict: the key (i, j, exps) stands for x^i y^j times
+the parameter monomial a1^e1 b1^e2 a2^e3 ... of the substitution parameters,
+with exps trimmed of trailing zeros (the ``exps`` of
+``evaluation.eval_vectors``), and its value is a nonzero scalar.  A scalar
+element uses exps = ().
 
 Products use the closed normal-ordering formula y^j x^i = sum_k k! C(i,k)
 C(j,k) x^(i-k) y^(j-k), k = 0..min(i,j) (Dixmier, *Enveloping Algebras*,
@@ -24,103 +25,24 @@ def _trim(exps):
     return exps
 
 
-class CommPoly:
-    """Commutative polynomial in the formal substitution parameters."""
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field, terms=None):
-        self.field = field
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                if not field.is_zero(c):
-                    self.terms[_trim(e)] = c
-
-    @classmethod
-    def constant(cls, field, scalar):
-        return cls(field, {(): scalar})
-
-    @classmethod
-    def parameter(cls, field, index):
-        e = [0] * (index + 1)
-        e[index] = 1
-        return cls(field, {tuple(e): field.one})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        check_same_field(self.field, other.field)
-        F = self.field
-        return CommPoly(F, F.add_into(dict(self.terms), other.terms.items()))
-
-    def __neg__(self):
-        F = self.field
-        return CommPoly(F, {e: F.neg(c) for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        check_same_field(self.field, other.field)
-        F = self.field
-        terms = F.add_into(
-            {},
-            (
-                (tuple(a + b for a, b in zip_longest(e1, e2, fillvalue=0)), c1 * c2)
-                for e1, c1 in self.terms.items()
-                for e2, c2 in other.terms.items()
-            ),
-        )
-        return CommPoly(F, terms)
-
-    def scale(self, scalar):
-        F = self.field
-        if F.is_zero(scalar):
-            return CommPoly(F)
-        return CommPoly(F, {e: F.mul(scalar, c) for e, c in self.terms.items()})
-
-    def constant_value(self):
-        """The scalar value if this is a constant, else None."""
-        if not self.terms:
-            return self.field.zero
-        if list(self.terms) == [()]:
-            return self.terms[()]
-        return None
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CommPoly)
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        return f"CommPoly({self.terms!r})"
-
-
 class WeylElement:
-    """Element of A1 with CommPoly coefficients in the basis x^i y^j."""
+    """Element of A1 with parameter-polynomial coefficients in the basis
+    x^i y^j: ``terms`` maps (i, j, exps) to a nonzero scalar."""
 
     __slots__ = ("field", "terms")
 
     def __init__(self, field, terms=None):
         self.field = field
-        self.terms = {}
-        if terms:
-            for ij, c in terms.items():
-                if not c.is_zero():
-                    self.terms[ij] = c
+        pairs = (((i, j, _trim(e)), c) for (i, j, e), c in (terms or {}).items())
+        self.terms = field.add_into({}, pairs)
 
     @classmethod
     def zero(cls, field):
         return cls(field)
 
     @classmethod
-    def basis(cls, i, j, field, coeff=None):
-        c = CommPoly.constant(field, field.one) if coeff is None else coeff
-        return cls(field, {(i, j): c})
+    def basis(cls, i, j, field):
+        return cls(field, {(i, j, ()): field.one})
 
     @classmethod
     def x(cls, field):
@@ -139,37 +61,31 @@ class WeylElement:
 
     def __add__(self, other):
         check_same_field(self.field, other.field)
-        terms = dict(self.terms)
-        for ij, c in other.terms.items():
-            s = terms.get(ij)
-            terms[ij] = c if s is None else s + c
-        return WeylElement(self.field, terms)
+        F = self.field
+        return WeylElement(F, F.add_into(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
-        return WeylElement(self.field, {ij: -c for ij, c in self.terms.items()})
+        F = self.field
+        return WeylElement(F, {key: F.neg(c) for key, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, coeff):
-        """Multiply by a CommPoly (or scalar) coefficient."""
-        if not isinstance(coeff, CommPoly):
-            coeff = CommPoly.constant(self.field, coeff)
-        return WeylElement(self.field, {ij: c * coeff for ij, c in self.terms.items()})
+    def scale(self, scalar):
+        """Multiply by a scalar of the field."""
+        return WeylElement(self.field, {key: c * scalar for key, c in self.terms.items()})
 
     def __mul__(self, other):
         check_same_field(self.field, other.field)
         F = self.field
-        terms = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                c = c1 * c2
-                for k in range(min(j1, i2) + 1):
-                    ij = (i1 + i2 - k, j1 + j2 - k)
-                    contrib = c.scale(F.of(factorial(k) * comb(i2, k) * comb(j1, k)))
-                    s = terms.get(ij)
-                    terms[ij] = contrib if s is None else s + contrib
-        return WeylElement(F, terms)
+        pairs = (
+            ((i1 + i2 - k, j1 + j2 - k, e), c1 * c2 * factorial(k) * comb(i2, k) * comb(j1, k))
+            for (i1, j1, e1), c1 in self.terms.items()
+            for (i2, j2, e2), c2 in other.terms.items()
+            for e in [tuple(a + b for a, b in zip_longest(e1, e2, fillvalue=0))]
+            for k in range(min(j1, i2) + 1)
+        )
+        return WeylElement(F, F.add_into({}, pairs))
 
     def __eq__(self, other):
         return (
@@ -184,16 +100,10 @@ class WeylElement:
 
 def commutator_with_y(a):
     """[y, a] for a polynomial a in x only: the formal derivative of a."""
-    F = a.field
-    terms = {}
-    for (i, j), c in a.terms.items():
-        if j != 0:
-            raise NotPurelyX("element has a y-part")
-        if i > 0:
-            contrib = c.scale(F.of(i))
-            if not contrib.is_zero():
-                terms[(i - 1, 0)] = contrib
-    return WeylElement(F, terms)
+    if any(j for _, j, _ in a.terms):
+        raise NotPurelyX("element has a y-part")
+    terms = {(i - 1, 0, e): i * c for (i, _, e), c in a.terms.items() if i}
+    return WeylElement(a.field, terms)
 
 
 def is_central(u):

@@ -25,7 +25,7 @@ from weylpi.identities import (
 )
 from weylpi.linalg import row_reduce_sparse
 from weylpi.rewriter import normal_form, semi_reduce
-from weylpi.weyl import CommPoly, WeylElement, commutator_with_y
+from weylpi.weyl import WeylElement, commutator_with_y
 
 QQ = Field.rationals()
 F3 = Field.prime(3)
@@ -164,9 +164,7 @@ def test_criterion_07_rewriter_soundness():
             if not f.is_zero():
                 beta, _ = semi_reduce(f)
                 w = substitute_tuple(f, ("x",) * f.nvars)
-                coeff = w.terms.get((sum(f.mdeg()), 0))
-                extracted = coeff.constant_value() if coeff is not None else QQ.zero
-                assert beta == extracted
+                assert beta == w.terms.get((sum(f.mdeg()), 0, ()), QQ.zero)
 
 
 def _random_bracket_monomial(rng):
@@ -209,15 +207,13 @@ def _brute_force_normal_order(word, field):
                 work.append((w[:i] + w[i + 2 :], c))
                 break
         else:
-            ij = (w.count("x"), w.count("y"))
-            s = field.add(terms.get(ij, field.zero), c)
+            key = (w.count("x"), w.count("y"), ())
+            s = field.add(terms.get(key, field.zero), c)
             if field.is_zero(s):
-                terms.pop(ij, None)
+                terms.pop(key, None)
             else:
-                terms[ij] = s
-    return WeylElement(
-        field, {ij: CommPoly.constant(field, c) for ij, c in terms.items()}
-    )
+                terms[key] = s
+    return WeylElement(field, terms)
 
 
 def test_criterion_09_weyl_oracle():

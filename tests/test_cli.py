@@ -386,6 +386,14 @@ def test_usage_errors_exit_two():
         (("verify", "--mdeg", "\u0661,\u0661"), None),
         (("verify", "--mdeg", "+1,1"), None),
         (("verify", "--degree", "0"), {"WEYLPI_MAX_DEGREE": "\u0669"}),
+        (("verify", "--degree", "\u0663"), None),
+        (("verify", "--degree", "+3"), None),
+        (("verify", "--degree", "1_0"), None),
+        (("verify", "--degree", "abc"), None),
+        (("verify", "--degree", "0"), {"WEYLPI_MAX_DEGREE": "1_0"}),
+        (("verify", "--degree", "0"), {"WEYLPI_MAX_DEGREE": " +9"}),
+        (("verify", "--mdeg", "9" * 5000), None),
+        (("enumerate", "--mdeg", "2," + "9" * 5000), None),
     ):
         r = run(*args, env_extra=env)
         assert r.returncode == 2, args
