@@ -36,6 +36,7 @@ enters the field once per output coordinate.
 from math import lcm
 
 from .errors import ArityMismatch
+from .free_algebra import word_mdeg
 from .weyl import WeylElement
 
 
@@ -214,8 +215,21 @@ def is_weak_identity(f):
     to the multiplicity of x_k, so components of different multidegrees
     land on disjoint coordinates and f vanishes iff each component does;
     by the lemma of the module docstring, its image modulo A1*y decides.
+
+    The coefficient sums refute first.  In the image modulo A1*y of a word
+    of multidegree delta and degree d, the only path to x^d with no b_k
+    factor takes a_k*x at every letter, so the coordinate (d, a^delta) of
+    the image of the component of multidegree delta is its coefficient
+    sum beta, the beta of its normal form.  A nonzero beta (mod p) thus
+    certifies that f is not an identity; every other f is evaluated.
     """
-    (image,), _, _ = _integer_images([f])
     p = f.field.p
+    sums = {}
+    for w, c in f.terms.items():
+        delta = word_mdeg(w, f.nvars)
+        sums[delta] = sums.get(delta, 0) + c
+    if any(s % p if p else s for s in sums.values()):
+        return False
+    (image,), _, _ = _integer_images([f])
     # over F_p the coefficients are ints, so den is 1
     return not any(s % p for s in image.values()) if p else not image

@@ -9,8 +9,13 @@ cap, or of more than ``_MAX_PRODUCT_TERMS`` terms, before it is multiplied
 out.
 
 While parsing, values are plain word dicts (see ``_Parser``): every
-product, each step of a power and both halves of a commutator go through
-``free_algebra._word_product``, the routine behind ``NCPoly.__mul__``.
+product and both halves of a commutator go through
+``free_algebra._word_product``, the routine behind ``NCPoly.__mul__``, and
+so does each step of a power, unless its base has one word.  Over Q the
+coefficients are ints until a rational literal ``a/b`` brings in a
+``Fraction``, so products of letters and integers multiply ints, not
+Fractions; ``_Parser.parse`` lifts each coefficient that survives into the
+field once, and an NCPoly over Q holds only Fractions.
 """
 
 import re
@@ -52,7 +57,10 @@ def _degree(terms):
 class _Parser:
     """Recursive descent over the tokens.  Every value is a word dict with no
     zero coefficients; ``nvars`` is the largest variable index read so far,
-    cancelled or not.  ``parse`` makes the one NCPoly."""
+    cancelled or not.  Over F_p a coefficient is a residue; over Q it is an
+    int, or a Fraction once a rational literal takes part, and int and
+    Fraction arithmetic mix exactly.  ``parse`` makes the one NCPoly, with
+    ``Field.of`` applied once to each of its coefficients."""
 
     def __init__(self, text, field, max_degree=None):
         self.text = text
@@ -111,13 +119,17 @@ class _Parser:
     def expect(self, op):
         tok = self.take()
         if tok != op:
-            raise ParseError(f"expected {op!r}, found {tok!r}", self.pos(self.i - 1))
+            found = repr(tok) if tok else "end of input"
+            raise ParseError(f"expected {op!r}, found {found}", self.pos(self.i - 1))
 
     def parse(self):
+        F = self.field
         terms = self.expr()
         if self.peek():
             raise ParseError(f"trailing input {self.peek()!r}", self.pos(self.i))
-        return NCPoly(self.field, self.nvars, terms)
+        if not F.p:
+            terms = {w: F.of(c) for w, c in terms.items()}
+        return NCPoly(F, self.nvars, terms)
 
     def expr(self):
         # every term is added into one dict, so a sum parses in linear time
@@ -153,7 +165,11 @@ class _Parser:
             if self.max_degree is not None:
                 # with two or more terms the bound passes the limit by n = 64
                 self.cap_terms(len(f) ** min(n, 64))
-            out = {(): self.field.one}
+            if len(f) == 1:  # a word to the n: n copies, one scalar power
+                ((w, c),) = f.items()
+                p = self.field.p
+                return {w * n: pow(c, n, p) if p else c**n}
+            out = {(): 1}
             for _ in range(n):
                 out = _word_product(self.field, out, f)
             f = out
@@ -165,7 +181,7 @@ class _Parser:
         if tok.isdecimal():
             num = self.number(i)
             if self.peek() != "/":
-                return _constant(F.of(num))
+                return _constant(num % F.p if F.p else num)
             self.take()
             i, den = self.i, self.take()
             if not den.isdecimal():
@@ -181,7 +197,7 @@ class _Parser:
                 raise UnknownVariable(f"variable {tok[:8]} out of range x1..x999", self.pos(i))
             self.cap(1)
             self.nvars = max(self.nvars, idx)
-            return {(idx,): self.field.one}
+            return {(idx,): 1}
         if tok == "(":
             f = self.expr()
             self.expect(")")
@@ -195,6 +211,8 @@ class _Parser:
             fg = _word_product(F, f, g)
             F.add_into(fg, ((w, -c) for w, c in _word_product(F, g, f).items()))
             return fg
+        if not tok:
+            raise ParseError("unexpected end of input", self.pos(i))
         raise ParseError(f"unexpected token {tok!r}", self.pos(i))
 
 

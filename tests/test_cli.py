@@ -105,6 +105,10 @@ def test_parse_error_exit_code():
         (("--expr", "x\u0662*x\u0661"), "unexpected character"),
         (("--expr", "x1 +\u00a0x2"), "unexpected character"),
         (("--field", "fp:\u0663", "--expr", "x1"), "unknown field spec"),
+        # the end of the input is named, at the position where it is met
+        (("--expr", ""), "unexpected end of input (at position 0)"),
+        (("--expr", "x1 +"), "unexpected end of input (at position 4)"),
+        (("--expr", "(x1"), "expected ')', found end of input (at position 3)"),
     ):
         r = run("check", *args)
         assert r.returncode == 2, args

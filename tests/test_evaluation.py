@@ -74,6 +74,35 @@ def test_commutator_is_not_an_identity():
     assert not is_weak_identity(parse_poly("[x1,x2]", QQ))
 
 
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_nonzero_coefficient_sum_refutes_without_evaluating(field, monkeypatch):
+    from weylpi import evaluation
+
+    kernel = evaluation._integer_images
+
+    def refuse(polys):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(evaluation, "_integer_images", refuse)
+    for text in ("x1*x2 + x2*x1", "3*x1 - 2*x1", "x1*x2 + 2*x3 - x3"):
+        assert not is_weak_identity(parse_poly(text, field)), text
+    # every coefficient sum is 0 (3 + 2 is, mod 5), yet none is an identity:
+    # the real kernel decides
+    evaluated = []
+
+    def counted(polys):
+        evaluated.append(polys)
+        return kernel(polys)
+
+    monkeypatch.setattr(evaluation, "_integer_images", counted)
+    texts = ["[x1,x2]", "[x1,x2] + x1*x3 - x3*x1"]
+    if field is F5:
+        texts.append("3*x1*x2 + 2*x2*x1")
+    for text in texts:
+        assert not is_weak_identity(parse_poly(text, field)), text
+    assert len(evaluated) == len(texts)
+
+
 def test_no_identities_in_degree_up_to_two():
     rng = random.Random(9)
     for _ in range(40):

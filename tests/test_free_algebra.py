@@ -6,6 +6,7 @@ from weylpi.errors import DegreeMismatch, FieldMismatch, NotMultihomogeneous
 from weylpi.fields import Field
 from weylpi.free_algebra import (
     NCPoly,
+    _word_product,
     commutator,
     complete_linearization,
     gamma,
@@ -63,6 +64,26 @@ def test_mul_associative_and_distributive():
         f, g, h = (rand_poly(rng) for _ in range(3))
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(7)])
+def test_one_word_product_equals_the_summed_one(field):
+    # concatenating one word is injective, so the product without sums has
+    # the items, in order and with their values, of the summing product
+    rng = random.Random(23)
+    for _ in range(200):
+        f = {}
+        for _ in range(rng.randint(0, 6)):
+            w = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 4)))
+            f[w] = field.of(rng.choice((1, 2, 3, 4, 5, 6)), rng.choice((1, 2, 3)))
+        w2 = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 3)))
+        for c2 in (field.one, field.of(rng.choice((2, 3, 5)), rng.choice((1, 2)))):
+            summed = field.add_into(
+                {}, ((w1 + w2, c1 * c2) for w1, c1 in f.items())
+            )
+            product = _word_product(field, f, {w2: c2})
+            assert list(product.items()) == list(summed.items())
+            assert [type(c) for c in product.values()] == [type(c) for c in summed.values()]
 
 
 def test_mdeg_additive():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -236,8 +237,14 @@ def test_parse_matches_ncpoly_arithmetic(field):
     words = [(1, 3), (1, 4), (2, 3), (2, 4), (2, 1), (1, 2)]
     assert list(f.terms) == words  # a product runs over f's words, then g's
     rng = random.Random(14)
+    scalar = Fraction if field is QQ else int
     for _ in range(400):
         _, text, expected = _random_tree(rng, field, 4)
         f = parse_poly(text, field)
         assert list(f.terms.items()) == list(expected.terms.items()), text
         assert f.nvars == expected.nvars, text
+        # the parser computes over Q on ints, but lifts what it returns
+        assert all(type(c) is scalar for c in f.terms.values()), text
+    f = parse_poly("3*x1*x2^2 + 1/2*x2", field)
+    assert f.terms == {(1, 2, 2): field.of(3), (2,): field.of(1, 2)}
+    assert all(type(c) is scalar for c in f.terms.values())
