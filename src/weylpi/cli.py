@@ -24,7 +24,7 @@ from .rewriter import normal_form
 # refutes a sum with a nonzero coefficient sum in some multidegree in under
 # 0.01 s, without evaluating it, and evaluates 2520 words of degree 8 in
 # 0.03-0.2 s and of degree 10 in 0.1-0.45 s, random letters slowest
-# (parsing takes 0.07-0.13 s more); the slowest accepted ``idbasis`` slices,
+# (parsing takes 0.04-0.07 s more); the slowest accepted ``idbasis`` slices,
 # (2,1,1,1,1,1) and (2,2,2,2), take 0.7-0.8 s over Q.  Above it, in the
 # library over Q, (3,2,1,1,1), 3360 words, takes 1.1 s and (2,2,1,1,1,1),
 # 10080 words, 6.0 s.

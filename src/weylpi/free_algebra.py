@@ -45,7 +45,8 @@ def _word_product(field, f, g):
 
 
 class NCPoly:
-    """Noncommutative polynomial: mapping word -> nonzero scalar."""
+    """Noncommutative polynomial: mapping word -> nonzero scalar.  Over F_p
+    each given scalar is reduced to its residue in [0, p) first."""
 
     __slots__ = ("field", "nvars", "terms")
 
@@ -54,7 +55,10 @@ class NCPoly:
         self.nvars = nvars
         self.terms = {}
         if terms:
+            p = field.p
             for w, c in terms.items():
+                if p:
+                    c %= p
                 if not field.is_zero(c):
                     self.terms[tuple(w)] = c
 

@@ -8,14 +8,13 @@ of the operands, every product, power or commutator of degree above the
 cap, or of more than ``_MAX_PRODUCT_TERMS`` terms, before it is multiplied
 out.
 
-While parsing, values are plain word dicts (see ``_Parser``): every
-product and both halves of a commutator go through
-``free_algebra._word_product``, the routine behind ``NCPoly.__mul__``, and
-so does each step of a power, unless its base has one word.  Over Q the
-coefficients are ints until a rational literal ``a/b`` brings in a
-``Fraction``, so products of letters and integers multiply ints, not
-Fractions; ``_Parser.parse`` lifts each coefficient that survives into the
-field once, and an NCPoly over Q holds only Fractions.
+While parsing, a letter, a literal, and a power or product of monomials
+is a monomial ``(word, c)``: factors fold into one word and one scalar as
+they are read, and a commutator of two monomials is written out as its
+two words.  Only a value of two or more words is a word dict, and only its
+products, powers and commutators call ``free_algebra._word_product``.
+Over Q the coefficients are ints until a literal ``a/b`` brings in a
+``Fraction``; ``_Parser.parse`` lifts them into the field once.
 """
 
 import re
@@ -46,21 +45,17 @@ def _tokenize(text):
     return _TOKEN.findall(text) + [""]
 
 
-def _constant(c):
-    return {(): c} if c else {}
+def _as_dict(f):
+    return f if type(f) is dict else {f[0]: f[1]} if f[1] else {}
 
 
-def _degree(terms):
-    return max(map(len, terms), default=0)
+def _as_value(terms):
+    return terms if len(terms) > 1 else next(iter(terms.items()), ((), 0))
 
 
 class _Parser:
-    """Recursive descent over the tokens.  Every value is a word dict with no
-    zero coefficients; ``nvars`` is the largest variable index read so far,
-    cancelled or not.  Over F_p a coefficient is a residue; over Q it is an
-    int, or a Fraction once a rational literal takes part, and int and
-    Fraction arithmetic mix exactly.  ``parse`` makes the one NCPoly, with
-    ``Field.of`` applied once to each of its coefficients."""
+    """Recursive descent over the tokens.  A value is a monomial ``(w, c)``,
+    ``w == ()`` if ``c`` is 0, or a word dict of two or more nonzero terms."""
 
     def __init__(self, text, field, max_degree=None):
         self.text = text
@@ -68,7 +63,7 @@ class _Parser:
         self.i = 0
         self.field = field
         self.max_degree = max_degree
-        self.nvars = 0
+        self.nvars = 0  # the largest index read, cancelled or not
 
     def pos(self, i):
         """Where token ``i`` starts in the text."""
@@ -81,35 +76,19 @@ class _Parser:
         except ValueError:  # more digits than int() converts
             raise ParseError(f"number {self.tokens[i][:20]}... is too long", self.pos(i)) from None
 
-    def cap(self, degree):
-        if self.max_degree is not None and degree > self.max_degree:
-            raise ResourceLimit(
-                f"expression degree {degree} exceeds the cap of {self.max_degree}"
-            )
+    def cap(self, degree, count=1):
+        top, limit = self.max_degree, _MAX_PRODUCT_TERMS
+        if top is not None and degree > top:
+            raise ResourceLimit(f"expression degree {degree} exceeds the cap of {top}")
+        if top is not None and count > limit:
+            raise ResourceLimit(f"product of up to {count} terms exceeds the limit of {limit}")
 
-    def cap_terms(self, count):
-        if count > _MAX_PRODUCT_TERMS:
-            raise ResourceLimit(
-                f"product of up to {count} terms exceeds the limit of {_MAX_PRODUCT_TERMS}"
-            )
-
-    def cap_product(self, f, g):
+    def product(self, f, g):
+        # f*g as a word dict, formed once both caps pass
+        f, g = _as_dict(f), _as_dict(g)
         if self.max_degree is not None:
-            self.cap(_degree(f) + _degree(g))
-            self.cap_terms(len(f) * len(g))
-
-    def constant_power(self, f, n):
-        F = self.field
-        c = f.get((), F.zero)
-        if F.p:
-            return pow(c, n, F.p)
-        bits = max(abs(c.numerator), c.denominator).bit_length()
-        if bits > 1 and n * bits > _MAX_CONSTANT_BITS:
-            raise ResourceLimit(f"constant power of {n * bits} bits exceeds {_MAX_CONSTANT_BITS}")
-        return c**n
-
-    def peek(self):
-        return self.tokens[self.i]
+            self.cap(max(map(len, f), default=0) + max(map(len, g), default=0), len(f) * len(g))
+        return _word_product(self.field, f, g)
 
     def take(self):
         tok = self.tokens[self.i]
@@ -123,81 +102,96 @@ class _Parser:
             raise ParseError(f"expected {op!r}, found {found}", self.pos(self.i - 1))
 
     def parse(self):
-        F = self.field
-        terms = self.expr()
-        if self.peek():
-            raise ParseError(f"trailing input {self.peek()!r}", self.pos(self.i))
+        F, terms = self.field, _as_dict(self.expr())
+        if self.tokens[self.i]:
+            raise ParseError(f"trailing input {self.tokens[self.i]!r}", self.pos(self.i))
         if not F.p:
             terms = {w: F.of(c) for w, c in terms.items()}
         return NCPoly(F, self.nvars, terms)
 
     def expr(self):
-        # every term is added into one dict, so a sum parses in linear time
-        F = self.field
+        # one unsigned term is its own value; a sum adds into one dict, in linear time
+        sign = self.take() if self.tokens[self.i] in ("+", "-") else "+"
+        f = self.term()
+        if sign == "+" and self.tokens[self.i] not in ("+", "-"):
+            return f
         terms = {}
         while True:
-            sign = self.take() if self.peek() in ("+", "-") else "+"
-            pairs = self.term().items()
-            F.add_into(terms, pairs if sign == "+" else ((w, -c) for w, c in pairs))
-            if self.peek() not in ("+", "-"):
-                return terms
+            pairs = f.items() if type(f) is dict else (f,)
+            self.field.add_into(terms, pairs if sign == "+" else ((w, -c) for w, c in pairs))
+            if self.tokens[self.i] not in ("+", "-"):
+                return _as_value(terms)
+            sign = self.take()
+            f = self.term()
 
     def term(self):
-        f = self.factor()
-        while self.peek() == "*":
-            self.take()
-            g = self.factor()
-            self.cap_product(f, g)
-            f = _word_product(self.field, f, g)
-        return f
+        # letters and integers are read here; monomials fold, capped first
+        p, tokens, f, top = self.field.p, self.tokens, None, self.max_degree
+        while True:
+            i, tok = self.i, tokens[self.i]
+            self.i += 1
+            if tok[:1] == "x":
+                digits = tok[1:].lstrip("0")
+                idx = int(digits) if 0 < len(digits) <= 3 else 0
+                if not 1 <= idx <= 999:
+                    raise UnknownVariable(f"variable {tok[:8]} out of range x1..x999", self.pos(i))
+                if top is not None:
+                    self.cap(1)
+                self.nvars = max(self.nvars, idx)
+                g = (idx,), 1
+            elif tok.isdecimal() and tokens[self.i] != "/":
+                g = (), self.number(i) % p if p else self.number(i)
+            else:
+                g = self.atom(i, tok)
+            if tokens[self.i] == "^":
+                g = self.power(g)
+            if f is None:
+                f = g
+            elif type(f) is dict or type(g) is dict:
+                f = _as_value(self.product(f, g))
+            else:
+                (w, c), (v, d) = f, g
+                if top is not None:
+                    self.cap(len(w) + len(v))
+                c = c * d % p if p else c * d
+                f = (w + v, c) if c else ((), 0)
+            if tokens[self.i] != "*":
+                return f
+            self.i += 1
 
-    def factor(self):
-        f = self.atom()
-        if self.peek() == "^":
-            self.take()
-            if not self.take().isdecimal():
-                raise ParseError("exponent must be a nonnegative integer", self.pos(self.i - 1))
-            n = self.number(self.i - 1)
-            degree = _degree(f)
-            self.cap(degree * n)
-            if degree == 0:  # a constant: one scalar power, not n products
-                return _constant(self.constant_power(f, n))
-            if self.max_degree is not None:
-                # with two or more terms the bound passes the limit by n = 64
-                self.cap_terms(len(f) ** min(n, 64))
-            if len(f) == 1:  # a word to the n: n copies, one scalar power
-                ((w, c),) = f.items()
-                p = self.field.p
-                return {w * n: pow(c, n, p) if p else c**n}
-            out = {(): 1}
-            for _ in range(n):
-                out = _word_product(self.field, out, f)
-            f = out
-        return f
+    def power(self, f):
+        self.i += 1
+        if not self.take().isdecimal():
+            raise ParseError("exponent must be a nonnegative integer", self.pos(self.i - 1))
+        n = self.number(self.i - 1)
+        if type(f) is tuple:  # the word repeated, one scalar power
+            (w, c), p = f, self.field.p
+            self.cap(len(w) * n)
+            if p or w:
+                return w * n, pow(c, n, p) if p else c**n
+            bits = n * max(abs(c.numerator), c.denominator).bit_length()
+            if bits > n and bits > _MAX_CONSTANT_BITS:  # 0 and 1 do not grow
+                raise ResourceLimit(f"constant power of {bits} bits exceeds {_MAX_CONSTANT_BITS}")
+            return (), c**n
+        # with two or more terms the bound passes the limit by n = 64
+        self.cap(max(map(len, f)) * n, len(f) ** min(n, 64))
+        out = {(): 1}
+        for _ in range(n):
+            out = _word_product(self.field, out, f)
+        return _as_value(out)
 
-    def atom(self):
+    def atom(self, i, tok):
+        # a rational literal, a parenthesis or a commutator: token i, just taken
         F = self.field
-        i, tok = self.i, self.take()
-        if tok.isdecimal():
-            num = self.number(i)
-            if self.peek() != "/":
-                return _constant(num % F.p if F.p else num)
-            self.take()
-            i, den = self.i, self.take()
+        if tok.isdecimal():  # a/b
+            num, i, den = self.number(i), i + 2, self.tokens[i + 2]
+            self.i = i + 1
             if not den.isdecimal():
                 raise ParseError("expected denominator", self.pos(i))
             try:
-                return _constant(F.of(num, self.number(i)))
+                return (), F.of(num, self.number(i))
             except ZeroDivisionError:
                 raise ParseError(f"denominator {den} is not invertible", self.pos(i)) from None
-        if tok[:1] == "x":
-            digits = tok[1:].lstrip("0")
-            idx = int(digits) if 0 < len(digits) <= 3 else 0
-            if not 1 <= idx <= 999:
-                raise UnknownVariable(f"variable {tok[:8]} out of range x1..x999", self.pos(i))
-            self.cap(1)
-            self.nvars = max(self.nvars, idx)
-            return {(idx,): 1}
         if tok == "(":
             f = self.expr()
             self.expect(")")
@@ -207,10 +201,16 @@ class _Parser:
             self.expect(",")
             g = self.expr()
             self.expect("]")
-            self.cap_product(f, g)
-            fg = _word_product(F, f, g)
-            F.add_into(fg, ((w, -c) for w, c in _word_product(F, g, f).items()))
-            return fg
+            if type(f) is dict or type(g) is dict:
+                fg = self.product(f, g)
+                F.add_into(fg, ((w, -c) for w, c in self.product(g, f).items()))
+                return _as_value(fg)
+            (w, c), (v, d) = f, g
+            self.cap(len(w) + len(v))
+            if w + v == v + w:  # a zero monomial has the empty word
+                return (), 0
+            c = c * d % F.p if F.p else c * d
+            return {w + v: c, v + w: -c % F.p if F.p else -c}
         if not tok:
             raise ParseError("unexpected end of input", self.pos(i))
         raise ParseError(f"unexpected token {tok!r}", self.pos(i))

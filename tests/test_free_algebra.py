@@ -15,7 +15,7 @@ from weylpi.free_algebra import (
     st3,
     t4,
 )
-from weylpi.parser import parse_poly
+from weylpi.parser import format_poly, parse_poly
 
 QQ = Field.rationals()
 
@@ -84,6 +84,15 @@ def test_one_word_product_equals_the_summed_one(field):
             product = _word_product(field, f, {w2: c2})
             assert list(product.items()) == list(summed.items())
             assert [type(c) for c in product.values()] == [type(c) for c in summed.values()]
+
+
+def test_fp_scalars_are_reduced_to_residues():
+    F7 = Field.prime(7)
+    assert NCPoly(F7, 1, {(1,): 7}).is_zero()
+    assert NCPoly(F7, 1, {(1,): 7}) == NCPoly.zero(F7, 1)
+    product = NCPoly(F7, 1, {(1,): 10}) * NCPoly.variable(2, F7)
+    assert product.terms == {(1, 2): 3}
+    assert format_poly(NCPoly(F7, 1, {(1,): -1})) == "6*x1"
 
 
 def test_mdeg_additive():

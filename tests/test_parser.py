@@ -229,6 +229,41 @@ def _operand(rng, field, depth):
     return (f"({text})" if kind in ("sum", "prod", "pow") else text), f
 
 
+def _flat_factor(rng, field):
+    """A factor of an unparenthesized product, as (text, NCPoly): a literal,
+    a letter, a power of either, a letter commutator or a parenthesized sum
+    of one word or of several."""
+    x = lambda i: NCPoly.variable(i, field)
+    const = lambda a, b=1: NCPoly(field, 0, {(): field.of(a, b)})
+    i, n = rng.randint(1, 5), rng.randint(0, 3)
+    j = rng.choice((i, rng.randint(1, 5)))
+    kind = rng.choice(("int", "frac", "var", "var", "varpow", "intpow", "comm", "sum"))
+    if kind == "int":
+        a = rng.choice((0, 1, 1, 2, 3, 7, 10))
+        return str(a), const(a)
+    if kind == "frac":
+        a, b = rng.randint(0, 9), rng.choice((1, 2, 3, 6))
+        return f"{a}/{b}", const(a, b)
+    if kind == "var":
+        return f"x{i}", x(i)
+    if kind == "varpow":
+        return f"x{i}^{n}", x(i) ** n
+    if kind == "intpow":
+        a = rng.choice((0, 1, 2, 3))
+        return f"{a}^{n}", const(a) ** n
+    if kind == "comm":
+        return f"[x{i},x{j}]", commutator(x(i), x(j))
+    # words from a small set, so that a sum may collapse to one word or none
+    text, f = "", NCPoly.zero(field)
+    for k in range(rng.randint(1, 3)):
+        sign, a = rng.choice("+-"), rng.randint(1, 3)
+        word = rng.choice(((), (1,), (2,), (1, 2), (3, 1)))
+        text += f" {sign} {a}" + "".join(f"*x{v}" for v in word)
+        g = NCPoly.monomial(word, field, field.of(a))
+        f = f - g if sign == "-" else f + g
+    return f"({text})", f
+
+
 @pytest.mark.parametrize("field", [QQ, F7])
 def test_parse_matches_ncpoly_arithmetic(field):
     # the parser's word-dict arithmetic gives the same terms, in the same
@@ -244,6 +279,18 @@ def test_parse_matches_ncpoly_arithmetic(field):
         assert list(f.terms.items()) == list(expected.terms.items()), text
         assert f.nvars == expected.nvars, text
         # the parser computes over Q on ints, but lifts what it returns
+        assert all(type(c) is scalar for c in f.terms.values()), text
+    # unparenthesized runs of factors, which a term folds into one monomial
+    # until a factor of two or more words comes
+    for _ in range(400):
+        factors = [_flat_factor(rng, field) for _ in range(rng.randint(2, 9))]
+        text = "*".join(t for t, _ in factors)
+        expected = factors[0][1]
+        for _, g in factors[1:]:
+            expected = expected * g
+        f = parse_poly(text, field)
+        assert list(f.terms.items()) == list(expected.terms.items()), text
+        assert f.nvars == expected.nvars, text
         assert all(type(c) is scalar for c in f.terms.values()), text
     f = parse_poly("3*x1*x2^2 + 1/2*x2", field)
     assert f.terms == {(1, 2, 2): field.of(3), (2,): field.of(1, 2)}
