@@ -186,11 +186,6 @@ def eval_vectors(polys, field):
     return out
 
 
-def eval_vector(f):
-    """``eval_vectors`` of the one polynomial f: (i, exps) -> scalar."""
-    return eval_vectors([f], f.field)[0]
-
-
 def substitute_tuple(f, t):
     """Evaluate f at a concrete tuple over {x, y} ('x'/'y' per variable)."""
     F = f.field

@@ -18,6 +18,11 @@ def word_mdeg(word, nvars):
     return tuple(counts)
 
 
+def mdeg_word(delta):
+    """The sorted word x1^d1...xm^dm of the multidegree ``delta``."""
+    return tuple(l for l, d in enumerate(delta, start=1) for _ in range(d))
+
+
 def term_sort_key(word):
     # canonical term order: total degree, then lexicographic on letters
     return (len(word), word)

@@ -37,20 +37,21 @@ It reports how the verdict was reached (``ConjectureReport.route``):
 """
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, product
 
 from .bracket import enumerate_completely_reduced
 from .evaluation import _integer_images, substitute_tuple
 from .fields import Field
-from .free_algebra import NCPoly, _multiset_permutations, gamma, generator_at, st3, word_mdeg
+from .free_algebra import (
+    NCPoly, _multiset_permutations, gamma, generator_at, mdeg_word, st3, word_mdeg
+)
 from .linalg import row_reduce_sparse
 
 
 def words_of_multidegree(delta):
     """All words with the given letter multiset, in lexicographic order."""
-    letters = [i + 1 for i, d in enumerate(delta) for _ in range(d)]
-    return list(_multiset_permutations(letters))
+    return list(_multiset_permutations(mdeg_word(delta)))
 
 
 def space_dimension(delta):
@@ -113,7 +114,7 @@ def _ideal_span_rows(delta, fieldobj):
             if any(mu[i] > delta[i] for i in range(m)):
                 continue
             sub = generator_at(g, idxs).terms
-            rem = [i + 1 for i in range(m) for _ in range(delta[i] - mu[i])]
+            rem = mdeg_word(d - e for d, e in zip(delta, mu))
             for u in _multiset_permutations(rem):
                 for cut in range(len(u) + 1):
                     w1, w2 = u[:cut], u[cut:]
@@ -128,19 +129,18 @@ def ideal_span_dimension(delta, fieldobj):
     return rank
 
 
-@dataclass
-class ConjectureReport:
-    mdeg: tuple
-    field: Field
-    n_reduced: int
-    eval_rank: int  # None when uncertified, as dim_id and dim_I are
-    dim_id: int
-    dim_I: int
-    verdict: str  # Verified | Inconclusive
-    elapsed_ms: float = 0.0
-    # how the verdict was reached: certified | uncertified;
-    # not part of to_dict(), whose keys are fixed
-    route: str = ""
+class ConjectureReport(
+    namedtuple(
+        "ConjectureReport",
+        "mdeg field n_reduced eval_rank dim_id dim_I verdict elapsed_ms route",
+    )
+):
+    """The verdict on one multidegree.  ``eval_rank``, ``dim_id`` and
+    ``dim_I`` are None when uncertified; ``verdict`` is Verified or
+    Inconclusive; ``route`` says how it was reached (certified or
+    uncertified) and is not part of ``to_dict()``, whose keys are fixed."""
+
+    __slots__ = ()
 
     def to_dict(self):
         return {
@@ -179,21 +179,19 @@ def verify_conjecture(delta, fieldobj=None):
     n = len(keys)
     # dim Id = dim F_delta - rank of the evaluated quotient spanning set
     # {x1^d1...xm^dm} + reduced monomials (sound by the normal-form theorem).
-    pure = tuple(l for l, d in enumerate(delta, start=1) for _ in range(d))
-    monomials = keys + [(pure, ())]
+    monomials = keys + [(mdeg_word(delta), ())]
     if _full_rank(monomials):
         # full rank of every block bounds the exact rank from below
         dim_id = space_dimension(delta) - (n + 1)
-        report = ConjectureReport(
-            delta, fieldobj, n, n, dim_id, dim_id, "Verified", route="certified"
-        )
+        rank, verdict, route = n, "Verified", "certified"
     else:
         # the lemma rules this out, so reaching it is a bug: claim nothing
-        report = ConjectureReport(
-            delta, fieldobj, n, None, None, None, "Inconclusive", route="uncertified"
-        )
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return report
+        rank = dim_id = None
+        verdict, route = "Inconclusive", "uncertified"
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    return ConjectureReport(
+        delta, fieldobj, n, rank, dim_id, dim_id, verdict, elapsed_ms, route
+    )
 
 
 def two_variable_certificate(r, s, fieldobj=None):

@@ -33,12 +33,12 @@ in the order first reached.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from math import lcm
 
 from .bracket import BracketMonomial, Status, _first_descent, format_key, term_order
 from .errors import NotReduced, NotSemiReduced, ResourceLimit
-from .free_algebra import NCPoly
+from .free_algebra import NCPoly, mdeg_word
 
 _MAX_STEPS = 10_000_000
 
@@ -222,14 +222,11 @@ def completely_reduce(b, fieldobj, trace=None):
     return out
 
 
-@dataclass
-class NormalForm:
-    """Per-multidegree result: beta * x1^d1...xm^dm + sum alpha_i * f_i."""
+class NormalForm(namedtuple("NormalForm", "field mdeg beta terms")):
+    """Per-multidegree result: beta * x1^d1...xm^dm + sum alpha_i * f_i,
+    with ``terms`` mapping each completely reduced monomial to its alpha_i."""
 
-    field: object
-    mdeg: tuple
-    beta: object
-    terms: dict = dc_field(default_factory=dict)
+    __slots__ = ()
 
     def is_zero(self):
         return self.field.is_zero(self.beta) and not self.terms
@@ -240,14 +237,10 @@ class NormalForm:
     def to_poly(self):
         """Reconstruct as an NCPoly (a representative of f mod the ideal)."""
         F = self.field
-        nvars = len(self.mdeg)
-        word = tuple(
-            l for l, d in enumerate(self.mdeg, start=1) for _ in range(d)
-        )
-        out = NCPoly.monomial(word, F, coeff=self.beta, nvars=nvars)
+        terms = F.add_into({}, [(mdeg_word(self.mdeg), self.beta)])
         for mono, c in self.terms.items():
-            out = out + mono.expand(F).scale(c)
-        return NCPoly(F, max(out.nvars, nvars), out.terms)
+            F.add_into(terms, ((w, F.mul(c, e)) for w, e in mono.expand(F).terms.items()))
+        return NCPoly(F, len(self.mdeg), terms)
 
 
 def normal_form(f, trace=None):

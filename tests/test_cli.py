@@ -362,6 +362,15 @@ def test_one_job_commands_do_not_import_the_process_pool():
     assert r.stdout.splitlines()[-1] == "False"
 
 
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # -S: no site module, so only weylpi's own imports count
+    code = "import sys, weylpi.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    r = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert (r.returncode, r.stdout) == (0, "[]\n"), r.stderr
+
+
 def test_verify_has_no_jobs_option():
     r = run("verify", "--degree", "3", "--jobs", "2")
     assert r.returncode == 2

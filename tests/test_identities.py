@@ -5,7 +5,6 @@ import pytest
 
 from weylpi.bracket import BracketMonomial, enumerate_completely_reduced
 from weylpi.evaluation import (
-    eval_vector,
     eval_vectors,
     is_weak_identity,
     substitute_tuple,
@@ -96,7 +95,7 @@ def test_identity_basis_rank_nullity():
             for delta in degree_multidegrees(n):
                 words = words_of_multidegree(delta)
                 rows = [
-                    eval_vector(NCPoly.monomial(w, field, nvars=len(delta)))
+                    eval_vectors([NCPoly.monomial(w, field, nvars=len(delta))], field)[0]
                     for w in words
                 ]
                 rank, _ = row_reduce_sparse(rows, field)
@@ -246,7 +245,7 @@ def _eliminated_ranks(delta, field):
     reduced = enumerate_completely_reduced(delta)
     rows = eval_vectors([b.expand(field) for b in reduced], field)
     pure = NCPoly.monomial(words_of_multidegree(delta)[0], field, nvars=len(delta))
-    rank_full, _ = row_reduce_sparse(rows + [eval_vector(pure)], field)
+    rank_full, _ = row_reduce_sparse(rows + [eval_vectors([pure], field)[0]], field)
     return row_reduce_sparse(rows, field)[0], rank_full
 
 
@@ -431,6 +430,12 @@ def test_report_serialization():
     assert d["witness"] is None
     assert isinstance(d["elapsed_ms"], float)
     assert verify_conjecture((1, 1), QQ).to_dict()["field"] == "q"
+
+
+def test_report_is_immutable():
+    r = verify_conjecture((2, 1), QQ)
+    with pytest.raises(AttributeError):
+        r.elapsed_ms = 0.0
 
 
 def test_degree_multidegrees_are_partitions():

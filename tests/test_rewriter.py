@@ -109,6 +109,13 @@ def test_normal_form_of_zero_is_empty():
     assert semi_reduce(NCPoly.zero(QQ)) == (QQ.zero, {})
 
 
+def test_normal_form_repr():
+    assert repr(normal_form(parse_poly("x2*x1", QQ))[(1, 1)]) == (
+        "NormalForm(field=Q, mdeg=(1, 1), beta=Fraction(1, 1), "
+        "terms={BracketMonomial([x1,x2]): Fraction(-1, 1)})"
+    )
+
+
 def test_normal_form_statuses_and_mdeg():
     rng = random.Random(8)
     for _ in range(40):
