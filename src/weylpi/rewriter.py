@@ -33,8 +33,8 @@ in the order first reached.
 """
 
 from bisect import bisect_right
-from collections import namedtuple
 from math import lcm
+from types import SimpleNamespace
 
 from .bracket import BracketMonomial, Status, _first_descent, format_key, term_order
 from .errors import NotReduced, NotSemiReduced, ResourceLimit
@@ -222,11 +222,14 @@ def completely_reduce(b, fieldobj, trace=None):
     return out
 
 
-class NormalForm(namedtuple("NormalForm", "field mdeg beta terms")):
+class NormalForm(SimpleNamespace):
     """Per-multidegree result: beta * x1^d1...xm^dm + sum alpha_i * f_i,
-    with ``terms`` mapping each completely reduced monomial to its alpha_i."""
+    with ``terms`` mapping each completely reduced monomial to its alpha_i.
+    A namespace: its fields can be assigned, and it is equal to another when
+    their fields are."""
 
-    __slots__ = ()
+    def __init__(self, field, mdeg, beta, terms):
+        super().__init__(field=field, mdeg=mdeg, beta=beta, terms=terms)
 
     def is_zero(self):
         return self.field.is_zero(self.beta) and not self.terms

@@ -116,6 +116,13 @@ def test_normal_form_repr():
     )
 
 
+def test_normal_form_fields_can_be_assigned():
+    a, b = (normal_form(parse_poly("x2*x1", QQ))[(1, 1)] for _ in range(2))
+    assert a == b and a is not b
+    b.beta += 1
+    assert a != b and b.beta == QQ.of(2)
+
+
 def test_normal_form_statuses_and_mdeg():
     rng = random.Random(8)
     for _ in range(40):
