@@ -11,28 +11,39 @@ using three rewrite rules:
   (pull-in)  x_t [x_r, x_s]   ->  x_s [x_r, x_t] - x_r [x_s, x_t]  (t > s)
   (unnest)   [a2,a3][a1,a4]   -> -[a1,a2][a3,a4] + [a1,a3][a2,a4]  (a1<a2<a3<a4)
 
-The strategy always fixes the leftmost violation; termination follows the
-strictly decreasing (monomial weight, bracket weight) measure.
+The rule that fires on a term is the one for its leftmost violation.  A
+term is a (prefix, brackets) key; inside this module each bracket [x_r, x_s]
+is held as the pair (s, r), so plain tuple order sorts the brackets of a key
+canonically and a new bracket goes in by bisection.  A terminal key is
+turned back to (r, s) pairs and returned as a ``BracketMonomial``, and a
+trace line prints brackets as [x_r,x_s].
 
-Many rewrite paths meet in the same term, so one call builds a rewrite DAG
-over canonical (prefix, brackets) keys.  Inside the DAG each bracket
-[x_r, x_s] is held as the pair (s, r), so plain tuple order sorts the
-brackets of a key canonically and a new bracket goes in by bisection; a
-terminal key is turned back to (r, s) pairs and returned as a
-``BracketMonomial``, and a trace line prints brackets as [x_r,x_s].  Each
-distinct key gets a dense integer id when first reached.  A depth-first
-pass over ids picks the rule of each key once and stores its two children
-as (first id, second id, sign of the first), the second's sign being the
-opposite (nothing for a terminal key); the coefficients are then pushed
-down a list indexed by id in topological order, so every key fires once
-with its merged coefficient.  That arithmetic runs on integers (rationals
-scaled to a common denominator) and each output coefficient enters the
-field once at the end.  The step cap counts distinct keys expanded,
-terminal ones included, and a trace gets one line per distinct rewrite,
-in the order first reached.
+Each rule sends a key to two keys that are strictly smaller in the order
+(len(prefix), prefix, brackets):
+
+  swap      the first child keeps the prefix length and is smaller where
+            xj xi became xi xj; the second child's prefix is two letters
+            shorter.
+  pull-in   fires on a sorted prefix only, and puts x_s or x_r, both
+            smaller than x_t, in place of its last and largest letter x_t.
+  unnest    keeps the prefix; the least changed (s, r) pair of each child
+            is new and smaller than both pairs it replaces, since
+            (a2,a1) < (a3,a2) and (a3,a1) < (a3,a2).
+
+So rewriting terminates, and one ordered pass rewrites each key once.  The
+pending keys wait in a dict of merged coefficients and, per prefix length,
+in a sorted list; the largest is popped first, so every parent of a key has
+added into its coefficient before the key is popped.  A key whose merged
+coefficient is zero in the field is dropped without being rewritten; any
+other fires its rule once and adds +-c into its two children.  The
+arithmetic runs on integers (rationals scaled to a common denominator,
+reduced mod p at each pop over F_p), and each output coefficient enters the
+field once at the end.  The step cap counts the keys popped with a nonzero
+coefficient, terminal ones included; a trace gets one line per rule that
+fires on such a key, in pop order.
 """
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from math import lcm
 from types import SimpleNamespace
 
@@ -116,80 +127,49 @@ def _rewrite(initial, fieldobj, target, trace=None):
     den = 1
     for _, c in initial:
         den = lcm(den, c.denominator)
-    # key i: keys[i] is the internal key, kids[i] its stored children
-    # (None until expanded, () if terminal) and coef[i] its coefficient
-    ids = {}
-    keys, kids, coef = [], [], []
-    stack = []
+    # coef: each pending key's merged integer coefficient; pending[n]: the
+    # pending keys with n prefix letters, ascending
+    coef = {}
     for (prefix, brackets), c in initial:
         key = tuple(prefix), tuple(sorted((s, r) for r, s in brackets))
-        i = ids.setdefault(key, len(keys))
-        if i == len(keys):
-            keys.append(key)
-            kids.append(None)
-            coef.append(0)
-        coef[i] += c.numerator * (den // c.denominator)
-        stack.append(i)
+        coef[key] = coef.get(key, 0) + c.numerator * (den // c.denominator)
+    pending = [[] for _ in range(max(len(prefix) for prefix, _ in coef) + 1)]
+    for key in sorted(coef):
+        pending[len(key[0])].append(key)
 
-    # discovery: depth first, each distinct key expanded once; ~i on the
-    # stack marks that key i is finished (post-order)
-    order = []
-    steps = 0
-    while stack:
-        i = stack.pop()
-        if i < 0:
-            order.append(~i)
-            continue
-        if kids[i] is not None:
-            continue
-        if steps >= _MAX_STEPS:
-            raise ResourceLimit(f"rewriting exceeded the step cap of {_MAX_STEPS}")
-        steps += 1
-        children = _successors(keys[i], target, trace)
-        if not children:
-            kids[i] = ()
-            order.append(i)
-            continue
-        first, second, sign = children
-        a = ids.setdefault(first, len(keys))
-        if a == len(keys):
-            keys.append(first)
-            kids.append(None)
-            coef.append(0)
-        b = ids.setdefault(second, len(keys))
-        if b == len(keys):
-            keys.append(second)
-            kids.append(None)
-            coef.append(0)
-        kids[i] = a, b, sign
-        stack.append(~i)
-        if kids[a] is None:
-            stack.append(a)
-        if kids[b] is None:
-            stack.append(b)
-
-    # propagation: reversed post-order is topological, so each key holds
-    # its merged coefficient when it fires
+    p = F.p
     beta = 0
     out = {}
-    for i in reversed(order):
-        c = coef[i]
-        if not c:
-            continue
-        children = kids[i]
-        if children:
-            a, b, sign = children
+    steps = 0
+    for todo in reversed(pending):
+        while todo:
+            key = todo.pop()
+            c = coef.pop(key)
+            if p:
+                c %= p
+            if not c:
+                continue
+            if steps >= _MAX_STEPS:
+                raise ResourceLimit(f"rewriting exceeded the step cap of {_MAX_STEPS}")
+            steps += 1
+            children = _successors(key, target, trace)
+            if not children:
+                prefix, brackets = key
+                if brackets:
+                    mono = BracketMonomial._make((prefix, tuple((r, s) for s, r in brackets)))
+                    out[mono] = F.of(c, den)
+                else:
+                    beta += c
+                continue
+            first, second, sign = children
             c *= sign
-            coef[a] += c
-            coef[b] -= c
-            continue
-        prefix, brackets = keys[i]
-        if brackets:
-            v = F.of(c, den)
-            if not F.is_zero(v):
-                out[BracketMonomial._make((prefix, tuple((r, s) for s, r in brackets)))] = v
-        else:
-            beta += c
+            for child, d in ((first, c), (second, -c)):
+                old = coef.get(child)
+                if old is None:
+                    coef[child] = d
+                    insort(pending[len(child[0])], child)
+                else:
+                    coef[child] = old + d
     return F.of(beta, den), out
 
 

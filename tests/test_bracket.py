@@ -13,6 +13,7 @@ from weylpi.bracket import (
     weight_less,
 )
 from weylpi.fields import Field
+from weylpi.free_algebra import mdeg_word
 from weylpi.parser import parse_poly
 
 QQ = Field.rationals()
@@ -146,7 +147,7 @@ def test_enumeration_single_variable_and_small_degree():
 
 def _brute_force_completely_reduced(delta):
     """Independent oracle: pair up letters in every possible way, then filter."""
-    letters = [i + 1 for i, d in enumerate(delta) for _ in range(d)]
+    letters = mdeg_word(delta)
     found = set()
 
     def rec(remaining, brackets):

@@ -16,6 +16,7 @@ from weylpi.free_algebra import (
     commutator,
     gamma,
     generator_at,
+    mdeg_word,
     st3,
     t4,
 )
@@ -147,7 +148,7 @@ def _product_span_rows(delta, fieldobj, spec):
             mu = sub.mdeg()
             if any(mu[i] > delta[i] for i in range(m)):
                 continue
-            rem = [i + 1 for i in range(m) for _ in range(delta[i] - mu[i])]
+            rem = mdeg_word([d - u for d, u in zip(delta, mu)])
             for u in _multiset_permutations(rem):
                 for cut in range(len(u) + 1):
                     w1 = NCPoly.monomial(u[:cut], fieldobj, nvars=m)

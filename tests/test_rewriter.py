@@ -14,7 +14,7 @@ from weylpi import cli, rewriter
 from weylpi.errors import NotMultihomogeneous, NotReduced, NotSemiReduced, ResourceLimit
 from weylpi.evaluation import generic_substitution, substitute_tuple
 from weylpi.fields import Field
-from weylpi.free_algebra import NCPoly, gamma, st3, t4
+from weylpi.free_algebra import NCPoly, gamma, mdeg_word, st3, t4
 from weylpi.parser import parse_poly
 from weylpi.rewriter import (
     completely_reduce,
@@ -243,9 +243,10 @@ def test_step_cap_raises_resource_limit(monkeypatch, capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text, passes", [("x3*x2*x1*x4", 16), ("x4*x3*x2*x1", 20)])
+@pytest.mark.parametrize("text, passes", [("x3*x2*x1*x4", 14), ("x4*x3*x2*x1", 18)])
 def test_step_cap_counts_distinct_keys_expanded(monkeypatch, text, passes):
-    # the cap counts every distinct key the walk expands, terminal ones too
+    # the cap counts every distinct key popped with a nonzero merged
+    # coefficient, terminal ones too
     f = parse_poly(text, QQ)
     monkeypatch.setattr(rewriter, "_MAX_STEPS", passes)
     normal_form(f)
@@ -256,69 +257,59 @@ def test_step_cap_counts_distinct_keys_expanded(monkeypatch, text, passes):
 
 # The full trace and the terms in insertion order: `normalize --trace`
 # prints this trace, and the benchmark's rewrite-step count reads its length.
+# Both follow the pop order, decreasing (len(prefix), prefix, brackets); a
+# term whose merged coefficient cancels (in x4*x3*x2*x1, x2 x1 [x3,x4] and
+# x3 x1 [x2,x4]) is dropped without a line.
 PINNED = {
     "x4*x3*x2*x1": (
         [
             "swap: x4 x3 in x4 x3 x2 x1",
-            "swap: x2 x1 in x2 x1 [x3,x4]",
             "swap: x4 x2 in x3 x4 x2 x1",
-            "swap: x3 x1 in x3 x1 [x2,x4]",
             "swap: x3 x2 in x3 x2 x4 x1",
-            "swap: x4 x1 in x4 x1 [x2,x3]",
-            "unnest: [x2,x3][x1,x4] in [x2,x3] [x1,x4]",
-            "pull-in: pull x4 into [x2,x3] in x1 x4 [x2,x3]",
             "swap: x4 x1 in x2 x3 x4 x1",
             "swap: x3 x1 in x2 x3 x1 x4",
-            "pull-in: pull x4 into [x1,x3] in x2 x4 [x1,x3]",
             "swap: x2 x1 in x2 x1 x3 x4",
+            "swap: x4 x1 in x4 x1 [x2,x3]",
             "pull-in: pull x4 into [x1,x2] in x3 x4 [x1,x2]",
             "swap: x3 x2 in x3 x2 [x1,x4]",
+            "pull-in: pull x4 into [x1,x3] in x2 x4 [x1,x3]",
+            "pull-in: pull x4 into [x2,x3] in x1 x4 [x2,x3]",
+            "unnest: [x2,x3][x1,x4] in [x2,x3] [x1,x4]",
         ],
         1,
         [
             (((2, 3), ((1, 4),)), -3),
             (((1, 3), ((2, 4),)), -1),
-            (((), ((1, 3), (2, 4))), 2),
             (((1, 2), ((3, 4),)), 1),
+            (((), ((1, 3), (2, 4))), 2),
             (((), ((1, 2), (3, 4))), -2),
         ],
     ),
     "x3*[x1,x2]*x5*x4": (
         [
             "swap: x3 x2 in x3 x2 x1 x5 x4",
-            "swap: x5 x4 in x1 x5 x4 [x2,x3]",
-            "pull-in: pull x5 into [x2,x3] in x1 x4 x5 [x2,x3]",
-            "swap: x4 x2 in x1 x4 x2 [x3,x5]",
-            "swap: x4 x3 in x1 x4 x3 [x2,x5]",
-            "unnest: [x3,x4][x2,x5] in x1 [x3,x4] [x2,x5]",
-            "swap: x3 x1 in x2 x3 x1 x5 x4",
-            "swap: x5 x4 in x2 x5 x4 [x1,x3]",
-            "pull-in: pull x5 into [x1,x3] in x2 x4 x5 [x1,x3]",
-            "swap: x4 x1 in x2 x4 x1 [x3,x5]",
-            "swap: x2 x1 in x2 x1 x4 [x3,x5]",
-            "pull-in: pull x4 into [x1,x2] in x4 [x1,x2] [x3,x5]",
-            "swap: x4 x3 in x2 x4 x3 [x1,x5]",
-            "unnest: [x3,x4][x1,x5] in x2 [x3,x4] [x1,x5]",
-            "swap: x2 x1 in x2 x1 x3 x5 x4",
-            "swap: x5 x4 in x3 x5 x4 [x1,x2]",
-            "pull-in: pull x3 into [x1,x2] in x3 [x1,x2] [x4,x5]",
-            "pull-in: pull x5 into [x1,x2] in x3 x4 x5 [x1,x2]",
-            "swap: x4 x1 in x3 x4 x1 [x2,x5]",
-            "swap: x3 x1 in x3 x1 x4 [x2,x5]",
-            "pull-in: pull x4 into [x1,x3] in x4 [x1,x3] [x2,x5]",
-            "swap: x4 x2 in x3 x4 x2 [x1,x5]",
-            "unnest: [x2,x4][x1,x5] in x3 [x2,x4] [x1,x5]",
-            "swap: x3 x2 in x3 x2 x4 [x1,x5]",
-            "pull-in: pull x4 into [x2,x3] in x4 [x2,x3] [x1,x5]",
-            "swap: x5 x4 in x1 x2 x3 x5 x4",
             "swap: x3 x1 in x3 x1 x2 x5 x4",
+            "swap: x3 x1 in x2 x3 x1 x5 x4",
+            "swap: x2 x1 in x2 x1 x3 x5 x4",
             "swap: x3 x2 in x1 x3 x2 x5 x4",
+            "swap: x5 x4 in x3 x5 x4 [x1,x2]",
+            "pull-in: pull x5 into [x1,x2] in x3 x4 x5 [x1,x2]",
+            "swap: x4 x2 in x3 x4 x2 [x1,x5]",
+            "swap: x4 x1 in x3 x4 x1 [x2,x5]",
+            "swap: x3 x2 in x3 x2 x4 [x1,x5]",
+            "swap: x3 x1 in x3 x1 x4 [x2,x5]",
+            "pull-in: pull x4 into [x2,x3] in x4 [x2,x3] [x1,x5]",
+            "pull-in: pull x4 into [x1,x3] in x4 [x1,x3] [x2,x5]",
+            "unnest: [x2,x4][x1,x5] in x3 [x2,x4] [x1,x5]",
+            "pull-in: pull x3 into [x1,x2] in x3 [x1,x2] [x4,x5]",
+            "unnest: [x3,x4][x1,x5] in x2 [x3,x4] [x1,x5]",
+            "unnest: [x3,x4][x2,x5] in x1 [x3,x4] [x2,x5]",
         ],
         0,
         [
             (((2, 3, 4), ((1, 5),)), 1),
-            (((2,), ((1, 4), (3, 5))), 1),
             (((1, 3, 4), ((2, 5),)), -1),
+            (((2,), ((1, 4), (3, 5))), 1),
             (((1,), ((2, 4), (3, 5))), -1),
         ],
     ),
@@ -339,7 +330,7 @@ def test_trace_and_term_order_are_pinned(text):
     "text, lines",
     [
         ("x3*x2*x1*x4", 10),
-        ("x4*x3*x2*x1", 14),  # 17 rule firings along separate paths
+        ("x4*x3*x2*x1", 12),  # 17 firings along separate paths on 14 terms, 2 cancel
         ("x3*x2*x1*x4 + x2*x3*x1*x4", 10),  # the second word's rewrites are shared
     ],
 )
@@ -351,14 +342,56 @@ def test_trace_lists_each_distinct_rewrite_once(text, lines):
         assert any(line.startswith(rule) for line in trace)
 
 
+_RULES = {
+    Status.NONE: {"swap"},
+    Status.SEMI_REDUCED: {"swap"},
+    Status.REDUCED: {"swap", "pull-in"},
+    Status.COMPLETELY_REDUCED: {"swap", "pull-in", "unnest"},
+}
+
+
+@pytest.mark.parametrize("target", list(Status), ids=lambda t: t.name)
+def test_successors_are_smaller_in_the_rewrite_order(target):
+    # the single ordered pass of _rewrite pops terms in decreasing
+    # (len(prefix), prefix, brackets) order, so every child must come after
+    # its parent; brackets are internal sorted (s, r) pairs
+    def order(key):
+        return len(key[0]), key[0], key[1]
+
+    rng = random.Random(41 + target)
+    trace = []
+    for _ in range(600):
+        prefix = tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 5)))
+        pairs = [sorted(rng.sample(range(1, 7), 2)) for _ in range(rng.randint(0, 3))]
+        brackets = tuple(sorted((s, r) for r, s in pairs))
+        children = rewriter._successors((prefix, brackets), target, trace)
+        for child in children[:2]:
+            assert order(child) < order((prefix, brackets))
+            assert list(child[1]) == sorted(child[1])
+    assert {line.split(":")[0] for line in trace} == _RULES[target]
+
+
 # -- differential test against the path-by-path worklist ----------------------
 #
 # The oracle is the rewriter as it was before paths were merged: every path
-# through the rewrite tree is followed on its own, in field arithmetic, with
-# one trace line per rule firing.
+# through the rewrite tree is followed on its own, in field arithmetic.  It
+# sums the path coefficients of each term a rule fires on, so the expected
+# trace holds the lines of the terms whose sum is nonzero, in decreasing
+# (len(prefix), prefix, brackets) order, brackets as sorted (s, r) pairs.
 
 
-def _path_rewrite(initial, F, target, trace=None):
+def _fire(fired, F, prefix, brackets, line, c):
+    """Add one path's coefficient into the term a rule fires on."""
+    if fired is not None:
+        key = len(prefix), prefix, tuple((s, r) for r, s in brackets)
+        fired[key] = line, F.add(fired.get(key, (line, F.zero))[1], c)
+
+
+def _fired_lines(fired, F):
+    return [line for _, (line, c) in sorted(fired.items(), reverse=True) if not F.is_zero(c)]
+
+
+def _path_rewrite(initial, F, target, fired=None):
     beta = F.zero
     out = {}
     stack = list(initial)
@@ -368,8 +401,8 @@ def _path_rewrite(initial, F, target, trace=None):
         i = _first_descent(prefix)
         if i is not None:
             a, b = prefix[i], prefix[i + 1]
-            if trace is not None:
-                trace.append(f"swap: x{a} x{b} in {format_key(prefix, brackets)}")
+            line = f"swap: x{a} x{b} in {format_key(prefix, brackets)}"
+            _fire(fired, F, prefix, brackets, line, c)
             stack.append(((prefix[:i] + (b, a) + prefix[i + 2 :], brackets), c))
             stack.append(((prefix[:i] + prefix[i + 2 :], brackets + ((b, a),)), F.neg(c)))
             continue
@@ -379,10 +412,8 @@ def _path_rewrite(initial, F, target, trace=None):
         if target >= Status.REDUCED and prefix and prefix[-1] > brackets[0][1]:
             t_l = prefix[-1]
             r1, s1 = brackets[0]
-            if trace is not None:
-                trace.append(
-                    f"pull-in: pull x{t_l} into [x{r1},x{s1}] in {format_key(prefix, brackets)}"
-                )
+            line = f"pull-in: pull x{t_l} into [x{r1},x{s1}] in {format_key(prefix, brackets)}"
+            _fire(fired, F, prefix, brackets, line, c)
             head, rest = prefix[:-1], brackets[1:]
             stack.append(((head + (s1,), ((r1, t_l),) + rest), c))
             stack.append(((head + (r1,), ((s1, t_l),) + rest), F.neg(c)))
@@ -393,10 +424,8 @@ def _path_rewrite(initial, F, target, trace=None):
                 u, v = nested
                 a2, a3 = brackets[u]
                 a1, a4 = brackets[v]
-                if trace is not None:
-                    trace.append(
-                        f"unnest: [x{a2},x{a3}][x{a1},x{a4}] in {format_key(prefix, brackets)}"
-                    )
+                line = f"unnest: [x{a2},x{a3}][x{a1},x{a4}] in {format_key(prefix, brackets)}"
+                _fire(fired, F, prefix, brackets, line, c)
                 rest = tuple(b for w, b in enumerate(brackets) if w not in (u, v))
                 stack.append(((prefix, rest + ((a1, a2), (a3, a4))), F.neg(c)))
                 stack.append(((prefix, rest + ((a1, a3), (a2, a4))), c))
@@ -414,7 +443,10 @@ def _oracle_normal_form(f, trace=None):
     out = {}
     for delta, comp in f.multihomogeneous_components().items():
         initial = [((w, ()), c) for w, c in comp.terms.items()]
-        out[delta] = _path_rewrite(initial, f.field, Status.COMPLETELY_REDUCED, trace)
+        fired = {}
+        out[delta] = _path_rewrite(initial, f.field, Status.COMPLETELY_REDUCED, fired)
+        if trace is not None:
+            trace += _fired_lines(fired, f.field)
     return out
 
 
@@ -442,10 +474,6 @@ def _random_input(rng, F):
     return f
 
 
-def _dedupe(lines):
-    return list(dict.fromkeys(lines))
-
-
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_normal_form_matches_path_oracle(field):
     rng = random.Random(2024 + field.p)
@@ -458,7 +486,7 @@ def test_normal_form_matches_path_oracle(field):
         for delta, (beta, terms) in expected.items():
             assert forms[delta].beta == beta
             assert forms[delta].terms == terms
-        assert trace == _dedupe(oracle_trace)
+        assert trace == oracle_trace
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -474,7 +502,7 @@ def test_cancelled_outputs_are_dropped(field):
             if not nf.terms:
                 continue
             mono, alpha = rng.choice(sorted(nf.terms.items(), key=lambda it: it[0].prefix))
-            word = tuple(l for l, d in enumerate(delta, start=1) for _ in range(d))
+            word = mdeg_word(delta)
             g = (
                 f
                 - mono.expand(field).scale(alpha)
