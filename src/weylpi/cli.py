@@ -164,7 +164,7 @@ def cmd_verify(args):
     # opened before the sweep, so that an unwritable path fails at once;
     # a full device may fail the write or the close
     try:
-        with open(args.json, "w") if args.json else contextlib.nullcontext() as fh:
+        with open(args.json, "w") if args.json is not None else contextlib.nullcontext() as fh:
             reports = [verify_conjecture(d, fieldobj).to_dict() for d in deltas]
             if fh:
                 json.dump({"reports": reports}, fh, indent=2, sort_keys=True)

@@ -28,15 +28,15 @@ words of f that start with x_l, that letter removed, walking the sorted
 words of a batch depth first over their prefix trie.  Each node sums the
 images of the words below it, per polynomial, and a finished node is
 folded into its parent by one left multiplication, so only the few nodes
-near the root carry large images.  ``is_weak_identity`` and the exact
-eliminations take its integer rows as they are, and ``eval_vectors``
-enters the field once per output coordinate.
+near the root carry large images.  It takes and gives integer rows: its
+callers scale a polynomial with ``Field.integral``, ``is_weak_identity``
+and the exact eliminations take its images as they are, and
+``eval_vectors`` enters the field once per output coordinate, with
+``Field.of`` over the polynomial's denominator.
 """
 
-from math import lcm
-
 from .errors import ArityMismatch
-from .free_algebra import word_mdeg
+from .free_algebra import components
 from .weyl import WeylElement
 
 
@@ -110,23 +110,18 @@ def _letter_times(shifts, image, into, ishift):
             into[k] = get(k, 0) + i * c
 
 
-def _integer_images(polys):
-    """The generic substitution of each polynomial modulo A1*y, scaled to
-    integers: ``(images, dens, unpack)``.  ``dens[r]`` is the lcm of the
-    denominators of polynomial r's coefficients, and ``images[r]`` maps
-    packed int keys to the nonzero ints ``dens[r]`` times the coefficients.
-    ``unpack`` decodes a key (``_key_layout``).  Keys order as their
-    coordinates do, so an elimination on them picks the same pivots.  A
-    polynomial with integer coefficients has den 1, so its image is its row
-    over Q and, reduced mod p, over F_p.
+def _integer_images(rows):
+    """The generic substitution, modulo A1*y, of each polynomial given as a
+    dict word -> int: ``(images, unpack)``.  ``images[r]`` maps packed int
+    keys to the nonzero ints of the image of ``rows[r]``, and ``unpack``
+    decodes a key (``_key_layout``).  Keys order as their coordinates do,
+    so an elimination on them picks the same pivots.  The image of a row
+    is its row over Q and, reduced mod p, over F_p.
     """
     uses = {}  # word -> [(row, integer coefficient)]
-    dens = []
-    for row, f in enumerate(polys):
-        den = lcm(1, *(c.denominator for c in f.terms.values()))
-        dens.append(den)
-        for w, c in f.terms.items():
-            uses.setdefault(w, []).append((row, c.numerator * (den // c.denominator)))
+    for row, terms in enumerate(rows):
+        for w, c in terms.items():
+            uses.setdefault(w, []).append((row, c))
 
     x, params, unpack = _key_layout(max(map(len, uses), default=0), set().union(*uses))
     ishift = x.bit_length() - 1
@@ -159,8 +154,8 @@ def _integer_images(polys):
         prev = w
     close(0)
     root = path[0]
-    images = [{k: s for k, s in root.get(row, {}).items() if s} for row in range(len(polys))]
-    return images, dens, unpack
+    images = [{k: s for k, s in root.get(row, {}).items() if s} for row in range(len(rows))]
+    return images, unpack
 
 
 def eval_vectors(polys, field):
@@ -169,10 +164,11 @@ def eval_vectors(polys, field):
     scalar, where exps is the trimmed exponent tuple of (a1, b1, a2, ...),
     exactly the terms (i, 0, exps) of ``generic_substitution``.
     """
-    images, dens, unpack = _integer_images(polys)
+    scaled = [field.integral(f.terms) for f in polys]
+    images, unpack = _integer_images([ints for _, ints in scaled])
     coords = {}
     out = []
-    for image, den in zip(images, dens):
+    for image, (den, _) in zip(images, scaled):
         vec = {}
         for key, s in image.items():
             v = field.of(s, den)
@@ -219,12 +215,9 @@ def is_weak_identity(f):
     certifies that f is not an identity; every other f is evaluated.
     """
     p = f.field.p
-    sums = {}
-    for w, c in f.terms.items():
-        delta = word_mdeg(w, f.nvars)
-        sums[delta] = sums.get(delta, 0) + c
-    if any(s % p if p else s for s in sums.values()):
+    sums = (sum(comp.values()) for comp in components(f.terms, f.nvars).values())
+    if any(s % p if p else s for s in sums):
         return False
-    (image,), _, _ = _integer_images([f])
-    # over F_p the coefficients are ints, so den is 1
+    _, ints = f.field.integral(f.terms)
+    (image,), _ = _integer_images([ints])
     return not any(s % p for s in image.values()) if p else not image

@@ -4,9 +4,15 @@ Scalars are plain Python objects: ``Fraction`` over the rationals and
 canonical residues (ints in ``[0, p)``) over F_p.  A ``Field`` instance
 carries the characteristic and supplies the operations, so every other
 module stays agnostic of which field it is working over.
+
+The exact kernels (evaluation, elimination, rewriting) run on plain ints.
+``Field.integral`` is the one place a dict of scalars becomes a common
+denominator and integer numerators, and ``Field.of`` the one place an
+integer over that denominator becomes a scalar again.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import FieldMismatch
 
@@ -88,6 +94,18 @@ class Field:
         if den % self.p == 0:
             raise ZeroDivisionError(f"denominator {den} not invertible mod {self.p}")
         return num * pow(den, -1, self.p) % self.p
+
+    def integral(self, terms):
+        """Scale a dict of scalars to integers: ``(den, ints)``, where
+        ``ints`` maps the key of each nonzero value v to the int with
+        ``of(ints[k], den) == of(v)``.  Over Q ``den`` is the lcm of the
+        denominators; over F_p, where the values are ints, it is 1 and
+        ``ints`` holds the nonzero residues."""
+        p = self.p
+        if p:
+            return 1, {k: r for k, v in terms.items() if (r := v % p)}
+        den = lcm(*(v.denominator for v in terms.values()))
+        return den, {k: v.numerator * (den // v.denominator) for k, v in terms.items() if v}
 
     # -- arithmetic --------------------------------------------------------
 

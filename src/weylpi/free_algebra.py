@@ -18,6 +18,15 @@ def word_mdeg(word, nvars):
     return tuple(counts)
 
 
+def components(terms, nvars):
+    """Split a word dict by multidegree: a dict multidegree -> word dict,
+    in increasing multidegree order; {} gives {}."""
+    out = {}
+    for w, c in terms.items():
+        out.setdefault(word_mdeg(w, nvars), {})[w] = c
+    return dict(sorted(out.items()))
+
+
 def mdeg_word(delta):
     """The sorted word x1^d1...xm^dm of the multidegree ``delta``."""
     return tuple(l for l, d in enumerate(delta, start=1) for _ in range(d))
@@ -58,14 +67,7 @@ class NCPoly:
     def __init__(self, field, nvars, terms=None):
         self.field = field
         self.nvars = nvars
-        self.terms = {}
-        if terms:
-            p = field.p
-            for w, c in terms.items():
-                if p:
-                    c %= p
-                if not field.is_zero(c):
-                    self.terms[tuple(w)] = c
+        self.terms = field.add_into({}, (terms or {}).items())
 
     # -- constructors ------------------------------------------------------
 
@@ -101,13 +103,9 @@ class NCPoly:
 
     def multihomogeneous_components(self):
         """Split into multidegree components; the empty poly gives {}."""
-        out = {}
-        for w, c in self.terms.items():
-            d = word_mdeg(w, self.nvars)
-            out.setdefault(d, {})[w] = c
         return {
             d: NCPoly(self.field, self.nvars, terms)
-            for d, terms in sorted(out.items())
+            for d, terms in components(self.terms, self.nvars).items()
         }
 
     def mdeg(self):

@@ -73,12 +73,10 @@ def identity_basis(delta, fieldobj):
     """
     delta = tuple(delta)
     words = words_of_multidegree(delta)[::-1]
-    nvars = len(delta)
-    # coefficient 1 on each word, so den is 1
-    rows, _, _ = _integer_images([NCPoly.monomial(w, fieldobj, nvars=nvars) for w in words])
+    rows, _ = _integer_images([{w: 1} for w in words])
     _, kernel = row_reduce_sparse(rows, fieldobj, want_kernel=True)
     return [
-        NCPoly(fieldobj, nvars, {words[i]: c for i, c in vec.items()})
+        NCPoly(fieldobj, len(delta), {words[i]: c for i, c in vec.items()})
         for vec in reversed(kernel)
     ]
 

@@ -5,7 +5,8 @@ arbitrary comparable coordinates, added one at a time, and it keeps the
 rank and, on request, a basis of the vanishing row combinations.
 ``row_reduce_sparse`` runs it over a list of rows.
 
-Over F_p a row may hold any ints, reduced mod p as it enters; the pivot
+A row enters through ``Field.integral``, which holds the only scaling:
+over F_p a row may hold any ints, reduced mod p as it enters; the pivot
 rows are monic, and a row is reduced by subtracting r_c times the pivot
 of its leading coordinate c.  Over Q the elimination
 is fraction free (Bareiss 1968) and runs on plain ints: a row enters
@@ -18,9 +19,9 @@ do not grow from step to step.  The augmented part (the row's coefficients
 over the input rows) starts at the entry scale and takes every multiplier
 and division of the row, so a row always equals the combination its
 augmented part names.  A row that reduces to zero gives the kernel vector
-aug / aug[own row]: the unique vanishing combination of its own row, with
-coefficient 1, and the earlier pivot rows, which are independent.  Over Q
-it is a dict of ``Fraction``s, the same as elimination over fractions
+aug / aug[own row], entered with ``Field.of``: the unique vanishing
+combination of its own row, with coefficient 1, and the earlier pivot rows,
+which are independent.  Over Q it is the same as elimination over fractions
 gives.
 
 The row update row -= r * pivot is the innermost loop of every
@@ -29,8 +30,7 @@ feeding a generator to ``Field.add_into``; the augmented part, which is
 short, keeps ``add_into``.
 """
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 class Echelon:
@@ -58,12 +58,7 @@ class Echelon:
         F = self.field
         p = F.p
         pivots = self.pivots
-        if p:
-            row = {c: r for c, v in row.items() if (r := v % p)}
-            scale = 1
-        else:  # ints or Fractions in, ints from here on
-            scale = lcm(*(v.denominator for v in row.values()))
-            row = {c: v.numerator * (scale // v.denominator) for c, v in row.items() if v}
+        scale, row = F.integral(row)
         own = self.nrows
         aug = {own: scale} if self.want_kernel else None
         self.nrows += 1
@@ -108,10 +103,8 @@ class Echelon:
                     row, aug = _divided(row, aug, content)
         if not row:
             if aug is not None:
-                if not p:
-                    s = aug[own]
-                    aug = {k: Fraction(v, s) for k, v in aug.items()}
-                self.kernel.append(aug)
+                s = aug[own]
+                self.kernel.append({k: F.of(v, s) for k, v in aug.items()})
             return False
         # the loop stopped at c = min(row), a coordinate with no pivot
         if p:

@@ -36,20 +36,20 @@ in a sorted list; the largest is popped first, so every parent of a key has
 added into its coefficient before the key is popped.  A key whose merged
 coefficient is zero in the field is dropped without being rewritten; any
 other fires its rule once and adds +-c into its two children.  The
-arithmetic runs on integers (rationals scaled to a common denominator,
-reduced mod p at each pop over F_p), and each output coefficient enters the
-field once at the end.  The step cap counts the keys popped with a nonzero
-coefficient, terminal ones included; a trace gets one line per rule that
-fires on such a key, in pop order.
+arithmetic runs on integers (``Field.integral`` scales the input to a
+common denominator; over F_p each pop reduces mod p), and each output
+coefficient enters the field once at the end, with ``Field.of``.  The
+step cap counts the keys popped with a nonzero coefficient, terminal ones
+included; a trace gets one line per rule that fires on such a key, in pop
+order.
 """
 
 from bisect import bisect_right, insort
-from math import lcm
 from types import SimpleNamespace
 
 from .bracket import BracketMonomial, Status, _first_descent, format_key, term_order
 from .errors import NotReduced, NotSemiReduced, ResourceLimit
-from .free_algebra import NCPoly, mdeg_word
+from .free_algebra import NCPoly, components, mdeg_word
 
 _MAX_STEPS = 10_000_000
 
@@ -58,6 +58,11 @@ def _insert(brackets, sr):
     """An internal bracket tuple with the (s, r) pair ``sr`` inserted in its place."""
     i = bisect_right(brackets, sr)
     return brackets[:i] + (sr,) + brackets[i:]
+
+
+def _internal(b):
+    """The internal key of a ``BracketMonomial``."""
+    return b.prefix, tuple(sorted((s, r) for r, s in b.brackets))
 
 
 def _text(prefix, brackets):
@@ -119,20 +124,15 @@ def _successors(key, target, trace):
 def _rewrite(initial, fieldobj, target, trace=None):
     """Rewrite (prefix, brackets) terms up to ``target`` status.
 
-    ``initial`` is a list of ((prefix, brackets), coeff).  Returns
-    (beta, out) where beta collects bracket-free sorted words and ``out``
-    maps canonical ``BracketMonomial`` keys to nonzero coefficients.
+    ``initial`` maps internal keys, brackets as sorted (s, r) pairs, to
+    coefficients, at least one of them nonzero.  Returns (beta, out) where
+    beta collects bracket-free sorted words and ``out`` maps canonical
+    ``BracketMonomial`` keys to nonzero coefficients.
     """
     F = fieldobj
-    den = 1
-    for _, c in initial:
-        den = lcm(den, c.denominator)
     # coef: each pending key's merged integer coefficient; pending[n]: the
     # pending keys with n prefix letters, ascending
-    coef = {}
-    for (prefix, brackets), c in initial:
-        key = tuple(prefix), tuple(sorted((s, r) for r, s in brackets))
-        coef[key] = coef.get(key, 0) + c.numerator * (den // c.denominator)
+    den, coef = F.integral(initial)
     pending = [[] for _ in range(max(len(prefix) for prefix, _ in coef) + 1)]
     for key in sorted(coef):
         pending[len(key[0])].append(key)
@@ -180,7 +180,7 @@ def semi_reduce(f, trace=None):
     if f.is_zero():
         return F.zero, {}
     f.mdeg()  # raises NotMultihomogeneous on mixed input
-    initial = [((tuple(w), ()), c) for w, c in f.terms.items()]
+    initial = {(w, ()): c for w, c in f.terms.items()}
     return _rewrite(initial, F, Status.SEMI_REDUCED, trace)
 
 
@@ -188,7 +188,7 @@ def reduce_monomial(b, fieldobj, trace=None):
     """Rewrite a semi-reduced bracket-monomial into reduced ones."""
     if b.status() < Status.SEMI_REDUCED:
         raise NotSemiReduced(b.format())
-    beta, out = _rewrite([(b, fieldobj.one)], fieldobj, Status.REDUCED, trace)
+    beta, out = _rewrite({_internal(b): fieldobj.one}, fieldobj, Status.REDUCED, trace)
     assert fieldobj.is_zero(beta)  # k never decreases, so no pure word appears
     return out
 
@@ -197,7 +197,7 @@ def completely_reduce(b, fieldobj, trace=None):
     """Rewrite a reduced bracket-monomial into completely reduced ones."""
     if b.status() < Status.REDUCED:
         raise NotReduced(b.format())
-    beta, out = _rewrite([(b, fieldobj.one)], fieldobj, Status.COMPLETELY_REDUCED, trace)
+    beta, out = _rewrite({_internal(b): fieldobj.one}, fieldobj, Status.COMPLETELY_REDUCED, trace)
     assert fieldobj.is_zero(beta)
     return out
 
@@ -234,8 +234,8 @@ def normal_form(f, trace=None):
     """
     out = {}
     F = f.field
-    for delta, comp in f.multihomogeneous_components().items():
-        initial = [((tuple(w), ()), c) for w, c in comp.terms.items()]
+    for delta, comp in components(f.terms, f.nvars).items():
+        initial = {(w, ()): c for w, c in comp.items()}
         beta, terms = _rewrite(initial, F, Status.COMPLETELY_REDUCED, trace)
         out[delta] = NormalForm(F, delta, beta, terms)
     return out

@@ -310,10 +310,13 @@ def test_verify_deterministic_modulo_timing(tmp_path):
 
 
 def test_verify_json_to_unwritable_path_fails_before_the_sweep(tmp_path):
-    r = run("verify", "--degree", "3", "--json", str(tmp_path / "missing" / "x.json"))
-    assert r.returncode == 2
-    assert r.stdout == ""
-    assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+    # an empty path names no file: it is refused, not taken as "no --json"
+    for path in (str(tmp_path / "missing" / "x.json"), ""):
+        r = run("verify", "--degree", "3", "--json", path)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith(f"error: cannot write {path}: ")
+        assert len(r.stderr.splitlines()) == 1
     # a sweep over the degree cap is refused before the file is opened
     out = tmp_path / "kept.json"
     out.write_text("kept")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +66,25 @@ def _sparse(field, dense_rows):
 
 def _rank(field, dense_rows):
     return row_reduce_sparse(_sparse(field, dense_rows), field)[0]
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 32003])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_integral_gives_ints_over_one_denominator(p, data):
+    # over F_p the scalars are ints, raw or residues; over Q also Fractions
+    F = Field(p)
+    value = st.integers(-50, 50) | st.just(0)
+    if not p:
+        value = value | st.fractions(max_denominator=12) | st.just(Fraction(0))
+    terms = data.draw(st.dictionaries(st.integers(0, 9), value))
+    den, ints = F.integral(terms)
+    nonzero = {k: v for k, v in terms.items() if not F.is_zero(F.of(v))}
+    assert set(ints) == set(nonzero)
+    assert all(type(v) is int for v in ints.values())
+    assert all(F.of(ints[k], den) == F.of(v) for k, v in nonzero.items())
+    assert den == (lcm(*(Fraction(v).denominator for v in terms.values())) if not p else 1)
+    assert F.integral({}) == (1, {})
 
 
 def test_rank_examples():
