@@ -89,11 +89,14 @@ class Field:
         """Lift an integer (or num/den pair, or Fraction) into the field."""
         if isinstance(num, Fraction):
             num, den = num.numerator, num.denominator * den
-        if self.p == 0:
+        p = self.p
+        if den == 1:  # Fraction(num) skips the gcd, and 1 needs no inverse
+            return num % p if p else Fraction(num)
+        if not p:
             return Fraction(num, den)
-        if den % self.p == 0:
-            raise ZeroDivisionError(f"denominator {den} not invertible mod {self.p}")
-        return num * pow(den, -1, self.p) % self.p
+        if den % p == 0:
+            raise ZeroDivisionError(f"denominator {den} not invertible mod {p}")
+        return num * pow(den, -1, p) % p
 
     def integral(self, terms):
         """Scale a dict of scalars to integers: ``(den, ints)``, where

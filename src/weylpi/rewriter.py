@@ -12,26 +12,30 @@ using three rewrite rules:
   (unnest)   [a2,a3][a1,a4]   -> -[a1,a2][a3,a4] + [a1,a3][a2,a4]  (a1<a2<a3<a4)
 
 The rule that fires on a term is the one for its leftmost violation.  A
-term is a (prefix, brackets) key; inside this module each bracket [x_r, x_s]
-is held as the pair (s, r), so plain tuple order sorts the brackets of a key
-canonically and a new bracket goes in by bisection.  A terminal key is
-turned back to (r, s) pairs and returned as a ``BracketMonomial``, and a
-trace line prints brackets as [x_r,x_s].
+term with n prefix letters is held as one flat tuple of ints: the prefix,
+then its brackets in ascending order, a bracket [x_r, x_s] coded as the int
+s << w | r.  The width w is the bit length of the largest letter of the
+input; no rule brings in a new letter, so w is fixed for the whole call,
+and the numeric order of the codes is the order of the (s, r) pairs.  The
+pending terms are kept per prefix length n, so n is not stored in the key,
+and for equal n the order of the flat tuples is (prefix, brackets) order.
+A pure word is its own key.  Only a terminal key is decoded, into a
+``BracketMonomial``; a trace line decodes its key to print [x_r,x_s].
 
 Each rule sends a key to two keys that are strictly smaller in the order
-(len(prefix), prefix, brackets):
+(len(prefix), prefix, bracket codes):
 
   swap      the first child keeps the prefix length and is smaller where
             xj xi became xi xj; the second child's prefix is two letters
             shorter.
   pull-in   fires on a sorted prefix only, and puts x_s or x_r, both
             smaller than x_t, in place of its last and largest letter x_t.
-  unnest    keeps the prefix; the least changed (s, r) pair of each child
-            is new and smaller than both pairs it replaces, since
-            (a2,a1) < (a3,a2) and (a3,a1) < (a3,a2).
+  unnest    keeps the prefix; the least changed code of each child is new
+            and smaller than both codes it replaces, since the pairs
+            (s, r) obey (a2,a1) < (a3,a2) and (a3,a1) < (a3,a2).
 
 So rewriting terminates, and one ordered pass rewrites each key once.  The
-pending keys wait in a dict of merged coefficients and, per prefix length,
+pending keys wait, per prefix length, in a dict of merged coefficients and
 in a sorted list; the largest is popped first, so every parent of a key has
 added into its coefficient before the key is popped.  A key whose merged
 coefficient is zero in the field is dropped without being rewritten; any
@@ -47,101 +51,103 @@ order.
 from bisect import bisect_right, insort
 from types import SimpleNamespace
 
-from .bracket import BracketMonomial, Status, _first_descent, format_key, term_order
+from .bracket import BracketMonomial, Status, format_key, term_order
 from .errors import NotReduced, NotSemiReduced, ResourceLimit
 from .free_algebra import NCPoly, components, mdeg_word
 
 _MAX_STEPS = 10_000_000
 
 
-def _insert(brackets, sr):
-    """An internal bracket tuple with the (s, r) pair ``sr`` inserted in its place."""
-    i = bisect_right(brackets, sr)
-    return brackets[:i] + (sr,) + brackets[i:]
+def _decode(key, n, width):
+    """The (prefix, brackets) tuple of a flat key with ``n`` prefix letters,
+    each bracket turned back to an (r, s) pair."""
+    mask = (1 << width) - 1
+    return key[:n], tuple((code & mask, code >> width) for code in key[n:])
 
 
-def _internal(b):
-    """The internal key of a ``BracketMonomial``."""
-    return b.prefix, tuple(sorted((s, r) for r, s in b.brackets))
-
-
-def _text(prefix, brackets):
-    """``format_key`` of an internal key, brackets turned back to (r, s)."""
-    return format_key(prefix, [(r, s) for s, r in brackets])
-
-
-def _successors(key, target, trace):
-    """(first child, second child, sign of the first) of the rule that fires
-    on an internal key, or () if the key is terminal at ``target`` status;
-    the second child's sign is minus the first's.  A firing rule appends its
-    line to ``trace`` unless that is None."""
-    prefix, brackets = key
-    i = _first_descent(prefix)
-    if i is not None:
-        a, b = prefix[i], prefix[i + 1]  # a > b: the new bracket [x_b, x_a]
-        if trace is not None:
-            trace.append(f"swap: x{a} x{b} in {_text(prefix, brackets)}")
-        return (
-            (prefix[:i] + (b, a) + prefix[i + 2 :], brackets),
-            (prefix[:i] + prefix[i + 2 :], _insert(brackets, (a, b))),
-            1,
-        )
-    if not brackets:
+def _successors(key, n, width, target, trace):
+    """(first child, second child, sign of the first, prefix length of the
+    second) of the rule that fires on a flat key with ``n`` prefix letters,
+    or () if the key is terminal at ``target`` status.  The first child has
+    ``n`` prefix letters and the second child's sign is minus the first's.
+    A firing rule appends its line to ``trace`` unless that is None."""
+    for i in range(n - 1):
+        a, b = key[i], key[i + 1]
+        if a > b:  # swap: the new bracket [x_b, x_a]
+            if trace is not None:
+                trace.append(f"swap: x{a} x{b} in {format_key(*_decode(key, n, width))}")
+            code = a << width | b
+            j = bisect_right(key, code, n)
+            return (
+                key[:i] + (b, a) + key[i + 2 :],
+                key[:i] + key[i + 2 : j] + (code,) + key[j:],
+                1,
+                n - 2,
+            )
+    if len(key) == n:
         return ()
-    if target >= Status.REDUCED and prefix and prefix[-1] > brackets[0][0]:
-        t_l = prefix[-1]
-        s1, r1 = brackets[0]
+    if target >= Status.REDUCED and n and key[n - 1] > key[n] >> width:
+        t_l = key[n - 1]
+        s1, r1 = key[n] >> width, key[n] & ((1 << width) - 1)
         if trace is not None:
             trace.append(
-                f"pull-in: pull x{t_l} into [x{r1},x{s1}] in {_text(prefix, brackets)}"
+                f"pull-in: pull x{t_l} into [x{r1},x{s1}] in {format_key(*_decode(key, n, width))}"
             )
-        head = prefix[:-1]
-        rest = brackets[1:]
+        head, rest = key[: n - 1], key[n + 1 :]
+        code1, code2 = t_l << width | r1, t_l << width | s1
+        i, j = bisect_right(rest, code1), bisect_right(rest, code2)
         return (
-            (head + (s1,), _insert(rest, (t_l, r1))),
-            (head + (r1,), _insert(rest, (t_l, s1))),
+            head + (s1,) + rest[:i] + (code1,) + rest[i:],
+            head + (r1,) + rest[:j] + (code2,) + rest[j:],
             1,
+            n,
         )
     if target >= Status.COMPLETELY_REDUCED:
-        # in (s, r) order a later bracket v nests an earlier u iff r_v < r_u
-        for u, (a3, a2) in enumerate(brackets):
-            for v in range(u + 1, len(brackets)):
-                a4, a1 = brackets[v]
+        # in code order a later bracket v nests an earlier u iff r_v < r_u
+        mask = (1 << width) - 1
+        for u in range(n, len(key)):
+            a3, a2 = key[u] >> width, key[u] & mask
+            for v in range(u + 1, len(key)):
+                a1 = key[v] & mask
                 if a1 < a2:
+                    a4 = key[v] >> width
                     if trace is not None:
                         trace.append(
-                            f"unnest: [x{a2},x{a3}][x{a1},x{a4}] in {_text(prefix, brackets)}"
+                            f"unnest: [x{a2},x{a3}][x{a1},x{a4}] in "
+                            f"{format_key(*_decode(key, n, width))}"
                         )
-                    rest = brackets[:u] + brackets[u + 1 : v] + brackets[v + 1 :]
+                    prefix = key[:n]
+                    rest = key[n:u] + key[u + 1 : v] + key[v + 1 :]
                     return (
-                        (prefix, _insert(_insert(rest, (a2, a1)), (a4, a3))),
-                        (prefix, _insert(_insert(rest, (a3, a1)), (a4, a2))),
+                        prefix + tuple(sorted(rest + (a2 << width | a1, a4 << width | a3))),
+                        prefix + tuple(sorted(rest + (a3 << width | a1, a4 << width | a2))),
                         -1,
+                        n,
                     )
     return ()
 
 
-def _rewrite(initial, fieldobj, target, trace=None):
-    """Rewrite (prefix, brackets) terms up to ``target`` status.
+def _rewrite(initial, n, width, fieldobj, target, trace=None):
+    """Rewrite flat keys up to ``target`` status.
 
-    ``initial`` maps internal keys, brackets as sorted (s, r) pairs, to
-    coefficients, at least one of them nonzero.  Returns (beta, out) where
-    beta collects bracket-free sorted words and ``out`` maps canonical
-    ``BracketMonomial`` keys to nonzero coefficients.
+    ``initial`` maps flat keys with ``n`` prefix letters and bracket codes
+    of ``width`` bits to coefficients, at least one of them nonzero.
+    Returns (beta, out) where beta collects bracket-free sorted words and
+    ``out`` maps canonical ``BracketMonomial`` keys to nonzero coefficients.
     """
     F = fieldobj
-    # coef: each pending key's merged integer coefficient; pending[n]: the
-    # pending keys with n prefix letters, ascending
+    # coefs[m]: each pending key's merged integer coefficient; pending[m]:
+    # the pending keys, ascending; both for the keys with m prefix letters
     den, coef = F.integral(initial)
-    pending = [[] for _ in range(max(len(prefix) for prefix, _ in coef) + 1)]
-    for key in sorted(coef):
-        pending[len(key[0])].append(key)
+    coefs = [{} for _ in range(n)] + [coef]
+    pending = [[] for _ in range(n)] + [sorted(coef)]
 
     p = F.p
     beta = 0
     out = {}
     steps = 0
-    for todo in reversed(pending):
+    for m in range(n, -1, -1):
+        todo, coef = pending[m], coefs[m]
         while todo:
             key = todo.pop()
             c = coef.pop(key)
@@ -152,25 +158,46 @@ def _rewrite(initial, fieldobj, target, trace=None):
             if steps >= _MAX_STEPS:
                 raise ResourceLimit(f"rewriting exceeded the step cap of {_MAX_STEPS}")
             steps += 1
-            children = _successors(key, target, trace)
+            children = _successors(key, m, width, target, trace)
             if not children:
-                prefix, brackets = key
-                if brackets:
-                    mono = BracketMonomial._make((prefix, tuple((r, s) for s, r in brackets)))
-                    out[mono] = F.of(c, den)
+                if len(key) > m:
+                    out[BracketMonomial._make(_decode(key, m, width))] = F.of(c, den)
                 else:
                     beta += c
                 continue
-            first, second, sign = children
+            first, second, sign, m2 = children
             c *= sign
-            for child, d in ((first, c), (second, -c)):
-                old = coef.get(child)
-                if old is None:
-                    coef[child] = d
-                    insort(pending[len(child[0])], child)
-                else:
-                    coef[child] = old + d
+            old = coef.get(first)
+            if old is None:
+                coef[first] = c
+                insort(todo, first)
+            else:
+                coef[first] = old + c
+            table = coefs[m2]
+            old = table.get(second)
+            if old is None:
+                table[second] = -c
+                insort(pending[m2], second)
+            else:
+                table[second] = old - c
     return F.of(beta, den), out
+
+
+def _rewrite_words(words, delta, fieldobj, target, trace):
+    """``_rewrite`` of a dict of words of multidegree ``delta``, each word
+    its own key."""
+    largest = max((l for l, d in enumerate(delta, start=1) if d), default=0)
+    return _rewrite(words, sum(delta), largest.bit_length(), fieldobj, target, trace)
+
+
+def _rewrite_monomial(b, fieldobj, target, trace):
+    """``_rewrite`` of one bracket-monomial with coefficient one; beta is 0,
+    as k never decreases, so no pure word appears."""
+    width = max(b.letters()).bit_length()
+    key = b.prefix + tuple(sorted(s << width | r for r, s in b.brackets))
+    beta, out = _rewrite({key: fieldobj.one}, len(b.prefix), width, fieldobj, target, trace)
+    assert fieldobj.is_zero(beta)
+    return out
 
 
 def semi_reduce(f, trace=None):
@@ -179,27 +206,22 @@ def semi_reduce(f, trace=None):
     F = f.field
     if f.is_zero():
         return F.zero, {}
-    f.mdeg()  # raises NotMultihomogeneous on mixed input
-    initial = {(w, ()): c for w, c in f.terms.items()}
-    return _rewrite(initial, F, Status.SEMI_REDUCED, trace)
+    delta = f.mdeg()  # raises NotMultihomogeneous on mixed input
+    return _rewrite_words(f.terms, delta, F, Status.SEMI_REDUCED, trace)
 
 
 def reduce_monomial(b, fieldobj, trace=None):
     """Rewrite a semi-reduced bracket-monomial into reduced ones."""
     if b.status() < Status.SEMI_REDUCED:
         raise NotSemiReduced(b.format())
-    beta, out = _rewrite({_internal(b): fieldobj.one}, fieldobj, Status.REDUCED, trace)
-    assert fieldobj.is_zero(beta)  # k never decreases, so no pure word appears
-    return out
+    return _rewrite_monomial(b, fieldobj, Status.REDUCED, trace)
 
 
 def completely_reduce(b, fieldobj, trace=None):
     """Rewrite a reduced bracket-monomial into completely reduced ones."""
     if b.status() < Status.REDUCED:
         raise NotReduced(b.format())
-    beta, out = _rewrite({_internal(b): fieldobj.one}, fieldobj, Status.COMPLETELY_REDUCED, trace)
-    assert fieldobj.is_zero(beta)
-    return out
+    return _rewrite_monomial(b, fieldobj, Status.COMPLETELY_REDUCED, trace)
 
 
 class NormalForm(SimpleNamespace):
@@ -235,7 +257,6 @@ def normal_form(f, trace=None):
     out = {}
     F = f.field
     for delta, comp in components(f.terms, f.nvars).items():
-        initial = {(w, ()): c for w, c in comp.items()}
-        beta, terms = _rewrite(initial, F, Status.COMPLETELY_REDUCED, trace)
+        beta, terms = _rewrite_words(comp, delta, F, Status.COMPLETELY_REDUCED, trace)
         out[delta] = NormalForm(F, delta, beta, terms)
     return out

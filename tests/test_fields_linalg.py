@@ -87,6 +87,40 @@ def test_integral_gives_ints_over_one_denominator(p, data):
     assert F.integral({}) == (1, {})
 
 
+def _general_of(p, num, den):
+    """``Field.of`` without its shortcut for the denominator 1."""
+    if isinstance(num, Fraction):
+        num, den = num.numerator, num.denominator * den
+    if p == 0:
+        return Fraction(num, den)
+    if den % p == 0:
+        raise ZeroDivisionError(den)
+    return num * pow(den, -1, p) % p
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 32003])
+@settings(max_examples=150, deadline=None)
+@given(
+    num=st.integers(-(10**30), 10**30) | st.fractions(max_denominator=40),
+    den=st.sampled_from([1, -1, 0, 2, 3, -32003, 64006]) | st.integers(-70000, 70000),
+)
+def test_of_equals_the_general_formula(p, num, den):
+    F = Field(p)
+    if p:
+        with pytest.raises(ZeroDivisionError):
+            F.of(num, -3 * p)
+    try:
+        expected = _general_of(p, num, den)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            F.of(num, den)
+        return
+    got = F.of(num, den)
+    assert type(got) is type(expected) and got == expected
+    if den == 1:
+        assert F.of(num) == got
+
+
 def test_rank_examples():
     assert _rank(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
     assert _rank(QQ, [[0] * 4, [0] * 4]) == 0

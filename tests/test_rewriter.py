@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -353,21 +354,23 @@ _RULES = {
 @pytest.mark.parametrize("target", list(Status), ids=lambda t: t.name)
 def test_successors_are_smaller_in_the_rewrite_order(target):
     # the single ordered pass of _rewrite pops terms in decreasing
-    # (len(prefix), prefix, brackets) order, so every child must come after
-    # its parent; brackets are internal sorted (s, r) pairs
-    def order(key):
-        return len(key[0]), key[0], key[1]
-
+    # (len(prefix), prefix, bracket codes) order, so every child must come
+    # after its parent; a key is the flat tuple prefix + sorted codes, each
+    # bracket [x_r, x_s] coded as s << width | r
+    width = 3  # the bit length of the largest letter, 6
     rng = random.Random(41 + target)
     trace = []
     for _ in range(600):
         prefix = tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 5)))
         pairs = [sorted(rng.sample(range(1, 7), 2)) for _ in range(rng.randint(0, 3))]
-        brackets = tuple(sorted((s, r) for r, s in pairs))
-        children = rewriter._successors((prefix, brackets), target, trace)
-        for child in children[:2]:
-            assert order(child) < order((prefix, brackets))
-            assert list(child[1]) == sorted(child[1])
+        key = prefix + tuple(sorted(s << width | r for r, s in pairs))
+        n = len(prefix)
+        children = rewriter._successors(key, n, width, target, trace)
+        if children:
+            first, second, _, m = children
+            for child, size in ((first, n), (second, m)):
+                assert (size, child) < (n, key)
+                assert list(child[size:]) == sorted(child[size:])
     assert {line.split(":")[0] for line in trace} == _RULES[target]
 
 
@@ -487,6 +490,50 @@ def test_normal_form_matches_path_oracle(field):
             assert forms[delta].beta == beta
             assert forms[delta].terms == terms
         assert trace == oracle_trace
+
+
+_RENAME = {1: 3, 2: 700, 3: 1500, 4: 4000}  # letters above 1023 need 12-bit codes
+
+
+def _relabel(mono):
+    return BracketMonomial(
+        tuple(_RENAME[t] for t in mono.prefix),
+        tuple((_RENAME[r], _RENAME[s]) for r, s in mono.brackets),
+    )
+
+
+def _relabel_items(terms):
+    return [(_relabel(mono), c) for mono, c in terms.items()]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_rewriting_commutes_with_an_order_preserving_relabelling(field):
+    # built as NCPolys, since the parser stops at x999
+    def relabel_line(line):
+        return re.sub(r"x(\d+)", lambda m: f"x{_RENAME[int(m.group(1))]}", line)
+
+    rng = random.Random(4000 + field.p)
+    for _ in range(25):
+        f = _random_input(rng, field)
+        trace, big_trace = [], []
+        forms = normal_form(f, trace=trace)
+        big = {
+            tuple((l, d) for l, d in enumerate(delta, start=1) if d): nf
+            for delta, nf in normal_form(f.rename(_RENAME), trace=big_trace).items()
+        }
+        assert big_trace == [relabel_line(line) for line in trace]
+        assert len(big) == len(forms)
+        for delta, nf in forms.items():
+            got = big[tuple((_RENAME[l], d) for l, d in enumerate(delta, start=1) if d)]
+            assert got.beta == nf.beta
+            assert list(got.terms.items()) == _relabel_items(nf.terms)
+        for comp in f.multihomogeneous_components().values():
+            for mono in semi_reduce(comp)[1]:
+                reduced = reduce_monomial(mono, field)
+                assert list(reduce_monomial(_relabel(mono), field).items()) == _relabel_items(reduced)
+                for red in reduced:
+                    full = completely_reduce(red, field)
+                    assert list(completely_reduce(_relabel(red), field).items()) == _relabel_items(full)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
