@@ -222,19 +222,29 @@ def generator_at(g, indices):
 
 
 def _multiset_permutations(items):
-    """All distinct orderings of a multiset, in lexicographic order."""
-    items = sorted(items)
-    if not items:
-        yield ()
-        return
-    seen = set()
-    for i, it in enumerate(items):
-        if it in seen:
-            continue
-        seen.add(it)
-        rest = items[:i] + items[i + 1 :]
-        for tail in _multiset_permutations(rest):
-            yield (it,) + tail
+    """The list of all distinct orderings of a multiset, as tuples in
+    lexicographic order, [()] for the empty one.
+
+    Knuth's Algorithm L (TAOCP 4A, 7.2.1.2) on one list: from the sorted
+    items, find the last ascent a[j] < a[j+1], swap a[j] with the last
+    item greater than it, and reverse the tail after j; with no ascent left
+    the last ordering is reached.  Each step gives the next ordering in
+    lexicographic order, so each distinct ordering is listed once."""
+    a = sorted(items)
+    out = [tuple(a)]
+    n = len(a)
+    while True:
+        j = n - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return out
+        k = n - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1 :] = a[:j:-1]
+        out.append(tuple(a))
 
 
 def partial_linearization(f, i, gamma_frag):

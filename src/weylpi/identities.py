@@ -39,19 +39,18 @@ import math
 import time
 from collections import namedtuple
 from itertools import combinations, product
+from operator import itemgetter
 
 from .bracket import enumerate_completely_reduced
 from .evaluation import _integer_images, substitute_tuple
 from .fields import Field
-from .free_algebra import (
-    NCPoly, _multiset_permutations, gamma, generator_at, mdeg_word, st3, word_mdeg
-)
+from .free_algebra import NCPoly, _multiset_permutations, mdeg_word, word_mdeg
 from .linalg import row_reduce_sparse
 
 
 def words_of_multidegree(delta):
     """All words with the given letter multiset, in lexicographic order."""
-    return list(_multiset_permutations(mdeg_word(delta)))
+    return _multiset_permutations(mdeg_word(delta))
 
 
 def space_dimension(delta):
@@ -81,6 +80,16 @@ def identity_basis(delta, fieldobj):
     ]
 
 
+# Gamma_3 = [[x1,x2],x3] and St_3 as (letter positions, sign) pairs, in the
+# term order of ``gamma(3, F)`` and ``st3(F)``: position t stands for the
+# (t+1)-th letter of an index tuple.
+_GAMMA3 = (((0, 1, 2), 1), ((1, 0, 2), -1), ((2, 0, 1), -1), ((2, 1, 0), 1))
+_ST3 = (
+    ((0, 1, 2), 1), ((0, 2, 1), -1), ((1, 0, 2), -1),
+    ((1, 2, 0), 1), ((2, 0, 1), 1), ((2, 1, 0), -1),
+)
+
+
 def _ideal_span_rows(delta, fieldobj):
     """The rows w1 * g(x_i, x_j, x_k) * w2 of multidegree delta, for
     g = Gamma_3 with i < j, g = St_3 with i < j < k and words w1, w2, as
@@ -94,24 +103,30 @@ def _ideal_span_rows(delta, fieldobj):
     so over every field each T_4 row is a sum of these rows times +-1.
 
     The generators are multilinear, so the substitution has the multidegree
-    of its index tuple, counted before it is built; and a row is its terms
-    with u[:cut] and u[cut:] concatenated on either side, which is injective
-    on words, so nothing cancels and no product of polynomials is needed.
+    of its index tuple, counted before it is built.  It is built from the
+    fixed patterns ``_GAMMA3`` and ``_ST3``: each term's letters are read
+    off the index tuple and its sign lifted into the field, and
+    ``add_into`` merges the words that a repeated letter makes equal, such
+    as Gamma_3(x1, x2, x1) over F_2, as ``generator_at`` does.  A row is
+    then its terms with u[:cut] and u[cut:] concatenated on either side,
+    which is injective on words, so nothing cancels and no product of
+    polynomials is needed.
     """
     delta = tuple(delta)
     m = len(delta)
     letters = range(1, m + 1)
-    generators = [
-        (gamma(3, fieldobj), [t for t in product(letters, repeat=3) if t[0] < t[1]]),
-        (st3(fieldobj), combinations(letters, 3)),
+    patterns = [
+        (_GAMMA3, [t for t in product(letters, repeat=3) if t[0] < t[1]]),
+        (_ST3, combinations(letters, 3)),
     ]
     rows = []
-    for g, tuples in generators:
+    for pattern, tuples in patterns:
+        signed = [(itemgetter(*pos), fieldobj.of(c)) for pos, c in pattern]
         for idxs in tuples:
             mu = word_mdeg(idxs, m)
             if any(mu[i] > delta[i] for i in range(m)):
                 continue
-            sub = generator_at(g, idxs).terms
+            sub = fieldobj.add_into({}, ((get(idxs), c) for get, c in signed))
             rem = mdeg_word(d - e for d, e in zip(delta, mu))
             for u in _multiset_permutations(rem):
                 for cut in range(len(u) + 1):

@@ -231,35 +231,40 @@ def _format_word(word):
     if not word:
         return "1"
     parts = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        run = j - i
-        parts.append(f"x{word[i]}" + (f"^{run}" if run > 1 else ""))
-        i = j
+    prev, run = word[0], 0
+    for letter in word:
+        if letter != prev:
+            parts.append(f"x{prev}^{run}" if run > 1 else f"x{prev}")
+            prev, run = letter, 0
+        run += 1
+    parts.append(f"x{prev}^{run}" if run > 1 else f"x{prev}")
     return "*".join(parts)
 
 
 def format_poly(f):
-    """Canonical text form; ``parse_poly(format_poly(f), field) == f``."""
+    """Canonical text form; ``parse_poly(format_poly(f), field) == f``.
+
+    Each coefficient is read once as an int pair (n, d): (numerator,
+    denominator) over Q, (residue, 1) over F_p.  Its magnitude prints as
+    ``n`` or ``n/d``, as ``str`` prints a ``Fraction`` or an int."""
     if f.is_zero():
         return "0"
-    F = f.field
+    rational = f.field.p == 0
     pieces = []
     for w, c in f.sorted_terms():
-        word_txt = _format_word(w)
-        neg = F.p == 0 and c < 0
-        mag = -c if neg else c
-        if w and mag == F.one:
-            txt = word_txt
-        elif not w:
-            txt = F.format(mag)
+        n, d = (c.numerator, c.denominator) if rational else (c, 1)
+        neg = n < 0
+        if neg:
+            n = -n
+        mag = str(n) if d == 1 else f"{n}/{d}"
+        if not w:
+            txt = mag
+        elif n == 1 and d == 1:
+            txt = _format_word(w)
         else:
-            txt = f"{F.format(mag)}*{word_txt}"
+            txt = f"{mag}*{_format_word(w)}"
         if not pieces:
-            pieces.append(("-" if neg else "") + txt)
+            pieces.append("-" + txt if neg else txt)
         else:
             pieces.append(("- " if neg else "+ ") + txt)
     return " ".join(pieces)

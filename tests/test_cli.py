@@ -1,10 +1,12 @@
 import errno
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,7 @@ from childenv import child_env
 from weylpi import cli
 from weylpi.errors import ResourceLimit
 from weylpi.fields import Field
+from weylpi.identities import degree_multidegrees
 from weylpi.parser import parse_poly
 
 BASE = [sys.executable, "-m", "weylpi.cli"]
@@ -140,6 +143,106 @@ def test_idbasis_output():
         "x1*x3*x2 - x2*x3*x1 - 2*x3*x1*x2 + 2*x3*x2*x1\n"
         "x2*x1*x3 - 2*x2*x3*x1 - x3*x1*x2 + 2*x3*x2*x1\n"
     )
+
+
+# sha256 of the ``idbasis`` stdout of every partition of degree <= 5 over
+# each field; the partitions below degree 3, and (3,), (4,), (5,), have no
+# weak identities and print nothing.  Any change to a basis, its order or
+# its text changes a hash.
+_EMPTY = hashlib.sha256(b"").hexdigest()
+_IDBASIS_SHA256 = {
+    "q": {
+        "1": _EMPTY,
+        "2": _EMPTY,
+        "1,1": _EMPTY,
+        "3": _EMPTY,
+        "2,1": "4f552fd8b5edeaa2cca3dac057e602bdbd9f2fd2ae975d9d971adeda1105cad3",
+        "1,1,1": "858d74e9593e34ae95acec1bb7b3cde3ffa91056f170619eb87780f1aa34fa8e",
+        "4": _EMPTY,
+        "3,1": "d1204279a54d5cf8a316c2cca8abe30cbc1bc2c218f0f0d14d75f77b5bebb198",
+        "2,2": "0c65c0fcf32ee43fd2ccd04d594c41e81f2ecc74deaf50289fe4b9a4e54248a6",
+        "2,1,1": "b95c98014a365a47f46db40b0ad42730756890a9a36917e92dc0dbeb7408cbd0",
+        "1,1,1,1": "f72ff092ec14ce8ad749f1fb52baf4fc6c13c77c169b9fdf1f0f9d852230f2d2",
+        "5": _EMPTY,
+        "4,1": "3af601a19656b16be14e596514f0e8564f6395308985e9c32dcd5db7fc1fb1c0",
+        "3,2": "912d3b202f32ec21e308797ccf003928144fcc54192024525b2f855f4c489062",
+        "3,1,1": "dab2b3820b2d9e09b56a1d64cfbf815798264ae87adf17c7879f305b79ed18fa",
+        "2,2,1": "cf9e1e9f2825f20fb0af50fc4d1a265dc23587eb6b55aa6de0e04d18bbbf8af6",
+        "2,1,1,1": "aed41af2752f38d4e21d9e3d7e30db698827513d93f9b4927fc1e03ffdd24d2e",
+        "1,1,1,1,1": "ad9aba23c9f57e2d87402f3d96d782625fa998986c2903e891a002354a317b8d",
+    },
+    "fp:2": {
+        "1": _EMPTY,
+        "2": _EMPTY,
+        "1,1": _EMPTY,
+        "3": _EMPTY,
+        "2,1": "e0ef03d8fcbeca35b8bfb241e10cda66a0cb0c4b69df30c50cdb72d87ef97f51",
+        "1,1,1": "5767bb78886b6d284b33b75c588097f5b024bf19e641e34cc6aabb5f33f307af",
+        "4": _EMPTY,
+        "3,1": "4b0f889c27105dccde51ebd577046777aed9833097c287adc6bbdc5ad4b97d27",
+        "2,2": "ccd6e5e5ca7667781faa8a57d7f0f319a9484b0378cf8991a2c36686c84a62e8",
+        "2,1,1": "23fd83ef37647f4c216cc04145fa62adcffd42f1ae9e72f36061efade1af791e",
+        "1,1,1,1": "3f233dc4bc7fb3f4f2992f20250dbef6bdf41c6a7ecd41e81bac6d2fdde43f7f",
+        "5": _EMPTY,
+        "4,1": "3dd34561684d930c22f2411ebfe7bf56c571e5973349dbe906efce995801768b",
+        "3,2": "00dbee298747583dd36e2ec3ba98986a5e5963d8102d45ef947e91bd96338778",
+        "3,1,1": "1eca41298d978b88a640db3af9662f2a009ceec6b1d7c0d8c82c2e3fa9d63e14",
+        "2,2,1": "bd644fe8277ac72105c6f51dc4d07d4b08fd7e2365a61781d46c76d247bd73ab",
+        "2,1,1,1": "b2b8aa2c6289b13fd190599ec2fa72548bd2152695b74a9c1ee7acb392f59154",
+        "1,1,1,1,1": "11617674f868ed840a37af04675516119c4e5d295ab55491a4ca85a148a50d87",
+    },
+    "fp:3": {
+        "1": _EMPTY,
+        "2": _EMPTY,
+        "1,1": _EMPTY,
+        "3": _EMPTY,
+        "2,1": "5c45176d4634ed9e4fecb8d082124c648c1239cb3be6511d381d4b07d9521004",
+        "1,1,1": "0432d3a40fbb4407e92feec849a610c401be76990b651606c8fa13715beee3f3",
+        "4": _EMPTY,
+        "3,1": "73ae7d9af32d53082df763ea887d9cfbc8e3562eb2bda207f6229acdf7b0fc53",
+        "2,2": "2a33f49c827c16d390088f99a7debc46e11ebed55e2822c68eb97c9b8c1ac7ff",
+        "2,1,1": "72fc3531ee28b39574ac3fd2830d1f83c6dfe90c1f521425c0ad3da2a307f690",
+        "1,1,1,1": "73a4e0ba35e29c9d65af515d4e57e02b78cdf7f139cf83df9e644d12f7a75f6f",
+        "5": _EMPTY,
+        "4,1": "86a680f938f1e175f3e95a615933629b49d8b5a6e8d508eff324d0b735aa6726",
+        "3,2": "41318af1346d32a93451703d9d8b9195c4ab4a9b25a481c7b4899b85ddab5f94",
+        "3,1,1": "da87a5d817def24f07904970feec57807aceb222138e2e2f2e3538543e87371d",
+        "2,2,1": "2bad1b15fce10ba3fcdb695aa8ca77e6c4e7a64f96d646372bb2eed78c8a18c7",
+        "2,1,1,1": "b899e41f6e051b1b84f14510ac8cc632d3d8caa8f796602806cd02630d78da1c",
+        "1,1,1,1,1": "5ba715d1c076c116335141d80cb35c2d2279fdc11f6e11002565787ff3121ffd",
+    },
+    "fp:32003": {
+        "1": _EMPTY,
+        "2": _EMPTY,
+        "1,1": _EMPTY,
+        "3": _EMPTY,
+        "2,1": "b3823867d642fede7c6659c5afac4dff69263b2877715dd461e6a257e3ee0bf3",
+        "1,1,1": "a30ea0c013b4eacd411466073bd0d43a19d7e5158741d83596516d5f1f90a25a",
+        "4": _EMPTY,
+        "3,1": "af14ce55f4e974409c272c0340db01b371030935aed0fcc86899118c3ef4afde",
+        "2,2": "73013720f9a91ff2318349c9950e2b0ae127727c616cba03ad75d26b8d3636e9",
+        "2,1,1": "3b86e9897f37ef5470f32231d5c358cd74223176db732b72743e05f530f2c6f7",
+        "1,1,1,1": "e081f333d982f4909f619b75acd7b5cbe0d2f0e21cf98e1209a8b6823a5e9efb",
+        "5": _EMPTY,
+        "4,1": "3b582cb2537da824cde986ba110d6f9398a5a565264fe738254bc09732405709",
+        "3,2": "e519f4f8deb4c4e28b25af57d4fbfad0cd424dea4075e1c694d33a6e3d36e0bf",
+        "3,1,1": "00e74a4d3d63c863a182bd82e143021b0e285284701a92f4386b526c69b22950",
+        "2,2,1": "2d207987bb32467213c46dc04fc96b39fd4b122143f300e7712d4647c08d303a",
+        "2,1,1,1": "020f7a47f1e1718463bf5776d662714685a4402981fba010593f5d772d81c85d",
+        "1,1,1,1,1": "27fd7b27b18a076b60557eb800ac7b0d842e27e623950302cf6363dd93a9433a",
+    },
+}
+
+
+@pytest.mark.parametrize("field", sorted(_IDBASIS_SHA256))
+def test_idbasis_output_is_pinned(field, capsys):
+    got = {}
+    for n in range(1, 6):
+        for delta in degree_multidegrees(n):
+            mdeg = ",".join(map(str, delta))
+            assert cli.main(["idbasis", "--field", field, "--mdeg", mdeg]) == 0
+            got[mdeg] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == _IDBASIS_SHA256[field]
 
 
 def test_degree_cap_exit_code(tmp_path):

@@ -1,11 +1,15 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylpi.errors import DegreeMismatch, FieldMismatch, NotMultihomogeneous
 from weylpi.fields import Field
 from weylpi.free_algebra import (
     NCPoly,
+    _multiset_permutations,
     _word_product,
     commutator,
     complete_linearization,
@@ -228,3 +232,11 @@ def test_generator_at_relabels_with_repetition():
     # St_3 is alternating, so any repeated substitution vanishes
     assert generator_at(st3(QQ), (1, 1, 2)).is_zero()
     assert generator_at(st3(QQ), (2, 1, 3)) == -st3(QQ)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=7))
+def test_multiset_permutations_are_the_distinct_orderings_in_order(items):
+    got = _multiset_permutations(items)
+    assert type(got) is list and all(type(t) is tuple for t in got)
+    assert got == sorted(set(itertools.permutations(items)))

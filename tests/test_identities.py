@@ -21,6 +21,8 @@ from weylpi.free_algebra import (
     t4,
 )
 from weylpi.identities import (
+    _GAMMA3,
+    _ST3,
     _ideal_span_rows,
     degree_multidegrees,
     ideal_span_dimension,
@@ -188,6 +190,21 @@ def test_span_rows_equal_the_product_rows(field):
             expected = _product_span_rows(delta, field, _canonical_spec(field, len(delta)))
             assert [list(r.items()) for r in rows] == [list(r.items()) for r in expected]
             assert all(type(c) is type(field.one) for r in rows for c in r.values())
+
+
+def _lift(pattern, idxs, field):
+    """The terms of a pattern at an index tuple, merged as ``add_into`` does."""
+    pairs = ((tuple(idxs[t] for t in pos), field.of(c)) for pos, c in pattern)
+    return list(field.add_into({}, pairs).items())
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, Field.prime(2), Field.prime(3), Field.prime(32003)], ids=repr
+)
+def test_span_patterns_are_the_generators_in_term_order(field):
+    for pattern, g in ((_GAMMA3, gamma(3, field)), (_ST3, st3(field))):
+        assert _lift(pattern, (1, 2, 3), field) == list(g.terms.items())
+        assert _lift(pattern, (1, 2, 1), field) == list(generator_at(g, (1, 2, 1)).terms.items())
 
 
 @pytest.mark.parametrize(

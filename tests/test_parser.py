@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylpi.errors import ParseError, ResourceLimit, UnknownVariable
 from weylpi.fields import Field
@@ -180,6 +182,64 @@ def test_round_trip_randomized(field):
         f = _random_poly(rng, field)
         assert parse_poly(format_poly(f), field) == f
 
+
+
+def _field_format_word(word):
+    if not word:
+        return "1"
+    parts = []
+    i = 0
+    while i < len(word):
+        j = i
+        while j < len(word) and word[j] == word[i]:
+            j += 1
+        run = j - i
+        parts.append(f"x{word[i]}" + (f"^{run}" if run > 1 else ""))
+        i = j
+    return "*".join(parts)
+
+
+def _field_format_poly(f):
+    """The oracle: ``format_poly`` on field scalars, with ``Field.format``."""
+    if f.is_zero():
+        return "0"
+    F = f.field
+    pieces = []
+    for w, c in f.sorted_terms():
+        word_txt = _field_format_word(w)
+        neg = F.p == 0 and c < 0
+        mag = -c if neg else c
+        if w and mag == F.one:
+            txt = word_txt
+        elif not w:
+            txt = F.format(mag)
+        else:
+            txt = f"{F.format(mag)}*{word_txt}"
+        if not pieces:
+            pieces.append(("-" if neg else "") + txt)
+        else:
+            pieces.append(("- " if neg else "+ ") + txt)
+    return " ".join(pieces)
+
+
+_scalars = st.one_of(
+    st.sampled_from([1, -1]),
+    st.integers(-100000, 100000),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([QQ, Field.prime(2), Field.prime(3), Field.prime(32003)]),
+    st.dictionaries(st.lists(st.integers(1, 4), max_size=5).map(tuple), _scalars, max_size=6),
+)
+def test_format_poly_matches_the_field_format_oracle(field, terms):
+    if field.p:  # F_p takes integer scalars only
+        terms = {w: c.numerator for w, c in terms.items() if c.denominator == 1}
+    f = NCPoly(field, 4, {w: field.of(c) for w, c in terms.items()})
+    assert format_poly(f) == _field_format_poly(f)
+    assert repr(f) == f"NCPoly({_field_format_poly(f)})"
 
 def _random_tree(rng, field, depth):
     """A random expression as (kind, text, the NCPoly built by NCPoly
