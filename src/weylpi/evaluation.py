@@ -26,13 +26,13 @@ the free algebra: every rank, kernel vector and verdict is unchanged.
 ``_integer_images`` applies Horner's rule, f = sum_l x_l * f_l with f_l the
 words of f that start with x_l, that letter removed, walking the sorted
 words of a batch depth first over their prefix trie.  Each node sums the
-images of the words below it, per polynomial, and a finished node is
-folded into its parent by one left multiplication, so only the few nodes
-near the root carry large images.  It takes and gives integer rows: its
-callers scale a polynomial with ``Field.integral``, ``is_weak_identity``
-and the exact eliminations take its images as they are, and
-``eval_vectors`` enters the field once per output coordinate, with
-``Field.of`` over the polynomial's denominator.
+images of the words below it, for all polynomials of the batch in one
+dict, and a finished node is folded into its parent by one left
+multiplication, so only the few nodes near the root carry large images.
+It takes and gives integer rows: its callers scale a polynomial with
+``Field.integral``, ``is_weak_identity`` and the exact eliminations take
+its images as they are, and ``eval_vectors`` enters the field once per
+output coordinate, with ``Field.of`` over the polynomial's denominator.
 """
 
 from .errors import ArityMismatch
@@ -92,24 +92,6 @@ def _key_layout(length, letters):
     return 1 << ishift, params, unpack
 
 
-def _letter_times(shifts, image, into, ishift):
-    """Add (a*x + b*y) * image into ``into``, modulo A1*y: as
-    y*x^i = x^i*y + i*x^(i-1), each term x^i gives a*x^(i+1) + i*b*x^(i-1).
-    ``shifts`` is (up, down), what these two terms add to the term's packed
-    key, and i is the key from bit ``ishift`` on (``_key_layout``)."""
-    up, down = shifts
-    get = into.get
-    for key, c in image.items():
-        if not c:  # a sum that cancelled adds nothing
-            continue
-        k = key + up
-        into[k] = get(k, 0) + c
-        i = key >> ishift
-        if i:
-            k = key + down
-            into[k] = get(k, 0) + i * c
-
-
 def _integer_images(rows):
     """The generic substitution, modulo A1*y, of each polynomial given as a
     dict word -> int: ``(images, unpack)``.  ``images[r]`` maps packed int
@@ -117,6 +99,14 @@ def _integer_images(rows):
     decodes a key (``_key_layout``).  Keys order as their coordinates do,
     so an elimination on them picks the same pivots.  The image of a row
     is its row over Q and, reduced mod p, over F_p.
+
+    All rows of a batch share one dict per trie node: inside the walk a
+    key carries the row index in its low ``rbits`` bits (none for a single
+    row) and the packed coordinate above them, and the root is split back
+    into per-row images once.  A node is folded into its parent by the
+    left multiplication by its letter, (a*x + b*y) * x^i = a x^(i+1) +
+    i b x^(i-1) modulo A1*y: ``up`` and ``down`` are what these two terms
+    add to a key, and i is the key from bit ``ishift`` on.
     """
     uses = {}  # word -> [(row, integer coefficient)]
     for row, terms in enumerate(rows):
@@ -124,12 +114,14 @@ def _integer_images(rows):
             uses.setdefault(w, []).append((row, c))
 
     x, params, unpack = _key_layout(max(map(len, uses), default=0), set().union(*uses))
-    ishift = x.bit_length() - 1
-    shifts = {k: (a + x, b - x) for k, (a, b) in params.items()}
+    rbits = (len(rows) - 1).bit_length()
+    ishift = x.bit_length() - 1 + rbits
+    shifts = {k: ((a + x) << rbits, (b - x) << rbits) for k, (a, b) in params.items()}
 
     # path[t] is the open trie node of the current word's first t letters:
-    # per row, the sum of the images of the suffixes below it seen so far.
-    # A word is visited before its extensions, so its node is new.
+    # the sum, over all rows at once, of the images of the suffixes below
+    # it seen so far.  A word is visited before its extensions, so its node
+    # is new.
     path = [{}]
     prev = ()
 
@@ -137,12 +129,17 @@ def _integer_images(rows):
         while len(path) > depth + 1:
             child = path.pop()
             parent = path[-1]
-            letter = shifts[prev[len(path) - 1]]
-            for row, image in child.items():
-                into = parent.get(row)
-                if into is None:
-                    into = parent[row] = {}
-                _letter_times(letter, image, into, ishift)
+            up, down = shifts[prev[len(path) - 1]]
+            get = parent.get
+            for key, c in child.items():
+                if not c:  # a sum that cancelled adds nothing
+                    continue
+                k = key + up
+                parent[k] = get(k, 0) + c
+                i = key >> ishift
+                if i:
+                    k = key + down
+                    parent[k] = get(k, 0) + i * c
 
     for w in sorted(uses):
         t = 0
@@ -150,11 +147,14 @@ def _integer_images(rows):
             t += 1
         close(t)
         path.extend({} for _ in w[t:])
-        path[-1].update((row, {0: c}) for row, c in uses[w])
+        path[-1].update(uses[w])
         prev = w
     close(0)
-    root = path[0]
-    images = [{k: s for k, s in root.get(row, {}).items() if s} for row in range(len(rows))]
+    images = [{} for _ in rows]
+    rmask = (1 << rbits) - 1
+    for key, s in path[0].items():
+        if s:
+            images[key & rmask][key >> rbits] = s
     return images, unpack
 
 

@@ -137,8 +137,17 @@ def _ideal_span_rows(delta, fieldobj):
 
 def ideal_span_dimension(delta, fieldobj):
     """dim of the multidegree slice of the ideal of known identities,
-    as the rank of the explicit spanning set over the word basis."""
-    rank, _ = row_reduce_sparse(_ideal_span_rows(delta, fieldobj), fieldobj)
+    as the rank of the explicit spanning set over the word basis.
+
+    Each word is coded by an int, its lexicographic position negated, so
+    the elimination, which pivots on the least key, pivots each row on its
+    lex-largest word: the word the rewriter rewrites first (the largest
+    term of Gamma_3(x_i, x_j, x_k) is x_k x_j x_i), so most rows enter with
+    little fill-in, and int keys are cheap to compare and hash.  The coding
+    is a bijection of the coordinates, which leaves the rank unchanged."""
+    code = {w: -i for i, w in enumerate(words_of_multidegree(delta))}
+    rows = [{code[w]: c for w, c in row.items()} for row in _ideal_span_rows(delta, fieldobj)]
+    rank, _ = row_reduce_sparse(rows, fieldobj)
     return rank
 
 

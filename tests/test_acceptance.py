@@ -19,6 +19,7 @@ from weylpi.identities import (
     degree_multidegrees,
     ideal_span_dimension,
     identity_basis,
+    space_dimension,
     two_variable_certificate,
     verify_conjecture,
     words_of_multidegree,
@@ -335,3 +336,14 @@ def test_criterion_15_degrees_eleven_and_twelve_certified():
             for delta in degree_multidegrees(11) + degree_multidegrees(12):
                 r = verify_conjecture(delta, field)
                 assert (r.verdict, r.route) == ("Verified", "certified"), (field, delta)
+
+
+def test_criterion_16_degree_seven_exact_cross_check():
+    # criterion 12 one degree up, on the 12 partitions of 7 with at most
+    # 840 words; 1^7, (2,1,1,1,1,1) and (2,2,1,1,1) are left out for time
+    with _Timer("criterion 16: identity basis = ideal span = dim_id at degree 7", 8.0):
+        deltas = [d for d in degree_multidegrees(7) if space_dimension(d) <= 840]
+        assert len(deltas) == 12
+        for delta in deltas:
+            dim_id = verify_conjecture(delta, QQ).dim_id
+            assert len(identity_basis(delta, QQ)) == ideal_span_dimension(delta, QQ) == dim_id, delta

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from weylpi.bracket import enumerate_completely_reduced
 from weylpi.errors import ArityMismatch
 from weylpi.evaluation import (
+    _integer_images,
     eval_vectors,
     generic_substitution,
     is_weak_identity,
@@ -257,6 +258,64 @@ def test_shared_prefixes_give_the_same_vectors():
             }
             polys.append(NCPoly(field, 3, terms))
         assert eval_vectors(polys, field) == [eval_vectors([f], f.field)[0] for f in polys]
+
+
+def _layout(rows):
+    # what the packed keys of a batch depend on: the slot width, set by the
+    # longest word, and the number of slot pairs, set by the largest letter
+    words = [w for row in rows for w in row]
+    return max(map(len, words), default=0).bit_length(), max(sum(words, ()), default=0)
+
+
+def _assert_batch_is_rowwise(rows):
+    # a batch packs the row index in the low bits of its keys; its images
+    # must be the single-row images, in the same order, and decode alike
+    images, unpack = _integer_images(rows)
+    assert len(images) == len(rows)
+    for r, row in enumerate(rows):
+        (single,), unpack_single = _integer_images([row])
+        if _layout([row]) == _layout(rows):
+            assert list(images[r].items()) == list(single.items()), r
+        decoded = [(unpack(k), c) for k, c in images[r].items()]
+        assert decoded == [(unpack_single(k), c) for k, c in single.items()], r
+        assert all(images[r].values())
+
+
+_int_row = st.dictionaries(
+    st.sampled_from([(), (1,), (2,), (1, 2), (2, 1), (1, 1, 2), (2, 1, 1), (1, 2, 1), (3, 1, 2)]),
+    st.integers(-3, 3).filter(bool),
+    max_size=5,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_batched_images_are_the_single_row_images(data):
+    # batch sizes at and around the row-bit boundaries 1, 2, 3, 4 and 5 bits
+    n = data.draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17]))
+    rows = data.draw(st.lists(_int_row, min_size=n, max_size=n))
+    _assert_batch_is_rowwise(rows)
+
+
+def test_batched_images_at_the_row_bit_boundaries():
+    # an empty row, the empty word, one word in several rows, and rows whose
+    # terms cancel inside a trie node: x1 x2 - x2 x1 at the root, and
+    # x3 (x1 x2 - x2 x1) at the node of x3
+    rows = [
+        {},
+        {(): 2},
+        {(1, 2): 1, (2, 1): -1},
+        {(3, 1, 2): -4, (3, 2, 1): 4},
+        {(1, 2): 5, (): -1},
+        {(1, 1, 1): 1, (2, 1): 3},
+        {(1, 2): -1, (2, 1): 1, (1,): 7},
+    ]
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17):
+        batch = [rows[r % len(rows)] for r in range(n)]
+        _assert_batch_is_rowwise(batch)
+        _assert_batch_is_rowwise(batch[::-1])
+    images, _ = _integer_images([{}])
+    assert images == [{}]
 
 
 @pytest.mark.parametrize("field", [QQ, Field.prime(2), Field.prime(3)])
