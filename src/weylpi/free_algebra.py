@@ -32,11 +32,6 @@ def mdeg_word(delta):
     return tuple(l for l, d in enumerate(delta, start=1) for _ in range(d))
 
 
-def term_sort_key(word):
-    # canonical term order: total degree, then lexicographic on letters
-    return (len(word), word)
-
-
 def _word_product(field, f, g):
     """The product of two word dicts: every concatenation w1 + w2 of a word
     of ``f`` and a word of ``g``, in that order, with c1 * c2 added in.
@@ -72,6 +67,14 @@ class NCPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _of_terms(cls, field, nvars, terms):
+        """An NCPoly that takes the dict ``terms`` as it is: its scalars must
+        be nonzero and, over F_p, residues in [0, p)."""
+        f = cls.__new__(cls)
+        f.field, f.nvars, f.terms = field, nvars, terms
+        return f
+
+    @classmethod
     def zero(cls, field, nvars=0):
         return cls(field, nvars)
 
@@ -99,7 +102,8 @@ class NCPoly:
         return not self.terms
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda it: term_sort_key(it[0]))
+        # canonical term order: total degree, then lexicographic on letters
+        return sorted(self.terms.items(), key=lambda it: (len(it[0]), it[0]))
 
     def multihomogeneous_components(self):
         """Split into multidegree components; the empty poly gives {}."""

@@ -14,7 +14,8 @@ they are read, and a commutator of two monomials is written out as its
 two words.  Only a value of two or more words is a word dict, and only its
 products, powers and commutators call ``free_algebra._word_product``.
 Over Q the coefficients are ints until a literal ``a/b`` brings in a
-``Fraction``; ``_Parser.parse`` lifts them into the field once.
+``Fraction``; ``_Parser.parse`` lifts them into the field once, and the
+dict it hands to ``NCPoly`` is already merged, reduced and free of zeros.
 """
 
 import re
@@ -29,6 +30,11 @@ _MAX_CONSTANT_BITS = 1 << 16
 # A product of polynomials with k and l terms can have k*l terms; under a
 # degree cap, products bounded above this many terms are refused.
 _MAX_PRODUCT_TERMS = 10**5
+
+# The canonical spellings x1..x999 read so far, mapped to their indices:
+# ``_Parser.letter`` enters each one the first time it is read.  An entry
+# never changes, so every parse may share them.
+_LETTERS = {}
 
 _TOKEN = re.compile(r"x\d+|\d+|[+\-*^()\[\],/]", re.ASCII)
 # the first character that starts no token: an x with no digit after it, or
@@ -107,7 +113,7 @@ class _Parser:
             raise ParseError(f"trailing input {self.tokens[self.i]!r}", self.pos(self.i))
         if not F.p:
             terms = {w: F.of(c) for w, c in terms.items()}
-        return NCPoly(F, self.nvars, terms)
+        return NCPoly._of_terms(F, self.nvars, terms)
 
     def expr(self):
         # one unsigned term is its own value; a sum adds into one dict, in linear time
@@ -124,20 +130,31 @@ class _Parser:
             sign = self.take()
             f = self.term()
 
+    def letter(self, i, tok):
+        """The index of the variable token ``tok``, token ``i``.  A canonical
+        spelling ``x1``..``x999`` is entered in ``_LETTERS``; any other, such
+        as ``x01``, is checked each time it is read."""
+        digits = tok[1:].lstrip("0")
+        idx = int(digits) if 0 < len(digits) <= 3 else 0
+        if not 1 <= idx <= 999:
+            raise UnknownVariable(f"variable {tok[:8]} out of range x1..x999", self.pos(i))
+        if len(digits) == len(tok) - 1:
+            _LETTERS[tok] = idx
+        return idx
+
     def term(self):
-        # letters and integers are read here; monomials fold, capped first
+        # letters and integers are read here; monomials fold, capped first,
+        # and a letter extends the word with no scalar product
         p, tokens, f, top = self.field.p, self.tokens, None, self.max_degree
         while True:
             i, tok = self.i, tokens[self.i]
             self.i += 1
-            if tok[:1] == "x":
-                digits = tok[1:].lstrip("0")
-                idx = int(digits) if 0 < len(digits) <= 3 else 0
-                if not 1 <= idx <= 999:
-                    raise UnknownVariable(f"variable {tok[:8]} out of range x1..x999", self.pos(i))
+            idx = _LETTERS.get(tok) or tok[:1] == "x" and self.letter(i, tok)
+            if idx:
                 if top is not None:
                     self.cap(1)
-                self.nvars = max(self.nvars, idx)
+                if idx > self.nvars:
+                    self.nvars = idx
                 g = (idx,), 1
             elif tok.isdecimal() and tokens[self.i] != "/":
                 g = (), self.number(i) % p if p else self.number(i)
@@ -153,7 +170,8 @@ class _Parser:
                 (w, c), (v, d) = f, g
                 if top is not None:
                     self.cap(len(w) + len(v))
-                c = c * d % p if p else c * d
+                if not idx:  # a letter or its power has scalar 1
+                    c = c * d % p if p else c * d
                 f = (w + v, c) if c else ((), 0)
             if tokens[self.i] != "*":
                 return f

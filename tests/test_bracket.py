@@ -145,6 +145,31 @@ def test_enumeration_single_variable_and_small_degree():
     assert enumerate_completely_reduced((0, 0)) == []
 
 
+def _partitions(n, largest=None):
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def test_reduced_count_closed_form_on_every_partition_to_degree_12():
+    # n_reduced + 1 = [t^(d//2)] prod_i (1 + t + ... + t^delta_i): the
+    # number of sub-multisets of delta of size d//2
+    deltas = [delta for d in range(1, 13) for delta in _partitions(d)]
+    assert len(deltas) == 271
+    for delta in deltas:
+        series = [1]
+        for part in delta:
+            series = [
+                sum(series[k - j] for j in range(part + 1) if 0 <= k - j < len(series))
+                for k in range(len(series) + part)
+            ]
+        d = sum(delta)
+        assert len(enumerate_completely_reduced(delta)) + 1 == series[d // 2], delta
+
+
 def _brute_force_completely_reduced(delta):
     """Independent oracle: pair up letters in every possible way, then filter."""
     letters = mdeg_word(delta)

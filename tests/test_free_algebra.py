@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylpi.errors import DegreeMismatch, FieldMismatch, NotMultihomogeneous
+from weylpi.errors import BadArity, DegreeMismatch, FieldMismatch, NotMultihomogeneous
 from weylpi.fields import Field
 from weylpi.free_algebra import (
     NCPoly,
@@ -224,6 +224,14 @@ def test_generators():
     assert gamma(3, QQ) == parse_poly("[x1,x2]*x3 - x3*[x1,x2]", QQ)
     with pytest.raises(Exception):
         gamma(2, QQ)
+
+
+def test_gamma_arity_below_three_is_bad_arity():
+    for m in (0, 1, 2):
+        with pytest.raises(BadArity, match="gamma needs m >= 3"):
+            gamma(m, QQ)
+    assert gamma(4, QQ) == parse_poly("[[x1,x2],x3*x4]", QQ)
+    assert gamma(4, QQ).nvars == 4
 
 
 def test_generator_at_relabels_with_repetition():

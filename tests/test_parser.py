@@ -69,6 +69,89 @@ def test_unknown_variable():
         parse_poly("x" + "9" * 5000, QQ)
 
 
+# bad variable tokens and their neighbours: the exception and its position
+_TOKEN_ERRORS = [
+    ("x0", UnknownVariable, 0),
+    ("x00", UnknownVariable, 0),
+    ("x1000", UnknownVariable, 0),
+    ("x0001000", UnknownVariable, 0),
+    ("x" + "9" * 5000, UnknownVariable, 0),
+    ("x", ParseError, 0),
+    ("x\u0663", ParseError, 0),  # an Arabic-Indic digit three
+    ("x1*x\u00b2", ParseError, 3),
+    ("x1 + @", ParseError, 5),
+    ("x1*x0", UnknownVariable, 3),
+    ("x01*x1000", UnknownVariable, 4),
+    ("x1*x2^x0", ParseError, 6),
+    ("x1x2", ParseError, 2),
+    ("(x1+x2)*x3*x0", UnknownVariable, 11),
+    ("(x1+x2)*x1^2*x1000", UnknownVariable, 13),
+]
+
+
+@pytest.mark.parametrize("text, exc, pos", _TOKEN_ERRORS)
+def test_bad_variable_tokens_raise_at_their_position(text, exc, pos):
+    # the second read finds the good spellings of the text already known
+    for _ in range(2):
+        for max_degree in (None, 8):
+            with pytest.raises(ParseError) as ei:
+                parse_poly(text, QQ, max_degree=max_degree)
+            assert type(ei.value) is exc
+            assert ei.value.pos == pos
+
+
+def test_zero_padded_variables_parse_as_their_index():
+    for _ in range(2):
+        assert parse_poly("x01", QQ) == parse_poly("x1", QQ)
+        assert parse_poly("x0009", QQ).terms == {(9,): QQ.one}
+        assert parse_poly("x0009", QQ).nvars == 9
+        assert parse_poly("x01*x1*x001", F7) == parse_poly("x1^3", F7)
+
+
+def test_capped_parse_refuses_bad_tokens_before_multiplying(monkeypatch):
+    from weylpi import parser
+
+    # every input but the sums times a monomial, which multiply first
+    calls = []
+    monkeypatch.setattr(parser, "_word_product", lambda *args: calls.append(args))
+    for text, exc, pos in _TOKEN_ERRORS:
+        if not text.startswith("("):
+            with pytest.raises(ParseError) as ei:
+                parse_poly(text, QQ, max_degree=8)
+            assert (type(ei.value), ei.value.pos) == (exc, pos)
+    assert calls == []
+
+
+def test_powers_of_letters_are_capped_in_order():
+    # the letter itself, then its power, then the word it extends
+    for text, degree, cap in (
+        ("x1^0", 1, 0), ("x1^x2", 1, 0), ("x1^9", 9, 8), ("x2*x1^8", 9, 8), ("0*x1^9", 9, 8)
+    ):
+        with pytest.raises(ResourceLimit, match=f"degree {degree} exceeds the cap of {cap}$"):
+            parse_poly(text, QQ, max_degree=cap)
+    f = parse_poly("x3^0*x2", QQ, max_degree=8)
+    assert (f.terms, f.nvars) == ({(2,): QQ.one}, 3)
+
+
+def test_product_of_a_sum_and_monomials_is_capped_as_each_product(monkeypatch):
+    # a run of monomial factors after a sum is checked at each factor as
+    # the product so far would be, by degree and then by term count
+    from weylpi import parser
+
+    monkeypatch.setattr(parser, "_MAX_PRODUCT_TERMS", 2)
+    with pytest.raises(ResourceLimit, match="degree 9 exceeds"):
+        parse_poly("(x1+x2+x3)*x1^8", QQ, max_degree=8)
+    with pytest.raises(ResourceLimit, match="product of up to 3 terms"):
+        parse_poly("(x1+x2+x3)*x1^7", QQ, max_degree=8)
+    with pytest.raises(ResourceLimit, match="product of up to 3 terms"):
+        parse_poly("(x1+x2+x3)*2", QQ, max_degree=8)
+    # times zero nothing is counted, and the zero stays zero
+    assert parse_poly("(x1+x2+x3)*0*x1^8", QQ, max_degree=8).is_zero()
+    assert parse_poly("(x1+x2)*x3*x1", QQ, max_degree=8).terms == {
+        (1, 3, 1): QQ.one, (2, 3, 1): QQ.one
+    }
+
+
 def test_oversized_input_is_a_parse_error():
     with pytest.raises(ParseError):
         parse_poly("9" * 5000 + "*x1", QQ)
