@@ -25,10 +25,11 @@ from .rewriter import normal_form
 # 0.01 s, without evaluating it, and evaluates 2520 words of degree 8 in
 # 0.03-0.2 s and of degree 10 in 0.1-0.45 s, random letters slowest
 # (parsing takes 0.04-0.07 s more); the slowest accepted ``idbasis`` slices,
-# (2,1,1,1,1,1) and (2,2,2,2), take 0.5-1.0 s in ``identity_basis`` and
-# 0.9-1.6 s of process wall time over Q, printing ~2500 basis vectors.
-# Above it, in the library over Q, (3,2,1,1,1), 3360 words, takes 1.1 s and
-# (2,2,1,1,1,1), 10080 words, 6.0 s.
+# (2,1,1,1,1,1) and (2,2,2,2), take 0.2 s in ``identity_basis`` and
+# 0.32-0.39 s of process wall time over Q, printing ~2500 basis vectors
+# (0.27-0.34 s over F_32003, 0.12-0.15 s over F_2).  Above it, in the
+# library over Q, (3,2,1,1,1), 3360 words, takes 0.3 s and (2,2,1,1,1,1),
+# 10080 words, 1.5 s.
 MAX_EVAL_WORDS = 2520
 
 # The total-degree cap; ``WEYLPI_MAX_DEGREE`` overrides it.  The library

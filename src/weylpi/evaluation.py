@@ -211,7 +211,9 @@ def is_weak_identity(f):
     factor takes a_k*x at every letter, so the coordinate (d, a^delta) of
     the image of the component of multidegree delta is its coefficient
     sum beta, the beta of its normal form.  A nonzero beta (mod p) thus
-    certifies that f is not an identity; every other f is evaluated.
+    certifies that f is not an identity; every other f is evaluated: over
+    F_p on its residues as they are, since the verdict reduces the image
+    mod p, and over Q on the integers of ``Field.integral``.
     """
     p = f.field.p
     sums = {}  # the letters of a word, sorted, name its multidegree
@@ -220,6 +222,5 @@ def is_weak_identity(f):
         sums[key] = sums.get(key, 0) + c
     if any(s % p if p else s for s in sums.values()):
         return False
-    _, ints = f.field.integral(f.terms)
-    (image,), _ = _integer_images([ints])
+    (image,), _ = _integer_images([f.terms if p else f.field.integral(f.terms)[1]])
     return not any(s % p for s in image.values()) if p else not image

@@ -87,7 +87,7 @@ class Field:
 
     def of(self, num, den=1):
         """Lift an integer (or num/den pair, or Fraction) into the field."""
-        if isinstance(num, Fraction):
+        if not isinstance(num, int):  # a Fraction; the int check is the cheap one
             num, den = num.numerator, num.denominator * den
         p = self.p
         if den == 1:  # Fraction(num) skips the gcd, and 1 needs no inverse

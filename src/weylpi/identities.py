@@ -65,10 +65,14 @@ def identity_basis(delta, fieldobj):
     """Deterministic echelon basis of the weak identities of multidegree delta.
 
     The kernel of the evaluation, computed modulo A1*y (``evaluation``), in
-    reduced echelon form over the lexicographic word order.  The words are
-    eliminated in reverse order, so each kernel vector has coefficient 1 on
-    its least word and its other words are pivots, which no other vector
-    contains: read backwards, the kernel is already the reduced echelon basis.
+    reduced echelon form over the lexicographic word order.  The images of
+    the words, in reverse order, go to ``row_reduce_sparse``, which reads
+    the kernel off the back-substituted echelon form of their transpose,
+    one row per image coordinate (``linalg``).  So each kernel vector has
+    coefficient 1 on its least word and its other words are pivots, which
+    no other vector contains: read backwards, the kernel is already the
+    reduced echelon basis.  A basis element lists its least word first,
+    then its other words in decreasing order; ``format_poly`` sorts them.
     """
     delta = tuple(delta)
     words = words_of_multidegree(delta)[::-1]

@@ -145,8 +145,8 @@ def test_idbasis_output():
     )
 
 
-# sha256 of the ``idbasis`` stdout of every partition of degree <= 5 over
-# each field; the partitions below degree 3, and (3,), (4,), (5,), have no
+# sha256 of the ``idbasis`` stdout of every partition of degree <= 6 over
+# each field; the partitions below degree 3, and (3,), ..., (6,), have no
 # weak identities and print nothing.  Any change to a basis, its order or
 # its text changes a hash.
 _EMPTY = hashlib.sha256(b"").hexdigest()
@@ -170,6 +170,17 @@ _IDBASIS_SHA256 = {
         "2,2,1": "cf9e1e9f2825f20fb0af50fc4d1a265dc23587eb6b55aa6de0e04d18bbbf8af6",
         "2,1,1,1": "aed41af2752f38d4e21d9e3d7e30db698827513d93f9b4927fc1e03ffdd24d2e",
         "1,1,1,1,1": "ad9aba23c9f57e2d87402f3d96d782625fa998986c2903e891a002354a317b8d",
+        "6": _EMPTY,
+        "5,1": "3e670f1ff4b0452b6ca91e9305fa3cbe738319eca94d864950c0d672d3dfc2c4",
+        "4,2": "b2313893629e459a846f06de6534178c1407e876d14e7bad1a0d01eff1fe85f6",
+        "4,1,1": "d7dc275841a34bf3baa4b7d5930f4b96f8d35fd91b027b3fa0a6d58e5cc015c9",
+        "3,3": "60af1d350292b317f7aeb2027f42282c4cefe283448832a4435adc4e445a584d",
+        "3,2,1": "b7bb6a763ee7bc1836f0071d3bf9c9ffe4e5fc39d7c0e61c2266bbc7ba1d4972",
+        "3,1,1,1": "563f1b5315bd03fe318b287f8d847e49702e29764073fd405e812a198f93d2fb",
+        "2,2,2": "10f5b4d92cef2dfc871f075fe30c85362fd54a982cde9d3073843215ab2ba384",
+        "2,2,1,1": "93fd5f3967c92b132b3667112668d94816c1935744c3400ff8fd076efbee2f43",
+        "2,1,1,1,1": "c414350362f8a4c4b89a8b08f06d022a8f6c31ed56f3aa0ab5dd56de3966a49d",
+        "1,1,1,1,1,1": "a6e010b8f4a0a4cd8d5257c4f8ae3846a0e0ded72d0e04f543c00747f242295c",
     },
     "fp:2": {
         "1": _EMPTY,
@@ -190,6 +201,17 @@ _IDBASIS_SHA256 = {
         "2,2,1": "bd644fe8277ac72105c6f51dc4d07d4b08fd7e2365a61781d46c76d247bd73ab",
         "2,1,1,1": "b2b8aa2c6289b13fd190599ec2fa72548bd2152695b74a9c1ee7acb392f59154",
         "1,1,1,1,1": "11617674f868ed840a37af04675516119c4e5d295ab55491a4ca85a148a50d87",
+        "6": _EMPTY,
+        "5,1": "0997b4af0a43e4128d0172dff73d13ab4cdd91137dd509e588041831527b5fdd",
+        "4,2": "100b441384c5e1d49a7ff598778ac2b94817643a439ae7cedf7f197b5c872e24",
+        "4,1,1": "4e8ace15be8301d4fe5802a0cb104615a1ad6fec7447efe4565d7301221ef805",
+        "3,3": "02b47003bb923de42a998e5ab99b0c80e00b85daed919aae75e2835c263088bc",
+        "3,2,1": "d36fb87c4e9510673bd89033d9b451f0ec26022c3dbed5aeb93b573c4c77c19e",
+        "3,1,1,1": "5f6117196bcb1ec73bd8fce62cf443ed4f013aab3cd1f5cc89c755790bf872b2",
+        "2,2,2": "ca0764e1b43517b73e07cf2191087a97c7b0e6452cf8289ce1cbb03777a313fc",
+        "2,2,1,1": "8d75adb17bd2ce7c9e78be43dfcd25f1f67deff4c9983af116341f019d72eb4f",
+        "2,1,1,1,1": "aba1b70fc337cf7bea4b929fa6748363f7f49fc40c25800351186be751dd2a9f",
+        "1,1,1,1,1,1": "35ad338d5dabd7a7037620626992e936fa570334165a660d4e62f48c66d4d78d",
     },
     "fp:3": {
         "1": _EMPTY,
@@ -210,6 +232,17 @@ _IDBASIS_SHA256 = {
         "2,2,1": "2bad1b15fce10ba3fcdb695aa8ca77e6c4e7a64f96d646372bb2eed78c8a18c7",
         "2,1,1,1": "b899e41f6e051b1b84f14510ac8cc632d3d8caa8f796602806cd02630d78da1c",
         "1,1,1,1,1": "5ba715d1c076c116335141d80cb35c2d2279fdc11f6e11002565787ff3121ffd",
+        "6": _EMPTY,
+        "5,1": "5db090ad047cf9eef42b9b228d4971039b598c050cbf44f2d359452903aff93f",
+        "4,2": "ef4dfee92ed5cf7d77de53bec1f62ad5bfbf698955a7f7ee87265cb78a6c9bd0",
+        "4,1,1": "f951767f1138209ef67a77ba0072506d91a56d8c494418d6ec0006ee40f33da7",
+        "3,3": "eeeb151246227eab2289ce70280e151bd8e1facac59ad8e59e05beb3636acf0f",
+        "3,2,1": "dacbcbd732961f806f9721e7ee78a43b77c604170b92e393654ac89ada9a8d99",
+        "3,1,1,1": "a3befd390011e031049cb1f6a5a3f387a3632c823641438b0b824be0158f2ee5",
+        "2,2,2": "bc2b6a49a7f554c4bd47df2d4efb79a24b35b973298eef6d06968106c11311e0",
+        "2,2,1,1": "cc3356d1cef44001df6132bb18db69a1b2a733071773c8d664afda31dd4dae3b",
+        "2,1,1,1,1": "da2fdd920791fb244b8545d86016a6bf92f75b1f5326bcb3823cc746daa91c81",
+        "1,1,1,1,1,1": "3dee79705d5565c3bee7a0b06123d443a6ccf8254ca658f2d3188b9a345c130e",
     },
     "fp:32003": {
         "1": _EMPTY,
@@ -230,6 +263,17 @@ _IDBASIS_SHA256 = {
         "2,2,1": "2d207987bb32467213c46dc04fc96b39fd4b122143f300e7712d4647c08d303a",
         "2,1,1,1": "020f7a47f1e1718463bf5776d662714685a4402981fba010593f5d772d81c85d",
         "1,1,1,1,1": "27fd7b27b18a076b60557eb800ac7b0d842e27e623950302cf6363dd93a9433a",
+        "6": _EMPTY,
+        "5,1": "45e085c9b8a23f223abb204c474497d182495887defff9c9826e9a5874f8aa0e",
+        "4,2": "a7a020b6807074ccdd85679d974771bec776596f9b822cc356d9d8c248f9f212",
+        "4,1,1": "00111fc84e8d619cd07945b24b3cc4d4208a6314fd3a9ce2a8307d0ea5278427",
+        "3,3": "4cc42009640acfe020ea8530b98e0bdb09cab079a9fb0aa7cc5b313ccf5b22d7",
+        "3,2,1": "252a499705876914d6c053a4020e24864dd8df335389fb1a70a9e2ce6164797d",
+        "3,1,1,1": "20d321656eb683dad2c0be4f2474e7cbf4a031953d3da9ea92cc8a12c546fa67",
+        "2,2,2": "d58f014455529346127f3883ba998e0307b9c9f2d4a7d47ee32f82bfc27d2814",
+        "2,2,1,1": "50fe8a47c756028aaf478a44807698dcfe4816948ca2ec8140d1bc2bfb95750a",
+        "2,1,1,1,1": "24740d0da5db65e7764108f8b74333553d3123a8c184dc6b89991f099e604eb2",
+        "1,1,1,1,1,1": "f5600a5aacaea6bb155d611dd329ddcc3e1a12ef8bbcf332c9c9d90c1feee7ce",
     },
 }
 
@@ -237,7 +281,7 @@ _IDBASIS_SHA256 = {
 @pytest.mark.parametrize("field", sorted(_IDBASIS_SHA256))
 def test_idbasis_output_is_pinned(field, capsys):
     got = {}
-    for n in range(1, 6):
+    for n in range(1, 7):
         for delta in degree_multidegrees(n):
             mdeg = ",".join(map(str, delta))
             assert cli.main(["idbasis", "--field", field, "--mdeg", mdeg]) == 0

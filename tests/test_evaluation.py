@@ -423,3 +423,25 @@ def test_full_image_vanishes_iff_its_part_modulo_a1y_does(field, delta, coeffs, 
     assert (not full) == is_weak_identity(f)
     if word >= 0 and not terms:
         assert full
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_weak_identity_verdict_over_prime_fields_is_the_image_test(p, data):
+    # over F_p the residues of f are evaluated as they are, without the
+    # copy through Field.integral that eval_vectors makes; sums of basis
+    # elements are identities, and a difference of two words of the slice
+    # keeps every coefficient sum zero, so the evaluation decides
+    F = Field(p)
+    delta = data.draw(st.sampled_from(_SLICES))
+    words = words_of_multidegree(delta)
+    scalar = st.integers(-(10**6), 10**6)
+    f = NCPoly.zero(F, 4)
+    for g in identity_basis(delta, F):
+        f = f + g.scale(F.of(data.draw(scalar)))
+    for _ in range(data.draw(st.integers(0, 2))):
+        u, v = data.draw(st.sampled_from(words)), data.draw(st.sampled_from(words))
+        c = F.of(data.draw(scalar))
+        f = f + NCPoly(F, 4, {u: c}) - NCPoly(F, 4, {v: c})
+    assert is_weak_identity(f) == (not eval_vectors([f], F)[0])

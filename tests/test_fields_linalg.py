@@ -10,6 +10,7 @@ from weylpi.fields import _MR_LIMIT, Field, _is_prime
 from weylpi.free_algebra import NCPoly
 from weylpi.identities import degree_multidegrees, identity_basis, words_of_multidegree
 from weylpi.linalg import Echelon, row_reduce_sparse
+from weylpi.parser import format_poly
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -260,17 +261,27 @@ _q_entry = st.one_of(
 )
 
 
-def _assert_same_elimination(field, rows):
-    ech = Echelon(field, want_kernel=True)
+def _pinned_order(vec):
+    """The key order of a kernel vector: its own row, the largest index,
+    first, then the pivot rows in elimination order."""
+    own = max(vec)
+    return [own] + sorted(k for k in vec if k != own)
+
+
+def _assert_same_elimination(field, rows, oracle_rows=None):
+    """``Echelon`` and ``row_reduce_sparse`` on ``rows`` against the oracle
+    on ``oracle_rows`` (by default the same rows)."""
     oracle = _FractionEchelon(field, want_kernel=True)
-    grew = [ech.add(row) for row in rows]
-    assert grew == [oracle.add(row) for row in rows]
+    grew = [oracle.add(row) for row in (rows if oracle_rows is None else oracle_rows)]
+    ech = Echelon(field)
+    assert [ech.add(row) for row in rows] == grew
     assert ech.rank == oracle.rank
-    assert ech.kernel == oracle.kernel
-    assert [list(v) for v in ech.kernel] == [list(v) for v in oracle.kernel]
+    rank, kernel = row_reduce_sparse(rows, field, want_kernel=True)
+    assert rank == oracle.rank
+    assert kernel == oracle.kernel
+    assert [list(v) for v in kernel] == [_pinned_order(v) for v in oracle.kernel]
     scalar = Fraction if field.p == 0 else int
-    assert all(type(c) is scalar for v in ech.kernel for c in v.values())
-    # without the kernel the pivots are scaled differently; the rank is not
+    assert all(type(c) is scalar for v in kernel for c in v.values())
     assert row_reduce_sparse(rows, field)[0] == oracle.rank
 
 
@@ -315,6 +326,76 @@ def test_elimination_over_prime_fields_matches_the_oracle(rows, cols, data, p):
     _assert_same_elimination(F, _sparse(F, dense + dense[: rows // 2]))
 
 
+def _residues(field, rows):
+    """The rows as the oracle takes them: over F_p reduced residues."""
+    p = field.p
+    return [{k: v % p for k, v in row.items() if v % p} for row in rows] if p else rows
+
+
+_KERNEL_FIELDS = [0, 2, 3, 5, 32003]
+
+
+@pytest.mark.parametrize("p", _KERNEL_FIELDS)
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [{}, {}, {0: 0, 1: 0}],
+        [{0: 2, 2: -1}],
+        [{0: 2, 2: -1}, {1: 1}, {0: 2, 2: -1}, {1: 1}, {0: 2, 2: -1}],
+    ],
+    ids=["empty", "all-zero", "single", "duplicates"],
+)
+def test_kernel_of_degenerate_inputs_is_the_oracle_kernel(p, rows):
+    F = Field(p)
+    _assert_same_elimination(F, rows, _residues(F, rows))
+
+
+@pytest.mark.parametrize("p", _KERNEL_FIELDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_kernel_of_scaled_and_unreduced_rows_is_the_oracle_kernel(p, data):
+    # over Q an entry is divided by a denominator of its row and one of its
+    # column, staying an int where both are 1; over F_p it is shifted by a
+    # multiple of p, so rows hold unreduced ints and nonzero multiples of p
+    F = Field(p)
+    ncols = data.draw(st.integers(1, 5))
+    cells = data.draw(st.lists(st.lists(small_int, min_size=ncols, max_size=ncols), max_size=7))
+    if cells:  # repeated rows make dependent rows common
+        cells += data.draw(st.lists(st.sampled_from(cells), max_size=3))
+    if p:
+        shift = st.integers(-3, 3)
+        dense = [[e + p * data.draw(shift) for e in r] for r in cells]
+    else:
+        den = st.sampled_from([1, 1, 2, 3, 4, 6])
+        row_den = [data.draw(den) for _ in cells]
+        col_den = [data.draw(den) for _ in range(ncols)]
+        dense = [
+            [e if rd * cd == 1 else Fraction(e, rd * cd) for e, cd in zip(r, col_den)]
+            for r, rd in zip(cells, row_den)
+        ]
+    keep_zeros = data.draw(st.booleans())
+    rows = [{j: e for j, e in enumerate(r) if keep_zeros or e} for r in dense]
+    _assert_same_elimination(F, rows, _residues(F, rows))
+
+
+@pytest.mark.parametrize(
+    "p, text",
+    [
+        (0, "x1^2*x3 - 2*x1*x3*x1 + x3*x1^2"),
+        (2, "x1^2*x3 + x3*x1^2"),
+        (3, "x1^2*x3 + x1*x3*x1 + x3*x1^2"),
+        (32003, "x1^2*x3 + 32001*x1*x3*x1 + x3*x1^2"),
+    ],
+)
+def test_identity_basis_of_empty_and_small_slices(p, text):
+    F = Field(p)
+    for delta in [(), (0,), (0, 0), (1,)]:
+        assert identity_basis(delta, F) == []
+    (f,) = identity_basis((2, 0, 1), F)
+    assert f.nvars == 3 and format_poly(f) == text
+
+
 @pytest.mark.parametrize("p", [0, 2, 3])
 def test_identity_basis_is_the_oracle_kernel(p):
     F = Field(p)
@@ -325,5 +406,9 @@ def test_identity_basis_is_the_oracle_kernel(p):
             _, kernel = _oracle_reduce(rows, F, want_kernel=True)
             expected = [{words[i]: c for i, c in vec.items()} for vec in reversed(kernel)]
             basis = identity_basis(delta, F)
-            assert [list(f.terms.items()) for f in basis] == [list(e.items()) for e in expected]
+            assert [f.terms for f in basis] == expected
+            # own word, the least, first, then the pivot words in elimination
+            # order, which is decreasing; format_poly and repr sort the terms
+            order = [[words[i] for i in _pinned_order(vec)] for vec in reversed(kernel)]
+            assert [list(f.terms) for f in basis] == order
             assert all(type(c) is type(F.one) for f in basis for c in f.terms.values())
