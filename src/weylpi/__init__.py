@@ -2,7 +2,7 @@
 V = span{x, y}, with exact rewriting to completely reduced bracket-
 monomials and multidegree-by-multidegree conjecture verification."""
 
-from .bracket import BracketMonomial, Status, enumerate_completely_reduced, weight_less
+from .bracket import BracketMonomial, Status, enumerate_completely_reduced
 from .evaluation import generic_substitution, is_weak_identity, substitute_tuple
 from .fields import Field
 from .free_algebra import NCPoly, commutator, gamma, generator_at, st3, t4
@@ -15,7 +15,7 @@ from .identities import (
 )
 from .parser import format_poly, parse_poly
 from .rewriter import NormalForm, normal_form, semi_reduce
-from .weyl import WeylElement, commutator_with_y, is_central
+from .weyl import WeylElement, commutator_with_y
 
 __all__ = [
     "BracketMonomial",
@@ -34,7 +34,6 @@ __all__ = [
     "generic_substitution",
     "ideal_span_dimension",
     "identity_basis",
-    "is_central",
     "is_weak_identity",
     "normal_form",
     "parse_poly",
@@ -44,5 +43,4 @@ __all__ = [
     "t4",
     "two_variable_certificate",
     "verify_conjecture",
-    "weight_less",
 ]

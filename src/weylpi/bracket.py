@@ -1,5 +1,5 @@
-"""Bracket-monomials, their reduction-status hierarchy, weights and the
-enumeration of completely reduced monomials per multidegree.
+"""Bracket-monomials, their reduction-status hierarchy and the enumeration
+of completely reduced monomials per multidegree.
 
 A bracket-monomial is x_{t1}...x_{tl} [x_{r1},x_{s1}]...[x_{rk},x_{sk}]
 with l >= 0, k >= 1 and r_i < s_i throughout.  A canonical key is a
@@ -99,16 +99,6 @@ class BracketMonomial(namedtuple("BracketMonomial", "prefix brackets")):
             return Status.REDUCED
         return Status.COMPLETELY_REDUCED
 
-    # -- weights -----------------------------------------------------------
-
-    def monomial_weight(self):
-        if not self.prefix:
-            return (0,)
-        return tuple(sorted(self.prefix, reverse=True))
-
-    def bracket_weight(self):
-        return tuple(sorted((s - r for r, s in self.brackets), reverse=True))
-
     # -- expansion ---------------------------------------------------------
 
     def expand(self, field):
@@ -128,14 +118,6 @@ class BracketMonomial(namedtuple("BracketMonomial", "prefix brackets")):
 
     def __repr__(self):
         return f"BracketMonomial({self.format()})"
-
-
-def weight_less(a, b):
-    """Strict comparison of weights: pad with zeros, then lexicographic."""
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    return a < b
 
 
 def enumerate_completely_reduced(delta):

@@ -25,14 +25,6 @@ class NotPurelyX(Exception):
     """Element has y-part where a polynomial in x alone is required."""
 
 
-class NotSemiReduced(Exception):
-    """Monomial is not semi-reduced where required."""
-
-
-class NotReduced(Exception):
-    """Monomial is not reduced where required."""
-
-
 class ResourceLimit(Exception):
     """Configured degree / size cap exceeded."""
 

@@ -30,9 +30,8 @@ images of the words below it, for all polynomials of the batch in one
 dict, and a finished node is folded into its parent by one left
 multiplication, so only the few nodes near the root carry large images.
 It takes and gives integer rows: its callers scale a polynomial with
-``Field.integral``, ``is_weak_identity`` and the exact eliminations take
-its images as they are, and ``eval_vectors`` enters the field once per
-output coordinate, with ``Field.of`` over the polynomial's denominator.
+``Field.integral``, and ``is_weak_identity`` and the exact eliminations
+take its images as they are.
 """
 
 from .errors import ArityMismatch
@@ -72,32 +71,22 @@ def _key_layout(length, letters):
     A key packs i, a1, b1, ..., am, bm from the top down, ``bits`` bits
     each: an exponent is at most the word length, so no slot carries into
     the next, and keys order as the pairs (i, exps) do.  Returns
-    ``(x, params, unpack)``: a factor x adds ``x`` to a term's key, and
-    factors a_k and b_k add the pair ``params[k]``.  ``unpack(key)`` is the
-    coordinate (i, exps), with exps trimmed of trailing zeros.
+    ``(x, params)``: a factor x adds ``x`` to a term's key, and factors a_k
+    and b_k add the pair ``params[k]``.
     """
     bits = length.bit_length()
     m = max(letters, default=0)
-    ishift = 2 * m * bits
     params = {k: (1 << (2 * (m - k) + 1) * bits, 1 << 2 * (m - k) * bits) for k in letters}
-    mask = (1 << bits) - 1
-
-    def unpack(key):
-        exps = [key >> t * bits & mask for t in range(2 * m - 1, -1, -1)]
-        while exps and not exps[-1]:
-            exps.pop()
-        return key >> ishift, tuple(exps)
-
-    return 1 << ishift, params, unpack
+    return 1 << 2 * m * bits, params
 
 
 def _integer_images(rows):
     """The generic substitution, modulo A1*y, of each polynomial given as a
-    dict word -> int: ``(images, unpack)``.  ``images[r]`` maps packed int
-    keys to the nonzero ints of the image of ``rows[r]``, and ``unpack``
-    decodes a key (``_key_layout``).  Keys order as their coordinates do,
-    so an elimination on them picks the same pivots.  The image of a row
-    is its row over Q and, reduced mod p, over F_p.
+    dict word -> int: the list of images, ``images[r]`` mapping the packed
+    int keys of ``_key_layout`` to the nonzero ints of the image of
+    ``rows[r]``.  Keys order as their coordinates do, so an elimination on
+    them picks the same pivots.  The image of a row is its row over Q and,
+    reduced mod p, over F_p.
 
     All rows of a batch share one dict per trie node: inside the walk a
     key carries the row index in its low ``rbits`` bits (none for a single
@@ -112,7 +101,7 @@ def _integer_images(rows):
         for w, c in terms.items():
             uses.setdefault(w, []).append((row, c))
 
-    x, params, unpack = _key_layout(max(map(len, uses), default=0), set().union(*uses))
+    x, params = _key_layout(max(map(len, uses), default=0), set().union(*uses))
     rbits = (len(rows) - 1).bit_length()
     ishift = x.bit_length() - 1 + rbits
     shifts = {k: ((a + x) << rbits, (b - x) << rbits) for k, (a, b) in params.items()}
@@ -154,31 +143,7 @@ def _integer_images(rows):
     for key, s in path[0].items():
         if s:
             images[key & rmask][key >> rbits] = s
-    return images, unpack
-
-
-def eval_vectors(polys, field):
-    """Sparse coordinates of the generic substitution of each polynomial
-    modulo A1*y: one dict per polynomial mapping (i, exps) to a nonzero
-    scalar, where exps is the trimmed exponent tuple of (a1, b1, a2, ...),
-    exactly the terms (i, 0, exps) of ``generic_substitution``.
-    """
-    scaled = [field.integral(f.terms) for f in polys]
-    images, unpack = _integer_images([ints for _, ints in scaled])
-    coords = {}
-    out = []
-    for image, (den, _) in zip(images, scaled):
-        vec = {}
-        for key, s in image.items():
-            v = field.of(s, den)
-            if field.is_zero(v):
-                continue
-            coord = coords.get(key)
-            if coord is None:
-                coord = coords[key] = unpack(key)
-            vec[coord] = v
-        out.append(vec)
-    return out
+    return images
 
 
 def substitute_tuple(f, t):
@@ -222,5 +187,5 @@ def is_weak_identity(f):
         sums[key] = sums.get(key, 0) + c
     if any(s % p if p else s for s in sums.values()):
         return False
-    (image,), _ = _integer_images([f.terms if p else f.field.integral(f.terms)[1]])
+    (image,) = _integer_images([f.terms if p else f.field.integral(f.terms)[1]])
     return not any(s % p for s in image.values()) if p else not image

@@ -76,7 +76,7 @@ def identity_basis(delta, fieldobj):
     """
     delta = tuple(delta)
     words = words_of_multidegree(delta)[::-1]
-    rows, _ = _integer_images([{w: 1} for w in words])
+    rows = _integer_images([{w: 1} for w in words])
     _, kernel = row_reduce_sparse(rows, fieldobj, want_kernel=True)
     return [
         NCPoly(fieldobj, len(delta), {words[i]: c for i, c in vec.items()})

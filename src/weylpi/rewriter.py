@@ -52,7 +52,7 @@ from bisect import bisect_right, insort
 from types import SimpleNamespace
 
 from .bracket import BracketMonomial, Status, format_key, term_order
-from .errors import NotReduced, NotSemiReduced, ResourceLimit
+from .errors import ResourceLimit
 from .free_algebra import NCPoly, components, mdeg_word
 
 _MAX_STEPS = 10_000_000
@@ -127,18 +127,19 @@ def _successors(key, n, width, target, trace):
     return ()
 
 
-def _rewrite(initial, n, width, fieldobj, target, trace=None):
-    """Rewrite flat keys up to ``target`` status.
-
-    ``initial`` maps flat keys with ``n`` prefix letters and bracket codes
-    of ``width`` bits to coefficients, at least one of them nonzero.
-    Returns (beta, out) where beta collects bracket-free sorted words and
-    ``out`` maps canonical ``BracketMonomial`` keys to nonzero coefficients.
+def _rewrite(words, delta, fieldobj, target, trace):
+    """Rewrite a dict of words of multidegree ``delta``, at least one of
+    them with a nonzero coefficient, up to ``target`` status; each word is
+    its own flat key.  Returns (beta, out) where beta collects bracket-free
+    sorted words and ``out`` maps canonical ``BracketMonomial`` keys to
+    nonzero coefficients.
     """
     F = fieldobj
+    n = sum(delta)
+    width = max((l for l, d in enumerate(delta, start=1) if d), default=0).bit_length()
     # coefs[m]: each pending key's merged integer coefficient; pending[m]:
     # the pending keys, ascending; both for the keys with m prefix letters
-    den, coef = F.integral(initial)
+    den, coef = F.integral(words)
     coefs = [{} for _ in range(n)] + [coef]
     pending = [[] for _ in range(n)] + [sorted(coef)]
 
@@ -183,23 +184,6 @@ def _rewrite(initial, n, width, fieldobj, target, trace=None):
     return F.of(beta, den), out
 
 
-def _rewrite_words(words, delta, fieldobj, target, trace):
-    """``_rewrite`` of a dict of words of multidegree ``delta``, each word
-    its own key."""
-    largest = max((l for l, d in enumerate(delta, start=1) if d), default=0)
-    return _rewrite(words, sum(delta), largest.bit_length(), fieldobj, target, trace)
-
-
-def _rewrite_monomial(b, fieldobj, target, trace):
-    """``_rewrite`` of one bracket-monomial with coefficient one; beta is 0,
-    as k never decreases, so no pure word appears."""
-    width = max(b.letters()).bit_length()
-    key = b.prefix + tuple(sorted(s << width | r for r, s in b.brackets))
-    beta, out = _rewrite({key: fieldobj.one}, len(b.prefix), width, fieldobj, target, trace)
-    assert fieldobj.is_zero(beta)
-    return out
-
-
 def semi_reduce(f, trace=None):
     """Rewrite a multihomogeneous polynomial into its pure-word coefficient
     beta plus a combination of semi-reduced bracket-monomials."""
@@ -207,21 +191,7 @@ def semi_reduce(f, trace=None):
     if f.is_zero():
         return F.zero, {}
     delta = f.mdeg()  # raises NotMultihomogeneous on mixed input
-    return _rewrite_words(f.terms, delta, F, Status.SEMI_REDUCED, trace)
-
-
-def reduce_monomial(b, fieldobj, trace=None):
-    """Rewrite a semi-reduced bracket-monomial into reduced ones."""
-    if b.status() < Status.SEMI_REDUCED:
-        raise NotSemiReduced(b.format())
-    return _rewrite_monomial(b, fieldobj, Status.REDUCED, trace)
-
-
-def completely_reduce(b, fieldobj, trace=None):
-    """Rewrite a reduced bracket-monomial into completely reduced ones."""
-    if b.status() < Status.REDUCED:
-        raise NotReduced(b.format())
-    return _rewrite_monomial(b, fieldobj, Status.COMPLETELY_REDUCED, trace)
+    return _rewrite(f.terms, delta, F, Status.SEMI_REDUCED, trace)
 
 
 class NormalForm(SimpleNamespace):
@@ -257,6 +227,6 @@ def normal_form(f, trace=None):
     out = {}
     F = f.field
     for delta, comp in components(f.terms, f.nvars).items():
-        beta, terms = _rewrite_words(comp, delta, F, Status.COMPLETELY_REDUCED, trace)
+        beta, terms = _rewrite(comp, delta, F, Status.COMPLETELY_REDUCED, trace)
         out[delta] = NormalForm(F, delta, beta, terms)
     return out

@@ -2,9 +2,8 @@
 
 An element is one flat dict: the key (i, j, exps) stands for x^i y^j times
 the parameter monomial a1^e1 b1^e2 a2^e3 ... of the substitution parameters,
-with exps trimmed of trailing zeros (the ``exps`` of
-``evaluation.eval_vectors``), and its value is a nonzero scalar.  A scalar
-element uses exps = ().
+with exps trimmed of trailing zeros, and its value is a nonzero scalar.  A
+scalar element uses exps = ().
 
 Products use the closed normal-ordering formula y^j x^i = sum_k k! C(i,k)
 C(j,k) x^(i-k) y^(j-k), k = 0..min(i,j) (Dixmier, *Enveloping Algebras*,
@@ -104,10 +103,3 @@ def commutator_with_y(a):
         raise NotPurelyX("element has a y-part")
     terms = {(i - 1, 0, e): i * c for (i, _, e), c in a.terms.items() if i}
     return WeylElement(a.field, terms)
-
-
-def is_central(u):
-    """True iff u commutes with both x and y."""
-    X = WeylElement.x(u.field)
-    Y = WeylElement.y(u.field)
-    return (u * X - X * u).is_zero() and (u * Y - Y * u).is_zero()

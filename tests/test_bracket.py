@@ -3,14 +3,11 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from weylpi.bracket import (
     BracketMonomial,
     Status,
     enumerate_completely_reduced,
-    weight_less,
 )
 from weylpi.fields import Field
 from weylpi.free_algebra import mdeg_word
@@ -54,45 +51,6 @@ def test_status_paper_examples():
     assert bm((1,), ((2, 3),)).status() == Status.COMPLETELY_REDUCED
     assert bm((2, 1), ((1, 2),)).status() == Status.NONE  # unsorted prefix
     assert bm((), ((1, 4), (2, 3))).status() == Status.NONE  # s-sequence unsorted
-
-
-def test_weights_paper_examples():
-    # St_3 terms
-    assert bm((1,), ((2, 3),)).monomial_weight() == (1,)
-    assert bm((2,), ((1, 3),)).monomial_weight() == (2,)
-    assert bm((3,), ((1, 2),)).monomial_weight() == (3,)
-    assert bm((1,), ((2, 3),)).bracket_weight() == (1,)
-    assert bm((2,), ((1, 3),)).bracket_weight() == (2,)
-    # T_4 terms
-    assert bm((), ((1, 2), (3, 4))).bracket_weight() == (1, 1)
-    assert bm((), ((1, 3), (2, 4))).bracket_weight() == (2, 2)
-    assert bm((), ((2, 3), (1, 4))).bracket_weight() == (3, 1)
-    assert bm((), ((1, 2),)).monomial_weight() == (0,)
-
-
-def test_weight_less():
-    assert weight_less((0,), (1,))
-    assert weight_less((2,), (2, 1))
-    assert not weight_less((3, 1), (2, 2))
-    assert weight_less((2, 2), (3, 1))
-    assert not weight_less((2,), (2,))
-
-
-weights = st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=4).map(
-    lambda xs: tuple(sorted(xs, reverse=True))
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(weights, weights, weights)
-def test_weight_order_is_strict_total(a, b, c):
-    # antisymmetry, totality, transitivity on padded tuples
-    pad = max(len(a), len(b))
-    equal = tuple(a) + (0,) * (pad - len(a)) == tuple(b) + (0,) * (pad - len(b))
-    assert (weight_less(a, b) or weight_less(b, a) or equal)
-    assert not (weight_less(a, b) and weight_less(b, a))
-    if weight_less(a, b) and weight_less(b, c):
-        assert weight_less(a, c)
 
 
 def test_enumeration_matches_example_lists():

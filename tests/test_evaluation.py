@@ -9,7 +9,7 @@ from weylpi.bracket import enumerate_completely_reduced
 from weylpi.errors import ArityMismatch
 from weylpi.evaluation import (
     _integer_images,
-    eval_vectors,
+    _key_layout,
     generic_substitution,
     is_weak_identity,
     substitute_tuple,
@@ -26,7 +26,7 @@ from weylpi.free_algebra import (
 from weylpi.identities import degree_multidegrees, identity_basis, words_of_multidegree
 from weylpi.linalg import row_reduce_sparse
 from weylpi.parser import parse_poly
-from weylpi.weyl import WeylElement, is_central
+from weylpi.weyl import WeylElement
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
@@ -201,8 +201,9 @@ def test_partial_linearizations_of_generators_stay_identities():
 
 
 def test_generic_bracket_value_is_central():
+    # a scalar: every term is x^0 y^0 times a parameter monomial
     f = parse_poly("[x1,x2]", QQ)
-    assert is_central(generic_substitution(f))
+    assert all(i == j == 0 for i, j, _ in generic_substitution(f).terms)
 
 
 # -- the integer evaluation kernel against the WeylElement oracle ------------
@@ -217,6 +218,34 @@ def _oracle_vector(f):
     return {(i, exps): s for (i, j, exps), s in _full_oracle_vector(f).items() if not j}
 
 
+def _assert_images_match_oracle(polys, field):
+    # the kernel's images of the Field.integral rows of a batch against the
+    # oracle packed forward into the batch's keys: the term (i, 0, exps)
+    # has the key i*x + sum_t exps[t]*params[t//2+1][t%2], and its value
+    # times den is the image's int over Q, the int mod p over F_p
+    p = field.p
+    scaled = [field.integral(f.terms) for f in polys]
+    rows = [ints for _, ints in scaled]
+    words = [w for row in rows for w in row]
+    x, params = _key_layout(max(map(len, words), default=0), set().union(*words))
+    images = _integer_images(rows)
+    assert len(images) == len(polys)
+    for f, (den, _), image in zip(polys, scaled, images):
+        packed = {
+            i * x + sum(e * params[t // 2 + 1][t % 2] for t, e in enumerate(exps) if e): v * den
+            for (i, exps), v in _oracle_vector(f).items()
+        }
+        assert all(image.values())
+        assert ({k: s % p for k, s in image.items() if s % p} if p else image) == packed
+
+
+def _image_vanishes(f):
+    # the kernel's image of f, through Field.integral, is zero in the field
+    p = f.field.p
+    (image,) = _integer_images([f.field.integral(f.terms)[1]])
+    return not any(s % p for s in image.values()) if p else not image
+
+
 @pytest.mark.parametrize("p", [0, 2, 3, 32003])
 def test_kernel_matches_oracle_up_to_degree_five(p):
     field = Field(p)
@@ -227,9 +256,7 @@ def test_kernel_matches_oracle_up_to_degree_five(p):
                 NCPoly.monomial(w, field, nvars=len(delta))
                 for w in words_of_multidegree(delta)
             ]
-            for f, vec in zip(polys, eval_vectors(polys, field)):
-                assert vec == _oracle_vector(f)
-                assert all(type(v) is type(field.one) for v in vec.values())
+            _assert_images_match_oracle(polys, field)
 
 
 _word = st.lists(st.integers(1, 4), max_size=4).map(tuple)
@@ -240,12 +267,12 @@ _term = st.tuples(_word, st.fractions(min_value=-3, max_value=3, max_denominator
 @given(st.lists(_term, max_size=5))
 def test_kernel_matches_oracle_on_random_polynomials(terms):
     f = NCPoly(QQ, 4, dict(terms))
-    assert eval_vectors([f], f.field)[0] == _oracle_vector(f)
+    _assert_images_match_oracle([f], QQ)
 
 
 def test_shared_prefixes_give_the_same_vectors():
     # a batch multiplies out each common prefix once; polynomials evaluated
-    # one at a time share nothing
+    # one at a time share nothing; both match the oracle
     rng = random.Random(5)
     for field in (QQ, F5):
         polys = []
@@ -257,7 +284,9 @@ def test_shared_prefixes_give_the_same_vectors():
                 for _ in range(rng.randint(1, 6))
             }
             polys.append(NCPoly(field, 3, terms))
-        assert eval_vectors(polys, field) == [eval_vectors([f], f.field)[0] for f in polys]
+        _assert_images_match_oracle(polys, field)
+        for f in polys:
+            _assert_images_match_oracle([f], field)
 
 
 def _layout(rows):
@@ -269,16 +298,18 @@ def _layout(rows):
 
 def _assert_batch_is_rowwise(rows):
     # a batch packs the row index in the low bits of its keys; its images
-    # must be the single-row images, in the same order, and decode alike
-    images, unpack = _integer_images(rows)
+    # must be the single-row images, in the same order where the layouts
+    # agree, and the oracle's images in the batch's and in each row's layout
+    images = _integer_images(rows)
     assert len(images) == len(rows)
     for r, row in enumerate(rows):
-        (single,), unpack_single = _integer_images([row])
+        (single,) = _integer_images([row])
         if _layout([row]) == _layout(rows):
             assert list(images[r].items()) == list(single.items()), r
-        decoded = [(unpack(k), c) for k, c in images[r].items()]
-        assert decoded == [(unpack_single(k), c) for k, c in single.items()], r
-        assert all(images[r].values())
+    polys = [NCPoly(QQ, 3, {w: QQ.of(c) for w, c in row.items()}) for row in rows]
+    _assert_images_match_oracle(polys, QQ)
+    for f in polys:
+        _assert_images_match_oracle([f], QQ)
 
 
 _int_row = st.dictionaries(
@@ -314,8 +345,7 @@ def test_batched_images_at_the_row_bit_boundaries():
         batch = [rows[r % len(rows)] for r in range(n)]
         _assert_batch_is_rowwise(batch)
         _assert_batch_is_rowwise(batch[::-1])
-    images, _ = _integer_images([{}])
-    assert images == [{}]
+    assert _integer_images([{}]) == [{}]
 
 
 @pytest.mark.parametrize("field", [QQ, Field.prime(2), Field.prime(3)])
@@ -337,10 +367,7 @@ def test_batches_with_shared_words_and_prefix_words_match_the_oracle(field):
     polys = [NCPoly(field, 3, {w: coeff() for w in rng.sample(pool, 8)}) for _ in range(6)]
     polys.append(NCPoly(field, 3, {w: coeff() for w in pool}))
     polys.append(NCPoly(field, 3, {w: coeff() for w in pool}))
-    vectors = eval_vectors(polys, field)
-    for f, vec in zip(polys, vectors):
-        assert vec == _oracle_vector(f)
-        assert all(type(v) is type(field.one) for v in vec.values())
+    _assert_images_match_oracle(polys, field)
 
 
 # -- the certificate's leading terms against the generic substitution ---------
@@ -419,7 +446,7 @@ def test_full_image_vanishes_iff_its_part_modulo_a1y_does(field, delta, coeffs, 
         f = f + NCPoly.monomial(words[word % len(words)], field, nvars=4)
     f = f + NCPoly(field, 4, {w: field.of(c) for w, c in terms})
     full = _full_oracle_vector(f)
-    assert (not full) == (not _oracle_vector(f)) == (not eval_vectors([f], f.field)[0])
+    assert (not full) == (not _oracle_vector(f)) == _image_vanishes(f)
     assert (not full) == is_weak_identity(f)
     if word >= 0 and not terms:
         assert full
@@ -430,7 +457,7 @@ def test_full_image_vanishes_iff_its_part_modulo_a1y_does(field, delta, coeffs, 
 @given(st.data())
 def test_weak_identity_verdict_over_prime_fields_is_the_image_test(p, data):
     # over F_p the residues of f are evaluated as they are, without the
-    # copy through Field.integral that eval_vectors makes; sums of basis
+    # copy through Field.integral that _image_vanishes makes; sums of basis
     # elements are identities, and a difference of two words of the slice
     # keeps every coefficient sum zero, so the evaluation decides
     F = Field(p)
@@ -444,4 +471,4 @@ def test_weak_identity_verdict_over_prime_fields_is_the_image_test(p, data):
         u, v = data.draw(st.sampled_from(words)), data.draw(st.sampled_from(words))
         c = F.of(data.draw(scalar))
         f = f + NCPoly(F, 4, {u: c}) - NCPoly(F, 4, {v: c})
-    assert is_weak_identity(f) == (not eval_vectors([f], F)[0])
+    assert is_weak_identity(f) == _image_vanishes(f)

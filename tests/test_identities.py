@@ -5,7 +5,7 @@ import pytest
 
 from weylpi.bracket import BracketMonomial, enumerate_completely_reduced
 from weylpi.evaluation import (
-    eval_vectors,
+    _integer_images,
     is_weak_identity,
     substitute_tuple,
 )
@@ -97,10 +97,7 @@ def test_identity_basis_rank_nullity():
         for n in range(1, 6):
             for delta in degree_multidegrees(n):
                 words = words_of_multidegree(delta)
-                rows = [
-                    eval_vectors([NCPoly.monomial(w, field, nvars=len(delta))], field)[0]
-                    for w in words
-                ]
+                rows = _integer_images([{w: 1} for w in words])
                 rank, _ = row_reduce_sparse(rows, field)
                 basis = identity_basis(delta, field)
                 assert len(basis) == len(words) - rank
@@ -267,10 +264,10 @@ def _eliminated_ranks(delta, field):
     # the ranks of the generic evaluations of the reduced keys, without and
     # with the pure word, by exact elimination here, without the certificate
     reduced = enumerate_completely_reduced(delta)
-    rows = eval_vectors([b.expand(field) for b in reduced], field)
-    pure = NCPoly.monomial(words_of_multidegree(delta)[0], field, nvars=len(delta))
-    rank_full, _ = row_reduce_sparse(rows + [eval_vectors([pure], field)[0]], field)
-    return row_reduce_sparse(rows, field)[0], rank_full
+    pure = words_of_multidegree(delta)[0]
+    rows = _integer_images([field.integral(b.expand(field).terms)[1] for b in reduced] + [{pure: 1}])
+    rank_full, _ = row_reduce_sparse(rows, field)
+    return row_reduce_sparse(rows[:-1], field)[0], rank_full
 
 
 @pytest.mark.parametrize("field", [QQ, Field.prime(2)])
@@ -476,3 +473,12 @@ def test_dim_I_never_exceeds_dim_id():
         for delta in degree_multidegrees(n):
             r = verify_conjecture(delta, QQ)
             assert r.dim_I is None or r.dim_I <= r.dim_id
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(2)], ids=repr)
+def test_degrees_thirteen_and_fourteen_certified(field):
+    # the README's "every partition of degree <= 14 is certified", beyond
+    # the acceptance gate, which stops at 12
+    for delta in degree_multidegrees(13) + degree_multidegrees(14):
+        r = verify_conjecture(delta, field)
+        assert (r.verdict, r.route) == ("Verified", "certified"), delta

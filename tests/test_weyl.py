@@ -8,7 +8,6 @@ from weylpi.fields import Field
 from weylpi.weyl import (
     WeylElement,
     commutator_with_y,
-    is_central,
 )
 
 QQ = Field.rationals()
@@ -138,18 +137,6 @@ def test_derivative_requires_pure_x():
         commutator_with_y(WeylElement.y(QQ))
 
 
-def test_centrality():
-    assert is_central(WeylElement.one(QQ))
-    assert not is_central(WeylElement.x(QQ))
-    assert is_central(WeylElement.basis(5, 0, F5))  # x^p central in char p
-    assert is_central(WeylElement.basis(0, 5, F5))  # y^p too
-    assert not is_central(WeylElement.basis(5, 0, QQ))
-    # over Q only scalar basis monomials are central
-    for i in range(4):
-        for j in range(4):
-            assert is_central(WeylElement.basis(i, j, QQ)) == (i == j == 0)
-
-
 def test_generic_bracket_is_central_scalar():
     # [u, v] for generic u, v in span{x, y} is a parameter multiple of 1
     F = QQ
@@ -157,6 +144,6 @@ def test_generic_bracket_is_central_scalar():
     v = WeylElement(F, {(1, 0, (0, 0, 1)): F.one, (0, 1, (0, 0, 0, 1)): F.one})
     br = u * v - v * u
     assert br.terms == {(0, 0, (0, 1, 1)): 1, (0, 0, (1, 0, 0, 1)): -1}
-    assert is_central(br)
+    assert all(i == j == 0 for i, j, _ in br.terms)
     # trailing zero exponents are trimmed on input
     assert WeylElement(F, {(1, 0, (1, 0, 0)): F.one}) == WeylElement(F, {(1, 0, (1,)): F.one})
