@@ -3,6 +3,12 @@
 Subcommands: normalize, check, enumerate, idbasis, verify.
 Exit codes: 0 success, 1 negative verdict, 2 parse/usage error,
 3 resource limit.
+
+The library modules are imported as modules and their functions read at
+use, so that a command loads only the modules it calls (``weylpi``
+registers its submodules to load on first use): ``check`` loads errors,
+fields, free_algebra, parser and evaluation, never the Weyl arithmetic,
+the eliminations or the rewriter.
 """
 
 import argparse
@@ -11,13 +17,8 @@ import json
 import os
 import sys
 
-from .bracket import enumerate_completely_reduced
+from . import bracket, evaluation, fields, identities, parser, rewriter
 from .errors import ParseError, ResourceLimit, UsageError
-from .evaluation import is_weak_identity
-from .fields import Field
-from .identities import degree_multidegrees, identity_basis, space_dimension, verify_conjecture
-from .parser import format_poly, parse_poly
-from .rewriter import normal_form
 
 # The most words ``check`` and ``idbasis`` evaluate; the elimination of
 # ``idbasis`` grows fastest.  On a shared 2-vCPU VM, at this limit: ``check``
@@ -70,7 +71,7 @@ def _max_degree():
 
 def _field(text):
     try:
-        return Field.parse(text)
+        return fields.Field.parse(text)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -80,7 +81,7 @@ def _parse_expr(args):
     fieldobj = _field(args.field)
     # argparse reads `--expr=--` as an empty list of values: no expression
     expr = args.expr if isinstance(args.expr, str) else ""
-    return fieldobj, parse_poly(expr, fieldobj, max_degree=_max_degree())
+    return fieldobj, parser.parse_poly(expr, fieldobj, max_degree=_max_degree())
 
 
 def _parse_mdeg(text):
@@ -93,7 +94,7 @@ def _parse_mdeg(text):
 def cmd_normalize(args):
     fieldobj, f = _parse_expr(args)
     trace = [] if args.trace else None
-    forms = normal_form(f, trace=trace)
+    forms = rewriter.normal_form(f, trace=trace)
     if trace:
         # with --json, stdout carries the JSON document alone
         out = sys.stderr if args.json else sys.stdout
@@ -127,7 +128,7 @@ def cmd_normalize(args):
 def cmd_check(args):
     fieldobj, f = _parse_expr(args)
     _cap_words(len(f.terms))
-    if is_weak_identity(f):
+    if evaluation.is_weak_identity(f):
         print("identity")
         return 0
     print("not-identity")
@@ -136,7 +137,7 @@ def cmd_check(args):
 
 def cmd_enumerate(args):
     delta = _capped(_parse_mdeg(args.mdeg), _max_degree())
-    monos = enumerate_completely_reduced(delta)
+    monos = bracket.enumerate_completely_reduced(delta)
     for mono in monos:
         print(mono.format())
     print(f"count={len(monos)}")
@@ -146,9 +147,9 @@ def cmd_enumerate(args):
 def cmd_idbasis(args):
     fieldobj = _field(args.field)
     delta = _capped(_parse_mdeg(args.mdeg), _max_degree())
-    _cap_words(space_dimension(delta))
-    for f in identity_basis(delta, fieldobj):
-        print(format_poly(f))
+    _cap_words(identities.space_dimension(delta))
+    for f in identities.identity_basis(delta, fieldobj):
+        print(parser.format_poly(f))
     return 0
 
 
@@ -161,12 +162,12 @@ def cmd_verify(args):
         raise UsageError(f"--degree must be a non-negative integer, got {args.degree!r}")
     else:
         _capped((degree,), cap)  # before the partitions are listed
-        deltas = degree_multidegrees(degree)
+        deltas = identities.degree_multidegrees(degree)
     # opened before the sweep, so that an unwritable path fails at once;
     # a full device may fail the write or the close
     try:
         with open(args.json, "w") if args.json is not None else contextlib.nullcontext() as fh:
-            reports = [verify_conjecture(d, fieldobj).to_dict() for d in deltas]
+            reports = [identities.verify_conjecture(d, fieldobj).to_dict() for d in deltas]
             if fh:
                 json.dump({"reports": reports}, fh, indent=2, sort_keys=True)
                 fh.write("\n")

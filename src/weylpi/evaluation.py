@@ -34,8 +34,8 @@ It takes and gives integer rows: its callers scale a polynomial with
 take its images as they are.
 """
 
+from . import weyl
 from .errors import ArityMismatch
-from .weyl import WeylElement
 
 
 def letter_image(k, field):
@@ -43,15 +43,15 @@ def letter_image(k, field):
     are the parameters at exponent indices 2k-2 and 2k-1."""
     a_k = (0,) * (2 * k - 2) + (1,)
     b_k = (0,) * (2 * k - 1) + (1,)
-    return WeylElement(field, {(1, 0, a_k): field.one, (0, 1, b_k): field.one})
+    return weyl.WeylElement(field, {(1, 0, a_k): field.one, (0, 1, b_k): field.one})
 
 
 def _substitute(f, images):
     """Evaluate f with x_k -> images[k], one word at a time."""
     F = f.field
-    out = WeylElement.zero(F)
+    out = weyl.WeylElement.zero(F)
     for word, coeff in f.terms.items():
-        acc = WeylElement.one(F)
+        acc = weyl.WeylElement.one(F)
         for letter in word:
             acc = acc * images[letter]
         out = out + acc.scale(coeff)
@@ -154,9 +154,9 @@ def substitute_tuple(f, t):
     images = {}
     for k, choice in enumerate(t, start=1):
         if choice == "x":
-            images[k] = WeylElement.x(F)
+            images[k] = weyl.WeylElement.x(F)
         elif choice == "y":
-            images[k] = WeylElement.y(F)
+            images[k] = weyl.WeylElement.y(F)
         else:
             raise ValueError(f"tuple entries must be 'x' or 'y', got {choice!r}")
     return _substitute(f, images)

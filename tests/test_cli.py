@@ -492,7 +492,7 @@ def test_verify_json_write_failure_is_a_usage_error(tmp_path, monkeypatch, capsy
     def limit(*args, **kwargs):
         raise ResourceLimit("sweep refused")
 
-    monkeypatch.setattr(cli, "verify_conjecture", limit)
+    monkeypatch.setattr(cli.identities, "verify_conjecture", limit)
     assert cli.main(["verify", "--degree", "3", "--json", out]) == 3
     assert capsys.readouterr() == ("", "resource limit: sweep refused\n")
 
