@@ -5,10 +5,13 @@ canonical residues (ints in ``[0, p)``) over F_p.  A ``Field`` instance
 carries the characteristic and supplies the operations, so every other
 module stays agnostic of which field it is working over.
 
-The exact kernels (evaluation, elimination, rewriting) run on plain ints.
-``Field.integral`` is the one place a dict of scalars becomes a common
-denominator and integer numerators, and ``Field.of`` the one place an
-integer over that denominator becomes a scalar again.
+The exact kernels (evaluation, the ideal-span rows, elimination,
+rewriting) run on plain ints: the images and the span rows are integer
+matrices, the same for every field, which meet the field only as they
+enter the eliminator.  ``Field.integral`` is the one place a dict of
+scalars becomes a common denominator and integer numerators, and
+``Field.of`` the one place an integer over that denominator becomes a
+scalar again.
 """
 
 from fractions import Fraction

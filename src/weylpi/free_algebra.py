@@ -5,6 +5,10 @@ monomial.  Polynomials are dicts word -> scalar with no zero coefficients
 stored.  Also provides multidegree grading, commutators, the partial /
 complete linearization operators and the three identity generators
 Gamma_m, St_3 and T_4.
+
+The linear-space operations of ``NCPoly`` (``+``, ``-``, unary ``-``,
+``scale`` and ``==``) are public, with ``*`` and ``**``: the tests check
+the package against oracles written in them.
 """
 
 from .errors import BadArity, DegreeMismatch, NotMultihomogeneous
@@ -36,18 +40,14 @@ def _word_product(field, f, g):
     """The product of two word dicts: every concatenation w1 + w2 of a word
     of ``f`` and a word of ``g``, in that order, with c1 * c2 added in.
 
-    When ``g`` has one word w2, w1 -> w1 + w2 is injective and a product of
-    two nonzero scalars is nonzero, mod a prime too, so nothing is summed
-    or dropped: the result is {w1 + w2: c1 * c2}, with the same items in
-    the same order, and with c1 as it is when c2 is 1."""
+    When ``g`` is one word w2 with coefficient 1, w1 -> w1 + w2 is
+    injective, so nothing is summed or dropped: the result is
+    {w1 + w2: c1}, with the same items in the same order as the summing
+    product."""
     if len(g) == 1:
         ((w2, c2),) = g.items()
         if c2 == 1:
             return {w1 + w2: c1 for w1, c1 in f.items()}
-        p = field.p
-        if p:
-            return {w1 + w2: c1 * c2 % p for w1, c1 in f.items()}
-        return {w1 + w2: c1 * c2 for w1, c1 in f.items()}
     return field.add_into(
         {}, ((w1 + w2, c1 * c2) for w1, c1 in f.items() for w2, c2 in g.items())
     )

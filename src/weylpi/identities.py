@@ -73,13 +73,15 @@ def identity_basis(delta, fieldobj):
     no other vector contains: read backwards, the kernel is already the
     reduced echelon basis.  A basis element lists its least word first,
     then its other words in decreasing order; ``format_poly`` sorts them.
+    Its scalars are nonzero and reduced, on distinct words, so it takes
+    them as they are (``NCPoly._of_terms``).
     """
     delta = tuple(delta)
     words = words_of_multidegree(delta)[::-1]
     rows = _integer_images([{w: 1} for w in words])
     _, kernel = row_reduce_sparse(rows, fieldobj, want_kernel=True)
     return [
-        NCPoly(fieldobj, len(delta), {words[i]: c for i, c in vec.items()})
+        NCPoly._of_terms(fieldobj, len(delta), {words[i]: c for i, c in vec.items()})
         for vec in reversed(kernel)
     ]
 
@@ -94,30 +96,36 @@ _ST3 = (
 )
 
 
-def _ideal_span_rows(delta, fieldobj):
+def _ideal_span_rows(delta):
     """The rows w1 * g(x_i, x_j, x_k) * w2 of multidegree delta, for
     g = Gamma_3 with i < j, g = St_3 with i < j < k and words w1, w2, as
-    dicts word -> scalar.  They are nonzero and pairwise distinct.
+    dicts word code -> int, where a word's code is its lexicographic
+    position negated.  They are nonzero and pairwise distinct.
 
-    They span the slice of the ideal generated by Gamma_3, St_3 and T_4:
-    Gamma_3 is antisymmetric in its first two arguments and St_3 is
-    alternating, so any other index tuple gives 0 or minus one of these
-    rows; and T_4 - [St_3(x1,x2,x3), x4] = Gamma_3(x1,x3,x4) x2
+    They span the slice of the ideal generated by Gamma_3, St_3 and T_4
+    over every field: Gamma_3 is antisymmetric in its first two arguments
+    and St_3 is alternating, so any other index tuple gives 0 or minus one
+    of these rows; and T_4 - [St_3(x1,x2,x3), x4] = Gamma_3(x1,x3,x4) x2
     - Gamma_3(x1,x2,x4) x3 - Gamma_3(x2,x3,x4) x1 holds over the integers,
-    so over every field each T_4 row is a sum of these rows times +-1.
+    so each T_4 row is a sum of these rows times +-1.  The generators have
+    coefficients +-1, so the rows are one integer matrix for every field,
+    and the field enters only where ``Echelon.add`` takes them in with
+    ``Field.integral``.
 
     The generators are multilinear, so the substitution has the multidegree
     of its index tuple, counted before it is built.  It is built from the
     fixed patterns ``_GAMMA3`` and ``_ST3``: each term's letters are read
-    off the index tuple and its sign lifted into the field, and
-    ``add_into`` merges the words that a repeated letter makes equal, such
-    as Gamma_3(x1, x2, x1) over F_2, as ``generator_at`` does.  A row is
+    off the index tuple with its int sign, and the words that a repeated
+    letter makes equal are summed, such as x1 x2 x1 with coefficient 2 in
+    Gamma_3(x1, x2, x1), which no sum cancels over the integers (over F_2
+    ``Field.integral`` drops that 2, as ``generator_at`` does).  A row is
     then its terms with u[:cut] and u[cut:] concatenated on either side,
     which is injective on words, so nothing cancels and no product of
     polynomials is needed.
     """
     delta = tuple(delta)
     m = len(delta)
+    code = {w: -i for i, w in enumerate(words_of_multidegree(delta))}
     letters = range(1, m + 1)
     patterns = [
         (_GAMMA3, [t for t in product(letters, repeat=3) if t[0] < t[1]]),
@@ -125,17 +133,20 @@ def _ideal_span_rows(delta, fieldobj):
     ]
     rows = []
     for pattern, tuples in patterns:
-        signed = [(itemgetter(*pos), fieldobj.of(c)) for pos, c in pattern]
+        signed = [(itemgetter(*pos), c) for pos, c in pattern]
         for idxs in tuples:
             mu = word_mdeg(idxs, m)
             if any(mu[i] > delta[i] for i in range(m)):
                 continue
-            sub = fieldobj.add_into({}, ((get(idxs), c) for get, c in signed))
+            sub = {}
+            for get, c in signed:
+                w = get(idxs)
+                sub[w] = sub.get(w, 0) + c
             rem = mdeg_word(d - e for d, e in zip(delta, mu))
             for u in _multiset_permutations(rem):
                 for cut in range(len(u) + 1):
                     w1, w2 = u[:cut], u[cut:]
-                    rows.append({w1 + w + w2: c for w, c in sub.items()})
+                    rows.append({code[w1 + w + w2]: c for w, c in sub.items()})
     return rows
 
 
@@ -143,16 +154,14 @@ def ideal_span_dimension(delta, fieldobj):
     """dim of the multidegree slice of the ideal of known identities,
     as the rank of the explicit spanning set over the word basis.
 
-    Each word is coded by an int, its lexicographic position negated, so
-    the elimination, which pivots on the least key, pivots each row on its
-    lex-largest word: the word the rewriter rewrites first (the largest
-    term of Gamma_3(x_i, x_j, x_k) is x_k x_j x_i), so most rows enter with
-    little fill-in, and int keys are cheap to compare and hash.  The coding
-    is a bijection of the coordinates, which leaves the rank unchanged."""
-    code = {w: -i for i, w in enumerate(words_of_multidegree(delta))}
-    rows = [{code[w]: c for w, c in row.items()} for row in _ideal_span_rows(delta, fieldobj)]
-    rank, _ = row_reduce_sparse(rows, fieldobj)
-    return rank
+    The rows of ``_ideal_span_rows`` are keyed by word codes, the
+    lexicographic positions negated, so the elimination, which pivots on
+    the least key, pivots each row on its lex-largest word: the word the
+    rewriter rewrites first (the largest term of Gamma_3(x_i, x_j, x_k) is
+    x_k x_j x_i), so most rows enter with little fill-in, and int keys are
+    cheap to compare and hash.  The coding is a bijection of the
+    coordinates, which leaves the rank unchanged."""
+    return row_reduce_sparse(_ideal_span_rows(delta), fieldobj)[0]
 
 
 class ConjectureReport(

@@ -8,6 +8,10 @@ scalar element uses exps = ().
 Products use the closed normal-ordering formula y^j x^i = sum_k k! C(i,k)
 C(j,k) x^(i-k) y^(j-k), k = 0..min(i,j) (Dixmier, *Enveloping Algebras*,
 ch. 4); its coefficients are integers, so it holds in every characteristic.
+
+The linear-space operations of ``WeylElement`` (``+``, ``-``, unary ``-``,
+``scale`` and ``==``) are public, with ``*``: the tests check the package
+against oracles written in them, such as commutators as ``y * a - a * y``.
 """
 
 from itertools import zip_longest

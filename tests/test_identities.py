@@ -181,12 +181,19 @@ def _full_spec(field, m):
 
 @pytest.mark.parametrize("field", [QQ, Field.prime(2), Field.prime(3)], ids=repr)
 def test_span_rows_equal_the_product_rows(field):
+    # the int rows on word codes, decoded and taken into the field, are the
+    # product rows term for term; over F_2 a merged coefficient 2 drops out
     for n in range(1, 7):
         for delta in degree_multidegrees(n):
-            rows = _ideal_span_rows(delta, field)
+            words = words_of_multidegree(delta)
+            rows = _ideal_span_rows(delta)
+            assert all(type(k) is int and type(c) is int for r in rows for k, c in r.items())
+            decoded = [
+                field.add_into({}, ((words[-k], field.of(c)) for k, c in r.items()))
+                for r in rows
+            ]
             expected = _product_span_rows(delta, field, _canonical_spec(field, len(delta)))
-            assert [list(r.items()) for r in rows] == [list(r.items()) for r in expected]
-            assert all(type(c) is type(field.one) for r in rows for c in r.values())
+            assert [list(r.items()) for r in decoded] == [list(r.items()) for r in expected]
 
 
 def _lift(pattern, idxs, field):
@@ -210,7 +217,7 @@ def test_span_patterns_are_the_generators_in_term_order(field):
 def test_span_rows_have_the_rank_of_every_generator_tuple(field):
     deltas = [d for n in range(1, 7) for d in degree_multidegrees(n)]
     for delta in deltas + [(1, 2), (0, 2, 1), (2, 0, 2)]:
-        rows = _ideal_span_rows(delta, field)
+        rows = _ideal_span_rows(delta)
         assert all(rows), delta
         assert len({frozenset(r.items()) for r in rows}) == len(rows), delta
         full = _product_span_rows(delta, field, _full_spec(field, len(delta)))
@@ -258,6 +265,17 @@ def test_verify_dimensions_match_basis_route():
         assert r.verdict == "Verified"
         assert r.dim_id == len(identity_basis(delta, QQ))
         assert r.dim_I == ideal_span_dimension(delta, QQ)
+
+
+@pytest.mark.parametrize("field", [Field.prime(2), Field.prime(3), Field.prime(5)], ids=repr)
+def test_exact_cross_check_in_small_characteristic(field):
+    # criteria 12 and 16 over Q, here where the integer span rows and image
+    # rows are reduced mod p as they enter the eliminator
+    for n in range(1, 7):
+        for delta in degree_multidegrees(n):
+            basis = identity_basis(delta, field)
+            r = verify_conjecture(delta, field)
+            assert len(basis) == ideal_span_dimension(delta, field) == r.dim_id, delta
 
 
 def _eliminated_ranks(delta, field):

@@ -135,3 +135,19 @@ def test_assignment_before_the_load_survives_it():
         "assert weylpi.rewriter._MAX_STEPS == 3\n"
     )
     assert "rewriter" in run_fresh(code)
+
+
+def test_reload_keeps_the_loaded_modules_and_their_classes():
+    # a submodule already in sys.modules is kept, so what a caller holds
+    # from before the reload stays valid
+    code = (
+        "import importlib, weylpi\n"
+        "F = weylpi.Field(7)\n"
+        "fields = weylpi.fields\n"
+        "importlib.reload(weylpi)\n"
+        "assert weylpi.fields is fields\n"
+        "assert isinstance(F, weylpi.Field)\n"
+        "assert weylpi.Field is weylpi.fields.Field\n"
+        "assert weylpi.is_weak_identity(weylpi.parse_poly('[[x1,x2],x3]', F))\n"
+    )
+    assert {"fields", "parser", "evaluation"} <= run_fresh(code)
