@@ -85,10 +85,14 @@ def _parse_expr(args):
 
 
 def _parse_mdeg(text):
-    parts = tuple(_natural(part) for part in text.split(","))
-    if None in parts:
-        raise ParseError(f"malformed multidegree {text!r}", 0)
-    return parts
+    parts = []
+    pos = 0  # the offset of the part being read
+    for part in text.split(","):
+        if (n := _natural(part)) is None:
+            raise ParseError(f"malformed multidegree {text!r}", pos)
+        parts.append(n)
+        pos += len(part) + 1
+    return tuple(parts)
 
 
 def cmd_normalize(args):

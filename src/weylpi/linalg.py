@@ -1,33 +1,33 @@
 """Exact sparse linear algebra over Q and F_p.
 
-``Echelon`` is the one eliminator: rows are sparse dicts keyed by
-arbitrary comparable coordinates, added one at a time, and it keeps the
-rank and the pivot rows.  ``row_reduce_sparse`` runs it over a list of
-rows, and for the kernel over their transpose.
+``row_reduce_sparse`` is the one eliminator, and it has one route.  It
+takes a list of rows, sparse dicts keyed by comparable coordinates, and
+eliminates their transpose: one row per input coordinate, keyed by input
+row index, taken in sorted coordinate order.  Each transposed row is
+reduced by the pivots so far until its least index has no pivot, and
+then becomes the pivot there.  Row rank equals column rank, so the rank
+is the number of pivots.
 
-A row enters through ``Field.integral``, which holds the only scaling:
-over F_p a row may hold any ints, reduced mod p as it enters; the pivot
-rows are monic, and a row is reduced by subtracting r_c times the pivot
-of its leading coordinate c.  Over Q the elimination
-is fraction free (Bareiss 1968) and runs on plain ints: a row enters
-scaled by the lcm of its denominators, and is reduced by
+The pivots also give the kernel, the vanishing combinations of the input
+rows.  Any echelon form of the transpose pivots on its first independent
+columns, which are the input rows that are no combination of the rows
+before them.  Back-substitution by the same step leaves each pivot row
+R_q zero on the other pivots' leads, so each other input row j gives the
+vector {j: 1} + {q: -R_q[j]/R_q[q]}, entered with ``Field.of``: the
+unique vanishing combination of row j, with coefficient 1, and the
+earlier independent rows.  Over Q it is the vector that elimination over
+fractions gives.
+
+A transposed row enters through ``Field.integral``, which scales a
+column of the input and so leaves the rank and the row dependencies
+unchanged.  Over F_p it may hold any ints, reduced mod p as it enters; a
+pivot row is stored monic, and a row is reduced by subtracting r_c times
+the pivot of its leading coordinate c.  Over Q the elimination is
+fraction free (Bareiss 1968) and runs on plain ints: a row is reduced by
 row <- (l/g)*row - (r_c/g)*pivot, where l is the pivot's leading entry
-and g = gcd(l, r_c).  After such a scaled step the row is divided by its
-content, and a pivot row is stored primitive with a positive leading
-entry, so the entries do not grow from step to step.
-
-The kernel, the vanishing combinations of the input rows, is read from
-the transposed matrix: one row per input coordinate, keyed by input row
-index.  Any echelon form of it pivots on its first independent columns,
-which are the input rows that elimination row by row would make pivots;
-back-substitution by the same step leaves each pivot row R_q zero on the
-other pivots' leads, so each other input row j gives the vector
-{j: 1} + {q: -R_q[j]/R_q[q]}, entered with ``Field.of``: the unique
-vanishing combination of row j, with coefficient 1, and the earlier pivot
-rows, which are independent.  Scaling a transposed row, as
-``Field.integral`` does, scales a column of the input, which leaves the
-row dependencies unchanged.  Over Q the vector is the same as elimination
-over fractions gives.
+and g = gcd(l, r_c), and then divided by its content; a pivot row is
+stored primitive with a positive leading entry.  So the entries do not
+grow from step to step.
 
 The row update row -= r * pivot is the innermost loop of every
 elimination, so ``_reduced`` writes it out, once per field kind, instead
@@ -36,50 +36,6 @@ of feeding a generator to ``Field.add_into``.
 
 from collections import defaultdict
 from math import gcd
-
-
-class Echelon:
-    """Incremental Gaussian elimination on sparse rows.
-
-    Deterministic: the pivot of each row is its minimal coordinate after
-    reduction by the earlier pivots.  ``pivots`` maps each pivot coordinate
-    to its row, zero on the smaller pivot coordinates, stored monic over
-    F_p and as a primitive integer row with a positive leading entry over
-    Q (module docstring).
-    """
-
-    def __init__(self, field):
-        self.field = field
-        self.pivots = {}  # coord -> row dict
-        self.rank = 0
-
-    def add(self, row):
-        """Reduce one row against the pivots; True iff it adds to the rank."""
-        F = self.field
-        p = F.p
-        pivots = self.pivots
-        _, row = F.integral(row)
-        while row:
-            c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                break
-            row = _reduced(row, c, prow, p)
-        if not row:
-            return False
-        # the loop stopped at c = min(row), a coordinate with no pivot
-        if p:
-            inv = F.inv(row[c])
-            row = {k: F.mul(inv, v) for k, v in row.items()}
-        else:
-            content = gcd(*row.values())
-            if row[c] < 0:
-                content = -content
-            if content != 1:
-                row = {k: v // content for k, v in row.items()}
-        pivots[c] = row
-        self.rank += 1
-        return True
 
 
 def _reduced(row, c, prow, p):
@@ -118,31 +74,47 @@ def _reduced(row, c, prow, p):
 
 
 def row_reduce_sparse(rows, field, want_kernel=False):
-    """Eliminate ``rows`` in order; returns ``(rank, kernel)``.
+    """Eliminate the list ``rows`` (module docstring); returns
+    ``(rank, kernel)``.
 
-    ``rows`` is an iterable of dicts mapping comparable coordinate keys to
-    scalars.  ``kernel`` is empty unless ``want_kernel``.  Then it has one
-    dict for each row j (by position in ``rows``) that is a combination of
-    the rows before it, in increasing j: the nonzero coefficients, by row
-    index, of the vanishing combination of row j, with coefficient 1, and
-    the earlier rows that are no such combination.  Its keys are j first,
-    then the others in increasing index.
+    Each row is a dict mapping comparable coordinate keys to scalars.
+    ``kernel`` is empty unless ``want_kernel``.  Then it has one dict for
+    each row j (by position in ``rows``) that is a combination of the rows
+    before it, in increasing j: the nonzero coefficients, by row index, of
+    the vanishing combination of row j, with coefficient 1, and the earlier
+    rows that are no such combination.  Its keys are j first, then the
+    others in increasing index.
     """
-    ech = Echelon(field)
-    if not want_kernel:
-        for row in rows:
-            ech.add(row)
-        return ech.rank, []
     columns = defaultdict(dict)  # the transpose: coord -> {row index: value}
-    nrows = 0
     for i, row in enumerate(rows):
-        nrows += 1
         for c, v in row.items():
             columns[c][i] = v
-    for c in sorted(columns):
-        ech.add(columns[c])
     p = field.p
-    pivots = ech.pivots
+    pivots = {}  # lead index -> pivot row, zero on the smaller leads
+    for c in sorted(columns):
+        _, row = field.integral(columns[c])
+        while row:
+            q = min(row)
+            prow = pivots.get(q)
+            if prow is None:
+                break
+            row = _reduced(row, q, prow, p)
+        if not row:
+            continue
+        # the loop stopped at q = min(row), an index with no pivot
+        if p:
+            inv = pow(row[q], -1, p)
+            if inv != 1:
+                row = {k: inv * v % p for k, v in row.items()}
+        else:
+            content = gcd(*row.values())
+            if row[q] < 0:
+                content = -content
+            if content != 1:
+                row = {k: v // content for k, v in row.items()}
+        pivots[q] = row
+    if not want_kernel:
+        return len(pivots), []
     leads = sorted(pivots)
     # back-substitute from the last lead up: a later pivot row is already
     # zero on the other leads, so clearing its lead adds none of them
@@ -152,11 +124,11 @@ def row_reduce_sparse(rows, field, want_kernel=False):
             if s in row:
                 row = _reduced(row, s, pivots[s], p)
         pivots[leads[t]] = row
-    kernel = {j: {j: field.one} for j in range(nrows) if j not in pivots}
+    kernel = {j: {j: field.one} for j in range(len(rows)) if j not in pivots}
     for q in leads:
         row = pivots[q]
         lead = row[q]
         for j, v in row.items():
             if j != q:
                 kernel[j][q] = field.of(-v, lead)
-    return ech.rank, list(kernel.values())
+    return len(pivots), list(kernel.values())

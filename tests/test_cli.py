@@ -567,6 +567,17 @@ def test_usage_errors_exit_two():
     assert r.stderr == "error: WEYLPI_MAX_DEGREE must be a non-negative integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize(
+    "mdeg, pos",
+    [("", 0), ("x", 0), ("2,x", 2), ("1,,1", 2), ("1,2,-1", 4), ("1,2,", 4), (" 1 ,+2", 4)],
+)
+def test_malformed_mdeg_reports_the_offset_of_its_first_bad_part(capsys, mdeg, pos):
+    assert cli.main(["verify", "--mdeg", mdeg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: malformed multidegree {mdeg!r} (at position {pos})\n"
+
+
 def test_large_prime_fields_are_decided_exactly():
     # 2^61 - 1 is prime; 561 is a Carmichael number; 3 divides 2^61 + 1
     r = run("verify", "--mdeg", "1,1,1", "--field", f"fp:{2**61 - 1}")

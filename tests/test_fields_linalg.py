@@ -7,8 +7,15 @@ from hypothesis import strategies as st
 
 from weylpi.evaluation import _integer_images
 from weylpi.fields import _MR_LIMIT, Field, _is_prime
-from weylpi.identities import degree_multidegrees, identity_basis, words_of_multidegree
-from weylpi.linalg import Echelon, row_reduce_sparse
+from weylpi.identities import (
+    _ideal_span_rows,
+    degree_multidegrees,
+    ideal_span_dimension,
+    identity_basis,
+    space_dimension,
+    words_of_multidegree,
+)
+from weylpi.linalg import row_reduce_sparse
 from weylpi.parser import format_poly
 
 QQ = Field.rationals()
@@ -156,11 +163,9 @@ def test_rank_nullity_and_exact_kernel(rows, cols, data, p):
     dense = [ints[i * cols : (i + 1) * cols] for i in range(rows)]
     rank, kernel = row_reduce_sparse(_sparse(F, dense), F, want_kernel=True)
     assert rank + len(kernel) == rows
-    # Echelon.add is True exactly for the rows that raise the rank
-    ech = Echelon(F)
-    grew = [ech.add(row) for row in _sparse(F, dense)]
-    assert grew == [_rank(F, dense[: i + 1]) > _rank(F, dense[:i]) for i in range(rows)]
-    assert ech.rank == rank
+    # the first keys of the kernel vectors are exactly the rows that do not raise the rank
+    flat = [i for i in range(rows) if _rank(F, dense[: i + 1]) == _rank(F, dense[:i])]
+    assert [next(iter(v)) for v in kernel] == flat
     for v in kernel:
         for j in range(cols):
             acc = F.zero
@@ -203,8 +208,9 @@ def test_integer_rows_over_q_give_an_exact_kernel():
 
 # -- differential test against elimination over Fractions ---------------------
 #
-# The oracle is Echelon.add as it was before the fraction-free elimination:
-# field arithmetic throughout, every pivot row scaled to be monic.
+# The oracle is elimination row by row, as it was before the fraction-free
+# elimination on the transpose: field arithmetic throughout, every pivot row
+# scaled to be monic.
 
 
 class _FractionEchelon:
@@ -268,15 +274,13 @@ def _pinned_order(vec):
 
 
 def _assert_same_elimination(field, rows, oracle_rows=None):
-    """``Echelon`` and ``row_reduce_sparse`` on ``rows`` against the oracle
-    on ``oracle_rows`` (by default the same rows)."""
+    """``row_reduce_sparse`` on ``rows`` against the oracle on
+    ``oracle_rows`` (by default the same rows)."""
     oracle = _FractionEchelon(field, want_kernel=True)
     grew = [oracle.add(row) for row in (rows if oracle_rows is None else oracle_rows)]
-    ech = Echelon(field)
-    assert [ech.add(row) for row in rows] == grew
-    assert ech.rank == oracle.rank
     rank, kernel = row_reduce_sparse(rows, field, want_kernel=True)
     assert rank == oracle.rank
+    assert [next(iter(v)) for v in kernel] == [i for i, g in enumerate(grew) if not g]
     assert kernel == oracle.kernel
     assert [list(v) for v in kernel] == [_pinned_order(v) for v in oracle.kernel]
     scalar = Fraction if field.p == 0 else int
@@ -412,3 +416,20 @@ def test_identity_basis_is_the_oracle_kernel(p):
             order = [[words[i] for i in _pinned_order(vec)] for vec in reversed(kernel)]
             assert [list(f.terms) for f in basis] == order
             assert all(type(c) is type(F.one) for f in basis for c in f.terms.values())
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_ideal_span_dimension_is_the_oracle_rank(p):
+    # both sides of the exact cross-check eliminate through row_reduce_sparse,
+    # so the span rank is also taken row by row, over the field's own scalars
+    F = Field(p)
+    for n in range(1, 7):
+        for delta in degree_multidegrees(n):
+            if space_dimension(delta) > 360:
+                continue
+            # over F_2 the lift drops the 2 of Gamma_3(x_i, x_j, x_i)
+            rows = [
+                F.add_into({}, ((k, F.of(v)) for k, v in row.items()))
+                for row in _ideal_span_rows(delta)
+            ]
+            assert ideal_span_dimension(delta, F) == _oracle_reduce(rows, F)[0], delta
