@@ -8,8 +8,9 @@ module stays agnostic of which field it is working over.
 The exact kernels (evaluation, the ideal-span rows, elimination,
 rewriting) run on plain ints: the images and the span rows are integer
 matrices, the same for every field, which meet the field only as they
-enter the eliminator.  ``Field.integral`` is the one place a dict of
-scalars becomes a common denominator and integer numerators, and
+enter the eliminator, reduced mod p over F_p and taken as they are over
+Q.  ``Field.integral`` is the one place a dict of scalars that may hold
+a ``Fraction`` becomes a common denominator and integer numerators, and
 ``Field.of`` the one place an integer over that denominator becomes a
 scalar again.
 """

@@ -65,13 +65,14 @@ def identity_basis(delta, fieldobj):
     """Deterministic echelon basis of the weak identities of multidegree delta.
 
     The kernel of the evaluation, computed modulo A1*y (``evaluation``), in
-    reduced echelon form over the lexicographic word order.  The images of
-    the words, in reverse order, go to ``row_reduce_sparse``, which reads
-    the kernel off the back-substituted echelon form of their transpose,
-    one row per image coordinate (``linalg``).  So each kernel vector has
-    coefficient 1 on its least word and its other words are pivots, which
-    no other vector contains: read backwards, the kernel is already the
-    reduced echelon basis.  A basis element lists its least word first,
+    reduced echelon form over the lexicographic word order.  The integer
+    images of the words, in reverse order, go as they are to
+    ``row_reduce_sparse``.  It reduces them mod p over F_p, keeps them as
+    ints over Q, and reads the kernel off the back-substituted echelon
+    form of their transpose, one row per image coordinate (``linalg``).
+    So each kernel vector has coefficient 1 on its least word and its
+    other words are pivots, which no other vector contains: read
+    backwards, the kernel is already the reduced echelon basis.  A basis element lists its least word first,
     then its other words in decreasing order; ``format_poly`` sorts them.
     Its scalars are nonzero and reduced, on distinct words, so it takes
     them as they are (``NCPoly._of_terms``).
@@ -109,8 +110,8 @@ def _ideal_span_rows(delta):
     - Gamma_3(x1,x2,x4) x3 - Gamma_3(x2,x3,x4) x1 holds over the integers,
     so each T_4 row is a sum of these rows times +-1.  The generators have
     coefficients +-1, so the rows are one integer matrix for every field,
-    and the field enters only in ``row_reduce_sparse``, through
-    ``Field.integral``.
+    and the field enters only in ``row_reduce_sparse``, which reduces the
+    ints mod p over F_p and takes them as they are over Q.
 
     The generators are multilinear, so the substitution has the multidegree
     of its index tuple, counted before it is built.  It is built from the
@@ -118,7 +119,8 @@ def _ideal_span_rows(delta):
     off the index tuple with its int sign, and the words that a repeated
     letter makes equal are summed, such as x1 x2 x1 with coefficient 2 in
     Gamma_3(x1, x2, x1), which no sum cancels over the integers (over F_2
-    ``Field.integral`` drops that 2, as ``generator_at`` does).  A row is
+    ``row_reduce_sparse`` drops that 2 as it reduces the entries mod 2, as
+    ``generator_at`` does).  A row is
     then its terms with u[:cut] and u[cut:] concatenated on either side,
     which is injective on words, so nothing cancels and no product of
     polynomials is needed.

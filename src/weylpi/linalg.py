@@ -13,16 +13,21 @@ rows.  Any echelon form of the transpose pivots on its first independent
 columns, which are the input rows that are no combination of the rows
 before them.  Back-substitution by the same step leaves each pivot row
 R_q zero on the other pivots' leads, so each other input row j gives the
-vector {j: 1} + {q: -R_q[j]/R_q[q]}, entered with ``Field.of``: the
-unique vanishing combination of row j, with coefficient 1, and the
-earlier independent rows.  Over Q it is the vector that elimination over
-fractions gives.
+vector {j: 1} + {q: -R_q[j]/R_q[q]}: the unique vanishing combination
+of row j, with coefficient 1, and the earlier independent rows.  Over Q
+it is the vector that elimination over fractions gives.  The entries of
+one pivot row repeat a few values, so each distinct value is entered
+with ``Field.of`` once and the scalar, which is immutable, is shared.
 
-A transposed row enters through ``Field.integral``, which scales a
-column of the input and so leaves the rank and the row dependencies
-unchanged.  Over F_p it may hold any ints, reduced mod p as it enters; a
-pivot row is stored monic, and a row is reduced by subtracting r_c times
-the pivot of its leading coordinate c.  Over Q the elimination is
+The entries enter the transpose as they are.  Over F_p they may be any
+ints, reduced mod p as they enter, and a zero residue is dropped.  Over Q
+an int stays an int, and only a column that holds a zero or a value that
+is no int, such as a ``Fraction``, goes through ``Field.integral``.  That
+scales the column to ints over a common denominator, which leaves the
+rank and the row dependencies unchanged.  The integer rows of the
+package (the images, the ideal-span rows) never take that detour.  Over
+F_p a pivot row is stored monic, and a row is reduced by subtracting r_c
+times the pivot of its leading coordinate c.  Over Q the elimination is
 fraction free (Bareiss 1968) and runs on plain ints: a row is reduced by
 row <- (l/g)*row - (r_c/g)*pivot, where l is the pivot's leading entry
 and g = gcd(l, r_c), and then divided by its content; a pivot row is
@@ -77,7 +82,8 @@ def row_reduce_sparse(rows, field, want_kernel=False):
     """Eliminate the list ``rows`` (module docstring); returns
     ``(rank, kernel)``.
 
-    Each row is a dict mapping comparable coordinate keys to scalars.
+    Each row is a dict mapping comparable coordinate keys to ints, or
+    over Q also to ``Fraction`` values; it is not modified.
     ``kernel`` is empty unless ``want_kernel``.  Then it has one dict for
     each row j (by position in ``rows``) that is a combination of the rows
     before it, in increasing j: the nonzero coefficients, by row index, of
@@ -86,13 +92,23 @@ def row_reduce_sparse(rows, field, want_kernel=False):
     others in increasing index.
     """
     columns = defaultdict(dict)  # the transpose: coord -> {row index: value}
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            columns[c][i] = v
     p = field.p
+    scaled = set()  # over Q, the columns that hold a zero or a non-int
+    if p:
+        for i, row in enumerate(rows):
+            for c, v in row.items():
+                if v := v % p:
+                    columns[c][i] = v
+    else:
+        for i, row in enumerate(rows):
+            for c, v in row.items():
+                columns[c][i] = v
+                if not v or type(v) is not int:
+                    scaled.add(c)
     pivots = {}  # lead index -> pivot row, zero on the smaller leads
     for c in sorted(columns):
-        _, row = field.integral(columns[c])
+        # the transpose is private, so _reduced may update a column in place
+        row = field.integral(columns[c])[1] if c in scaled else columns[c]
         while row:
             q = min(row)
             prow = pivots.get(q)
@@ -128,7 +144,11 @@ def row_reduce_sparse(rows, field, want_kernel=False):
     for q in leads:
         row = pivots[q]
         lead = row[q]
+        values = {}  # one scalar per distinct entry: they are immutable
         for j, v in row.items():
             if j != q:
-                kernel[j][q] = field.of(-v, lead)
+                e = values.get(v)
+                if e is None:
+                    e = values[v] = field.of(-v, lead)
+                kernel[j][q] = e
     return len(pivots), list(kernel.values())

@@ -433,3 +433,77 @@ def test_ideal_span_dimension_is_the_oracle_rank(p):
                 for row in _ideal_span_rows(delta)
             ]
             assert ideal_span_dimension(delta, F) == _oracle_reduce(rows, F)[0], delta
+
+
+# -- int entries enter as they are ---------------------------------------------
+
+
+def _both(field, rows):
+    return row_reduce_sparse(rows, field, want_kernel=True), row_reduce_sparse(rows, field)[0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=5),
+    st.data(),
+)
+def test_int_field_and_mixed_column_rows_eliminate_alike_over_q(rows, cols, data):
+    dense = data.draw(
+        st.lists(st.lists(small_int, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    )
+    index = st.integers(0, rows - 1)
+    for i, j, a in data.draw(st.lists(st.tuples(index, index, small_int), max_size=4)):
+        dense.append([x + a * y for x, y in zip(dense[i], dense[j])])
+    # column c divided by d: a column scaling, which keeps the rank and the
+    # row dependencies, and one column that holds both an int and a
+    # non-integral Fraction
+    c = data.draw(st.integers(0, cols - 1))
+    d = data.draw(st.sampled_from([2, 3, 4, 6]))
+    dense[0][c] = d * data.draw(st.integers(1, 4))
+    dense[1][c] = d * data.draw(small_int) + data.draw(st.integers(1, d - 1))
+    scaled = [
+        [e if k != c else (e // d if e % d == 0 else Fraction(e, d)) for k, e in enumerate(r)]
+        for r in dense
+    ]
+    assert type(scaled[0][c]) is int and scaled[1][c].denominator > 1
+    ints = [{k: e for k, e in enumerate(r) if e} for r in dense]
+    result = _both(QQ, ints)
+    assert _both(QQ, _sparse(QQ, dense)) == result
+    assert _both(QQ, [{k: e for k, e in enumerate(r) if e} for r in scaled]) == result
+    (rank, kernel), _ = result
+    assert rank + len(kernel) == len(dense)
+    assert all(type(v) is Fraction for vec in kernel for v in vec.values())
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_unreduced_int_rows_eliminate_as_their_residues(p, data):
+    # negative ints and multiples of p, zero among them, reduced as they enter
+    F = Field(p)
+    ncols = data.draw(st.integers(1, 5))
+    entry = st.integers(-2 * p, 2 * p) | st.sampled_from([-p, p, 3 * p, -(10**9) * p])
+    rows = data.draw(
+        st.lists(st.dictionaries(st.integers(0, ncols - 1), entry), min_size=1, max_size=8)
+    )
+    result = _both(F, rows)
+    assert _both(F, _residues(F, rows)) == result
+    assert all(type(v) is int and 0 < v < p for vec in result[0][1] for v in vec.values())
+
+
+def test_int_rows_over_q_skip_field_integral(monkeypatch):
+    calls = []
+    integral = Field.integral
+
+    def counted(self, terms):
+        calls.append(len(terms))
+        return integral(self, terms)
+
+    monkeypatch.setattr(Field, "integral", counted)
+    assert len(identity_basis((2, 2, 1), QQ)) == ideal_span_dimension((2, 2, 1), QQ) > 0
+    assert calls == []
+    # the same rows as Fractions: every column goes through Field.integral
+    rows = [{k: QQ.of(v) for k, v in row.items()} for row in _ideal_span_rows((2, 2, 1))]
+    assert row_reduce_sparse(rows, QQ)[0] == ideal_span_dimension((2, 2, 1), QQ)
+    assert len(calls) == len({k for row in rows for k in row})
