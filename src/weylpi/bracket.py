@@ -17,7 +17,7 @@ condition occur (the lemma proved in ``enumerate_completely_reduced``).
 import enum
 from collections import namedtuple
 
-from .free_algebra import NCPoly, word_mdeg
+from . import free_algebra
 
 
 class Status(enum.IntEnum):
@@ -86,7 +86,7 @@ class BracketMonomial(namedtuple("BracketMonomial", "prefix brackets")):
 
     def mdeg(self, nvars=None):
         letters = self.letters()
-        return word_mdeg(letters, max(letters) if nvars is None else nvars)
+        return free_algebra.word_mdeg(letters, max(letters) if nvars is None else nvars)
 
     def status(self):
         t, br = self.prefix, self.brackets
@@ -111,7 +111,7 @@ class BracketMonomial(namedtuple("BracketMonomial", "prefix brackets")):
                 nxt.append((w + (s, r), field.neg(c)))
             words = nxt
         nvars = max(self.letters())
-        return NCPoly(field, nvars, dict(words))
+        return free_algebra.NCPoly(field, nvars, dict(words))
 
     def format(self):
         return format_key(self.prefix, self.brackets)

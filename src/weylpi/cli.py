@@ -8,7 +8,11 @@ The library modules are imported as modules and their functions read at
 use, so that a command loads only the modules it calls (``weylpi``
 registers its submodules to load on first use): ``check`` loads errors,
 fields, free_algebra, parser and evaluation, never the Weyl arithmetic,
-the eliminations or the rewriter.
+the eliminations or the rewriter; ``verify`` loads errors, fields,
+bracket and identities, never the free algebra, the evaluation or the
+eliminations; ``idbasis`` loads no bracket and no rewriter; and
+``enumerate`` loads errors and bracket alone.  Over F_p no command
+imports ``fractions``: the first ``Field(0)`` does (``fields``).
 """
 
 import argparse

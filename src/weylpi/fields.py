@@ -13,9 +13,11 @@ Q.  ``Field.integral`` is the one place a dict of scalars that may hold
 a ``Fraction`` becomes a common denominator and integer numerators, and
 ``Field.of`` the one place an integer over that denominator becomes a
 scalar again.
+
+``fractions`` is imported by the first ``Field(0)``, which binds
+``Fraction`` as a module global, so work over F_p alone never loads it.
 """
 
-from fractions import Fraction
 from math import lcm
 
 from .errors import FieldMismatch
@@ -63,6 +65,9 @@ class Field:
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or prime, got {p}")
         self.p = p
+        if p == 0:
+            global Fraction
+            from fractions import Fraction
         # one shared instance each: a Fraction is immutable
         self.zero = Fraction(0) if p == 0 else 0
         self.one = Fraction(1) if p == 0 else 1
@@ -153,6 +158,10 @@ class Field:
         return str(a)
 
     # -- identity ----------------------------------------------------------
+
+    def __reduce__(self):
+        # a copy or an unpickled field runs __init__, which binds Fraction
+        return Field, (self.p,)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p

@@ -34,6 +34,14 @@ It reports how the verdict was reached (``ConjectureReport.route``):
   for completely reduced keys and so would mean a bug, the report is
   ``Inconclusive`` and claims nothing: ``eval_rank``, ``dim_id`` and
   ``dim_I`` are None.
+
+The other library modules are imported as modules and each function is
+read from its module at call time, so a call loads only what it runs
+(``weylpi`` registers its submodules to load on first use):
+``verify_conjecture`` loads ``bracket`` and ``fields`` but not the free
+algebra, the evaluator or the eliminator, and ``identity_basis`` and
+``ideal_span_dimension`` do not load ``bracket``.  A function patched in
+its module is what every caller here sees.
 """
 import math
 import time
@@ -41,16 +49,12 @@ from collections import namedtuple
 from itertools import combinations, product
 from operator import itemgetter
 
-from .bracket import enumerate_completely_reduced
-from .evaluation import _integer_images, substitute_tuple
-from .fields import Field
-from .free_algebra import NCPoly, _multiset_permutations, mdeg_word, word_mdeg
-from .linalg import row_reduce_sparse
+from . import bracket, evaluation, fields, free_algebra, linalg
 
 
 def words_of_multidegree(delta):
     """All words with the given letter multiset, in lexicographic order."""
-    return _multiset_permutations(mdeg_word(delta))
+    return free_algebra._multiset_permutations(free_algebra.mdeg_word(delta))
 
 
 def space_dimension(delta):
@@ -79,10 +83,11 @@ def identity_basis(delta, fieldobj):
     """
     delta = tuple(delta)
     words = words_of_multidegree(delta)[::-1]
-    rows = _integer_images([{w: 1} for w in words])
-    _, kernel = row_reduce_sparse(rows, fieldobj, want_kernel=True)
+    rows = evaluation._integer_images([{w: 1} for w in words])
+    _, kernel = linalg.row_reduce_sparse(rows, fieldobj, want_kernel=True)
+    of_terms = free_algebra.NCPoly._of_terms
     return [
-        NCPoly._of_terms(fieldobj, len(delta), {words[i]: c for i, c in vec.items()})
+        of_terms(fieldobj, len(delta), {words[i]: c for i, c in vec.items()})
         for vec in reversed(kernel)
     ]
 
@@ -133,6 +138,9 @@ def _ideal_span_rows(delta):
         (_GAMMA3, [t for t in product(letters, repeat=3) if t[0] < t[1]]),
         (_ST3, combinations(letters, 3)),
     ]
+    word_mdeg = free_algebra.word_mdeg
+    mdeg_word = free_algebra.mdeg_word
+    permutations = free_algebra._multiset_permutations
     rows = []
     for pattern, tuples in patterns:
         signed = [(itemgetter(*pos), c) for pos, c in pattern]
@@ -145,7 +153,7 @@ def _ideal_span_rows(delta):
                 w = get(idxs)
                 sub[w] = sub.get(w, 0) + c
             rem = mdeg_word(d - e for d, e in zip(delta, mu))
-            for u in _multiset_permutations(rem):
+            for u in permutations(rem):
                 for cut in range(len(u) + 1):
                     w1, w2 = u[:cut], u[cut:]
                     rows.append({code[w1 + w + w2]: c for w, c in sub.items()})
@@ -166,7 +174,7 @@ def ideal_span_dimension(delta, fieldobj):
     155 ms with the positions as codes (Python 3.11 on a shared 2-vCPU VM,
     medians of 5).  Int keys are cheap to compare and hash, and the coding
     is a bijection of the coordinates, which leaves the rank unchanged."""
-    return row_reduce_sparse(_ideal_span_rows(delta), fieldobj)[0]
+    return linalg.row_reduce_sparse(_ideal_span_rows(delta), fieldobj)[0]
 
 
 class ConjectureReport(
@@ -212,14 +220,16 @@ def verify_conjecture(delta, fieldobj=None):
     No degree cap applies here: the cost is the listing of the completely
     reduced keys, and 1^d lists C(d, floor(d/2)) - 1 of them."""
     t0 = time.perf_counter()
-    fieldobj = fieldobj or Field.rationals()
+    fieldobj = fieldobj or fields.Field.rationals()
     delta = tuple(delta)
 
-    keys = enumerate_completely_reduced(delta)
+    keys = bracket.enumerate_completely_reduced(delta)
     n = len(keys)
     # dim Id = dim F_delta - rank of the evaluated quotient spanning set
     # {x1^d1...xm^dm} + reduced monomials (sound by the normal-form theorem).
-    monomials = keys + [(mdeg_word(delta), ())]
+    # ``_full_rank`` reads only the brackets, and the pure word has none, so
+    # it enters as a bracket-free pair, without spelling out its letters.
+    monomials = keys + [((), ())]
     if _full_rank(monomials):
         # full rank of every block bounds the exact rank from below
         dim_id = space_dimension(delta) - (n + 1)
@@ -243,14 +253,15 @@ def two_variable_certificate(r, s, fieldobj=None):
     """
     if not r >= s >= 1:
         raise ValueError("need r >= s >= 1")
-    fieldobj = fieldobj or Field.rationals()
+    fieldobj = fieldobj or fields.Field.rationals()
+    NCPoly = free_algebra.NCPoly
     x1 = NCPoly.variable(1, fieldobj, nvars=2)
     x2 = NCPoly.variable(2, fieldobj, nvars=2)
     br = x1 * x2 - x2 * x1
     table = []
     for i in range(1, s + 1):
         mono = (x1 ** (r - i)) * (x2 ** (s - i)) * (br ** i)
-        table.append((i, mono, substitute_tuple(mono, ("x", "y"))))
+        table.append((i, mono, evaluation.substitute_tuple(mono, ("x", "y"))))
     return table
 
 

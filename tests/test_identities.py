@@ -328,11 +328,11 @@ def _without_time(report):
 
 
 def _with_extra_key(monkeypatch, extra):
-    from weylpi import identities
+    from weylpi import bracket
 
-    real = identities.enumerate_completely_reduced
+    real = bracket.enumerate_completely_reduced
     monkeypatch.setattr(
-        identities,
+        bracket,
         "enumerate_completely_reduced",
         lambda d: real(d) + (real(d)[:1] if extra == "repeat" else [extra]),
     )
@@ -391,15 +391,15 @@ def test_verify_is_uncertified_when_a_key_repeats(monkeypatch, capsys, tmp_path)
 @pytest.mark.parametrize("field", [QQ, Field.prime(2)])
 def test_fallback_does_not_consult_the_rewriter(monkeypatch, field):
     # neither the certified route nor the uncertified guard calls normal_form
-    from weylpi import identities, rewriter
+    from weylpi import bracket, rewriter
 
-    real = identities.enumerate_completely_reduced
+    real = bracket.enumerate_completely_reduced
     deltas = [d for n in range(1, 6) for d in degree_multidegrees(n)]
 
     def reports():
         out = []
         for keys in (real, lambda d: real(d) + real(d)[:1]):
-            monkeypatch.setattr(identities, "enumerate_completely_reduced", keys)
+            monkeypatch.setattr(bracket, "enumerate_completely_reduced", keys)
             out += [verify_conjecture(d, field) for d in deltas]
         return [(_without_time(r), r.route) for r in out]
 

@@ -80,6 +80,66 @@ def test_check_loads_parser_and_evaluation_only():
     assert run_fresh(code) == {"errors", "fields", "free_algebra", "parser", "evaluation"}
 
 
+def test_verify_loads_the_keys_and_no_arithmetic():
+    code = (
+        "import weylpi\n"
+        "assert weylpi.verify_conjecture((2, 1, 1), weylpi.Field(2)).verdict == 'Verified'\n"
+    )
+    assert run_fresh(code) == {"errors", "fields", "bracket", "identities"}
+
+
+def test_identity_basis_and_span_load_no_bracket():
+    code = (
+        "import weylpi\n"
+        "F = weylpi.Field(0)\n"
+        "assert len(weylpi.identity_basis((2, 1, 1), F)) == 8\n"
+        "assert weylpi.ideal_span_dimension((2, 1, 1), F) == 8\n"
+    )
+    loaded = run_fresh(code)
+    assert {"identities", "evaluation", "linalg"} <= loaded
+    assert not loaded & {"bracket", "rewriter", "parser", "weyl"}
+
+
+def test_cli_enumerate_loads_bracket_only():
+    code = (
+        "from weylpi import cli\n"
+        "assert cli.main(['enumerate', '--mdeg', '2,1']) == 0\n"
+    )
+    assert run_fresh(code) == {"cli", "errors", "bracket"}
+
+
+def test_fractions_is_imported_by_the_first_rational_field_only():
+    fp = (
+        "import sys, weylpi\n"
+        "F = weylpi.Field(32003)\n"
+        "assert weylpi.is_weak_identity(weylpi.parse_poly('[[x1,x2],x3]', F))\n"
+        "assert weylpi.verify_conjecture((2, 1, 1), weylpi.Field(2)).verdict == 'Verified'\n"
+        "assert 'fractions' not in sys.modules\n"
+    )
+    run_fresh(fp)
+    q = (
+        "import sys, weylpi\n"
+        "assert 'fractions' not in sys.modules\n"
+        "F = weylpi.Field(0)\n"
+        "assert 'fractions' in sys.modules\n"
+        "assert F.of(1, 2) == F.inv(F.of(2)) and type(F.one) is sys.modules['fractions'].Fraction\n"
+    )
+    assert run_fresh(q) == {"errors", "fields"}
+
+
+def test_a_rational_field_unpickled_in_a_fresh_interpreter_works():
+    import pickle
+
+    from weylpi.fields import Field
+
+    code = (
+        "import pickle\n"
+        f"F = pickle.loads({pickle.dumps(Field(0))!r})\n"
+        "assert F.of(1, 2) + F.of(1, 2) == F.one\n"
+    )
+    assert run_fresh(code) == {"errors", "fields"}
+
+
 def test_normal_form_loads_no_evaluation_or_elimination():
     code = (
         "import weylpi\n"
