@@ -25,11 +25,12 @@ the free algebra: every rank, kernel vector and verdict is unchanged.
 
 ``_integer_images`` applies Horner's rule, f = sum_l x_l * f_l with f_l the
 words of f that start with x_l, that letter removed, walking the sorted
-words of a batch depth first over their prefix trie.  Each node sums the
-images of the words below it, for all polynomials of the batch in one
-dict, and a finished node is folded into its parent by one left
-multiplication, so only the few nodes near the root carry large images.
-It takes and gives integer rows: its callers scale a polynomial with
+words of each polynomial depth first over its own prefix trie.  Each node
+sums the images of the words below it, and a finished node is folded into
+its parent by one left multiplication, so a polynomial's image is summed
+bottom-up and only the few nodes near the root carry large images.  A
+batch shares only the key layout, so its images have common keys.  It
+takes and gives integer rows: its callers scale a polynomial with
 ``Field.integral``, and ``is_weak_identity`` and the exact eliminations
 take its images as they are.
 """
@@ -88,31 +89,21 @@ def _integer_images(rows):
     them picks the same pivots.  The image of a row is its row over Q and,
     reduced mod p, over F_p.
 
-    All rows of a batch share one dict per trie node: inside the walk a
-    key carries the row index in its low ``rbits`` bits (none for a single
-    row) and the packed coordinate above them, and the root is split back
-    into per-row images once.  A node is folded into its parent by the
-    left multiplication by its letter, (a*x + b*y) * x^i = a x^(i+1) +
-    i b x^(i-1) modulo A1*y: ``up`` and ``down`` are what these two terms
+    Each polynomial is folded bottom-up over its own prefix trie; a batch
+    shares only the key layout, set by its longest word and largest letter,
+    so all its images have common keys.  A node is folded into its parent
+    by the left multiplication by its letter, (a*x + b*y) * x^i = a x^(i+1)
+    + i b x^(i-1) modulo A1*y: ``up`` and ``down`` are what these two terms
     add to a key, and i is the key from bit ``ishift`` on.
     """
-    uses = {}  # word -> [(row, integer coefficient)]
-    for row, terms in enumerate(rows):
-        for w, c in terms.items():
-            uses.setdefault(w, []).append((row, c))
-
-    x, params = _key_layout(max(map(len, uses), default=0), set().union(*uses))
-    rbits = (len(rows) - 1).bit_length()
-    ishift = x.bit_length() - 1 + rbits
-    shifts = {k: ((a + x) << rbits, (b - x) << rbits) for k, (a, b) in params.items()}
+    words = set().union(*rows)
+    x, params = _key_layout(max(map(len, words), default=0), set().union(*words))
+    ishift = x.bit_length() - 1
+    shifts = {k: (a + x, b - x) for k, (a, b) in params.items()}
 
     # path[t] is the open trie node of the current word's first t letters:
-    # the sum, over all rows at once, of the images of the suffixes below
-    # it seen so far.  A word is visited before its extensions, so its node
-    # is new.
-    path = [{}]
-    prev = ()
-
+    # the sum of the images of the suffixes below it seen so far.  A word
+    # is visited before its extensions, so its node is new.
     def close(depth):
         while len(path) > depth + 1:
             child = path.pop()
@@ -129,20 +120,20 @@ def _integer_images(rows):
                     k = key + down
                     parent[k] = get(k, 0) + i * c
 
-    for w in sorted(uses):
-        t = 0
-        while t < len(prev) and t < len(w) and prev[t] == w[t]:
-            t += 1
-        close(t)
-        path.extend({} for _ in w[t:])
-        path[-1].update(uses[w])
-        prev = w
-    close(0)
-    images = [{} for _ in rows]
-    rmask = (1 << rbits) - 1
-    for key, s in path[0].items():
-        if s:
-            images[key & rmask][key >> rbits] = s
+    images = []
+    for terms in rows:
+        path = [{}]
+        prev = ()
+        for w in sorted(terms):
+            t = 0
+            while t < len(prev) and t < len(w) and prev[t] == w[t]:
+                t += 1
+            close(t)
+            path.extend({} for _ in w[t:])
+            path[-1][0] = terms[w]
+            prev = w
+        close(0)
+        images.append({key: s for key, s in path[0].items() if s})
     return images
 
 

@@ -123,14 +123,11 @@ class NCPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _merge_nvars(self, other):
-        return max(self.nvars, other.nvars)
-
     def __add__(self, other):
         check_same_field(self.field, other.field)
         F = self.field
         terms = F.add_into(dict(self.terms), other.terms.items())
-        return NCPoly(F, self._merge_nvars(other), terms)
+        return NCPoly(F, max(self.nvars, other.nvars), terms)
 
     def __neg__(self):
         F = self.field
@@ -146,7 +143,7 @@ class NCPoly:
     def __mul__(self, other):
         check_same_field(self.field, other.field)
         terms = _word_product(self.field, self.terms, other.terms)
-        return NCPoly(self.field, self._merge_nvars(other), terms)
+        return NCPoly(self.field, max(self.nvars, other.nvars), terms)
 
     def __pow__(self, n):
         if n < 0:

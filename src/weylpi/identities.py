@@ -257,7 +257,7 @@ def two_variable_certificate(r, s, fieldobj=None):
     NCPoly = free_algebra.NCPoly
     x1 = NCPoly.variable(1, fieldobj, nvars=2)
     x2 = NCPoly.variable(2, fieldobj, nvars=2)
-    br = x1 * x2 - x2 * x1
+    br = free_algebra.commutator(x1, x2)
     table = []
     for i in range(1, s + 1):
         mono = (x1 ** (r - i)) * (x2 ** (s - i)) * (br ** i)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -271,8 +272,8 @@ def test_kernel_matches_oracle_on_random_polynomials(terms):
 
 
 def test_shared_prefixes_give_the_same_vectors():
-    # a batch multiplies out each common prefix once; polynomials evaluated
-    # one at a time share nothing; both match the oracle
+    # a batch shares only the key layout: polynomials evaluated in one batch
+    # and one at a time both match the oracle
     rng = random.Random(5)
     for field in (QQ, F5):
         polys = []
@@ -297,9 +298,9 @@ def _layout(rows):
 
 
 def _assert_batch_is_rowwise(rows):
-    # a batch packs the row index in the low bits of its keys; its images
-    # must be the single-row images, in the same order where the layouts
-    # agree, and the oracle's images in the batch's and in each row's layout
+    # a row's image in a batch is its single-row image, in the same order,
+    # wherever the layouts agree, and the oracle's image in the batch's and
+    # in the row's own layout
     images = _integer_images(rows)
     assert len(images) == len(rows)
     for r, row in enumerate(rows):
@@ -322,7 +323,7 @@ _int_row = st.dictionaries(
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_batched_images_are_the_single_row_images(data):
-    # batch sizes at and around the row-bit boundaries 1, 2, 3, 4 and 5 bits
+    # batch sizes from 1 to 17, at and around the powers of two
     n = data.draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17]))
     rows = data.draw(st.lists(_int_row, min_size=n, max_size=n))
     _assert_batch_is_rowwise(rows)
@@ -331,7 +332,8 @@ def test_batched_images_are_the_single_row_images(data):
 def test_batched_images_at_the_row_bit_boundaries():
     # an empty row, the empty word, one word in several rows, and rows whose
     # terms cancel inside a trie node: x1 x2 - x2 x1 at the root, and
-    # x3 (x1 x2 - x2 x1) at the node of x3
+    # x3 (x1 x2 - x2 x1) at the node of x3; in batches of 1 to 17 rows, at
+    # and around the powers of two, forward and reversed
     rows = [
         {},
         {(): 2},
@@ -346,6 +348,22 @@ def test_batched_images_at_the_row_bit_boundaries():
         _assert_batch_is_rowwise(batch)
         _assert_batch_is_rowwise(batch[::-1])
     assert _integer_images([{}]) == [{}]
+
+
+def test_images_peak_near_the_memory_they_hold():
+    # each polynomial is summed over its own trie, so building the images of
+    # the 360 words of (2,1,1,1,1) peaks at little more than the returned
+    # list holds; a ratio, so it does not hang on one Python's object sizes
+    rows = [{w: 1} for w in words_of_multidegree((2, 1, 1, 1, 1))[::-1]]
+    assert len(rows) == 360
+    tracemalloc.start()
+    try:
+        images = _integer_images(rows)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(images) == 360
+    assert peak <= 1.5 * held, (peak, held)
 
 
 @pytest.mark.parametrize("field", [QQ, Field.prime(2), Field.prime(3)])
